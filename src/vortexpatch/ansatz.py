@@ -443,14 +443,6 @@ class AnsatzField:
             total = term if total is None else total + term
         return total
 
-    def summands(self, x):
-        """List of per-vortex signed contributions at x."""
-        out = []
-        for idx in range(self.vs.m + self.vs.n):
-            sign = 1.0 if idx < self.vs.m else -1.0
-            out.append(sign * np.asarray(self.pw_eval(idx, x)))
-        return out
-
     def threshold(self, idx, x):
         """kappa_idx (+/-) 2 pi q(x)/|ln eps|: the local activation level."""
         sign = 1.0 if idx < self.vs.m else -1.0

@@ -150,14 +150,6 @@ class _BoundaryIntegralBackend:
                     [lu_solve(self.lu, rhs[:, h]) for h in range(2)]
                 )
                 entry["level"] = 1
-            if level >= 2:
-                eye = np.eye(2)
-                hess = (eye[None, :, :] / r2[:, None, None]
-                        - 2.0 * d[:, :, None] * d[:, None, :] / (r2**2)[:, None, None]) / TWO_PI
-                entry["mu_yy"] = np.stack(
-                    [[lu_solve(self.lu, hess[:, h, k]) for k in range(2)] for h in range(2)]
-                )
-                entry["level"] = 2
             if len(self._cache) > 2048:
                 self._cache.clear()
             self._cache[key] = entry
@@ -300,19 +292,6 @@ class GreenEvaluator:
         ent = self._b._densities(y, 1)
         cols = [self._b._eval_grad(x, ent["mu_y"][:, h]) for h in range(2)]
         return _ret(np.stack([cols[0], cols[1]], axis=-1), single)
-
-    def H_hess_yy(self, x, y):
-        x, single = _as_points(x)
-        y = np.asarray(y, dtype=float)
-        if isinstance(self._b, _ImagesBackend):
-            return _ret(self._b.H_hess_xx(y[None, :], x)[0] if single else
-                        np.stack([self._b.H_hess_xx(y[None, :], xi)[0] for xi in x]), single)
-        ent = self._b._densities(y, 2)
-        vals = np.empty(x.shape[:-1] + (2, 2))
-        for h in range(2):
-            for k in range(2):
-                vals[..., h, k] = self._b._eval(x, ent["mu_yy"][h][k])
-        return _ret(vals, single)
 
     # -- Green function and friends --------------------------------------- #
 

@@ -168,10 +168,6 @@ def discretize(spec):
     return A
 
 
-def apply_operator(A, field):
-    return GridField(field.spec, A @ field.values, field.variable, dict(field.params))
-
-
 def gradient(field):
     """Centered-difference gradient honoring the Dirichlet boundary.
 

@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .ansatz import (AnsatzField, ansatz_tilt, delta_from_eps, eps_log,
-                     refine_positions, solve_core_system, support_predict)
+from .ansatz import (AnsatzField, eps_log, refine_positions, solve_core_system,
+                     support_predict)
 from .config import config_hash, validate_config
 from .diagnostics import (ansatz_energy, ansatz_energy_expansion, energy_eval,
                           reconstruct_flow, vorticity_extract)
@@ -21,8 +21,8 @@ from .errors import ConfigError, ConvergenceError
 from .geometry import Domain
 from .greens import GreenEvaluator, HarmonicBackground, background_from_flux
 from .grid import GridField, build_grid, check_resolution, interpolate
-from .kirchhoff import (VortexSystem, check_subdomains, find_critical,
-                        kr_grad, kr_value, multistart_find_critical, phi_value)
+from .kirchhoff import (VortexSystem, check_subdomains, find_critical, kr_grad,
+                        multistart_find_critical)
 from .profile import solve_profile
 from .solver import setup_problem, solve_newton, solve_picard
 
