@@ -24,10 +24,15 @@ The plateau levels couple through the per-vortex balance equations
             + sum_l a_l^- barG(z_i^+, z_l^-)/L_l^-,       L = ln(bigR/s),
 
 with the minus family the exact +/- mirror (the sign of the q term flips and
-the roles of the two families swap).  For fixed core radii these equations
-are linear in the plateau levels, so the solver alternates 1D gluing-root
-solves with a linear update until both residual families sit at rounding
-level.
+the roles of the two families swap).  In array form, with c = a/L and the
+signed table S_ij = sigma_i sigma_j of kirchhoff.interaction_table,
+
+    a = kappa + sigma 2 pi q(z)/|ln eps| + g(z, z) c - (S o barG) c;
+
+the same table gives the first-order tilt of ansatz_tilt.  For fixed core
+radii these equations are linear in the plateau levels, so the solver
+alternates 1D gluing-root solves with a linear update until both residual
+families sit at rounding level.
 """
 
 import warnings
@@ -37,6 +42,7 @@ from dataclasses import dataclass, field
 from scipy.optimize import brentq
 
 from .errors import DomainError, SolvabilityError, ConvergenceError
+from .kirchhoff import interaction_table
 
 TWO_PI = 2.0 * np.pi
 
@@ -169,41 +175,16 @@ class CoreParameters:
         }
 
 
-def _interaction_tables(vs, green):
-    """g(z_i, z_i) and barG(z_i, z_j) for all vortices (sign-agnostic)."""
-    Z = vs.positions
-    k = vs.m + vs.n
-    g_diag = np.array([green.g(Z[i], Z[i]) for i in range(k)])
-    bar = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                bar[i, j] = green.bar_g(Z[i], Z[j])
-    return g_diag, bar
-
-
-def core_residuals(cores, vs, green, q, rp):
+def core_residuals(cores, vs, table, q, rp):
     """Residual families of the gluing equations and the plateau balances."""
-    m, n = vs.m, vs.n
-    Z = vs.positions
-    lg = eps_log(cores.eps)
-    g_diag, bar = _interaction_tables(vs, green)
+    m = vs.m
     s = cores.s_all
     a = cores.a_all
-    L = np.log(cores.big_r / s)
-    glue = np.array([glue_residual(cores.delta, a[i], s[i], rp, cores.big_r)
-                     for i in range(m + n)])
-    bal = np.zeros(m + n)
-    for i in range(m + n):
-        sign = 1.0 if i < m else -1.0
-        rhs = (vs.kappas[i] + sign * TWO_PI * q.value(Z[i]) / lg
-               + a[i] * g_diag[i] / L[i])
-        for j in range(m + n):
-            if j == i:
-                continue
-            same = (j < m) == (i < m)
-            rhs += (-1.0 if same else 1.0) * a[j] * bar[i, j] / L[j]
-        bal[i] = a[i] - rhs
+    c = a / np.log(cores.big_r / s)
+    glue = glue_residual(cores.delta, a, s, rp, cores.big_r)
+    rhs = (vs.kappas + vs.signs * TWO_PI * q.value(vs.positions) / eps_log(cores.eps)
+           + table.g_diag * c - (table.S * table.bar) @ c)
+    bal = a - rhs
     return {"glue_plus": np.abs(glue[:m]), "glue_minus": np.abs(glue[m:]),
             "balance_plus": np.abs(bal[:m]), "balance_minus": np.abs(bal[m:])}
 
@@ -219,11 +200,12 @@ def solve_core_system(vs, green, q, eps, rp, big_r=None, max_iter=200,
     """
     big_r = green.big_r if big_r is None else big_r
     delta = delta_from_eps(eps, rp.p)
-    a = _iterate_cores(vs, green, q, eps, delta, rp, big_r, vs.kappas.copy(),
+    table = interaction_table(vs, green)
+    a = _iterate_cores(vs, table, q, eps, delta, rp, big_r, vs.kappas.copy(),
                        max_iter, tol)
     if check_multiplicity:
         try:
-            a_alt = _iterate_cores(vs, green, q, eps, delta, rp, big_r,
+            a_alt = _iterate_cores(vs, table, q, eps, delta, rp, big_r,
                                    1.5 * vs.kappas, max_iter, tol)
             if np.max(np.abs(a_alt[0] - a[0])) > 1e-9 * np.max(np.abs(a[0])):
                 warnings.warn(
@@ -239,7 +221,7 @@ def solve_core_system(vs, green, q, eps, rp, big_r=None, max_iter=200,
                            s_plus=s_vec[:m].copy(), a_plus=a_vec[:m].copy(),
                            s_minus=s_vec[m:].copy(), a_minus=a_vec[m:].copy(),
                            iterations=iters)
-    res = core_residuals(cores, vs, green, q, rp)
+    res = core_residuals(cores, vs, table, q, rp)
     cores.residuals = {k: float(np.max(v)) if len(v) else 0.0 for k, v in res.items()}
     worst = max(cores.residuals.values())
     if worst > tol:
@@ -249,14 +231,10 @@ def solve_core_system(vs, green, q, eps, rp, big_r=None, max_iter=200,
     return cores
 
 
-def _iterate_cores(vs, green, q, eps, delta, rp, big_r, a_init, max_iter, tol):
-    m, n = vs.m, vs.n
-    k = m + n
-    Z = vs.positions
-    lg = eps_log(eps)
-    g_diag, bar = _interaction_tables(vs, green)
-    qz = np.array([q.value(Z[i]) for i in range(k)])
-    signs = np.concatenate([np.ones(m), -np.ones(n)])
+def _iterate_cores(vs, table, q, eps, delta, rp, big_r, a_init, max_iter, tol):
+    k = vs.m + vs.n
+    rhs = vs.kappas + vs.signs * TWO_PI * q.value(vs.positions) / eps_log(eps)
+    coupling = table.S * table.bar
 
     a = a_init.astype(float).copy()
     prev_step = None
@@ -266,15 +244,7 @@ def _iterate_cores(vs, green, q, eps, delta, rp, big_r, a_init, max_iter, tol):
         s = np.array([solve_s(delta, a[i], big_r, rp) for i in range(k)])
         L = np.log(big_r / s)
         # linear balance for the plateau levels at frozen radii
-        A = np.eye(k)
-        rhs = vs.kappas + signs * TWO_PI * qz / lg
-        for i in range(k):
-            A[i, i] -= g_diag[i] / L[i]
-            for j in range(k):
-                if j == i:
-                    continue
-                same = (j < m) == (i < m)
-                A[i, j] += (1.0 if same else -1.0) * bar[i, j] / L[j]
+        A = np.eye(k) - np.diag(table.g_diag / L) + coupling / L[None, :]
         a_new = np.linalg.solve(A, rhs)
         step = a_new - a
         if prev_step is not None and np.dot(step, prev_step) < 0:
@@ -316,24 +286,10 @@ def ansatz_tilt(cores, vs, green, q):
     the reduced energy; at that point the near-solution has no first-order
     defect and the vorticity supports stay concentric with their vortices.
     """
-    Z = vs.positions
-    k = vs.m + vs.n
-    lg = eps_log(cores.eps)
-    a = cores.a_all
-    L = np.log(cores.big_r / cores.s_all)
-    t = np.zeros((k, 2))
-    for i in range(k):
-        sign_i = 1.0 if i < vs.m else -1.0
-        t[i] = sign_i * (TWO_PI / lg) * q.grad(Z[i])
-        t[i] += (a[i] / L[i]) * green.g_grad_x(Z[i], Z[i])
-        for j in range(k):
-            if j == i:
-                continue
-            same = (j < vs.m) == (i < vs.m)
-            coef = a[j] / L[j]
-            gb = green.bar_g_grad_x(Z[i], Z[j])
-            t[i] += (-coef if same else coef) * gb
-    return t
+    t = interaction_table(vs, green)
+    c = cores.a_all / np.log(cores.big_r / cores.s_all)
+    return ((TWO_PI / eps_log(cores.eps)) * vs.signs[:, None] * q.grad(vs.positions)
+            + c[:, None] * t.dg_diag - np.einsum("ij,j,ijh->ih", t.S, c, t.dbar))
 
 
 def refine_positions(vs, green, q, eps, rp, big_r=None, tol=None, max_iter=40):
@@ -418,34 +374,18 @@ class AnsatzField:
         w = w_delta_eval(self.cores.delta, a, s, z, self.rp, self.big_r, x)
         return w - a / np.log(self.big_r / s) * self.green.g(x, z)
 
-    def pw_grad(self, idx, x):
-        s, a, z = self._params(idx)
-        gw = w_delta_grad(self.cores.delta, a, s, z, self.rp, self.big_r, x)
-        return gw - a / np.log(self.big_r / s) * self.green.g_grad_x(x, z)
-
     def evaluate(self, x, require_inside=True):
         """P^+(x) - P^-(x)."""
         if require_inside:
             if not np.all(self.green.domain.contains(np.asarray(x, dtype=float))):
                 raise DomainError("ansatz evaluation point outside the domain")
-        total = None
-        for idx in range(self.vs.m + self.vs.n):
-            sign = 1.0 if idx < self.vs.m else -1.0
-            term = sign * np.asarray(self.pw_eval(idx, x))
-            total = term if total is None else total + term
+        total = sum(sign * np.asarray(self.pw_eval(idx, x))
+                    for idx, sign in enumerate(self.vs.signs))
         return float(total) if np.ndim(total) == 0 else total
-
-    def gradient(self, x):
-        total = None
-        for idx in range(self.vs.m + self.vs.n):
-            sign = 1.0 if idx < self.vs.m else -1.0
-            term = sign * np.asarray(self.pw_grad(idx, x))
-            total = term if total is None else total + term
-        return total
 
     def threshold(self, idx, x):
         """kappa_idx (+/-) 2 pi q(x)/|ln eps|: the local activation level."""
-        sign = 1.0 if idx < self.vs.m else -1.0
+        sign = self.vs.signs[idx]
         return self.vs.kappas[idx] + sign * TWO_PI * self.q.value(x) / eps_log(self.cores.eps)
 
     def translation_modes(self, x):
@@ -458,8 +398,7 @@ class AnsatzField:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         k = self.vs.m + self.vs.n
         cols = np.zeros((pts.shape[0], 2 * k))
-        for idx in range(k):
-            sign = 1.0 if idx < self.vs.m else -1.0
+        for idx, sign in enumerate(self.vs.signs):
             s, a, z = self._params(idx)
             gw = w_delta_grad(self.cores.delta, a, s, z, self.rp, self.big_r, pts)
             # d/dz_h g(x, z) = -2 pi [d_y H](x, z)
@@ -471,8 +410,8 @@ class AnsatzField:
 
     def excess(self, idx, x):
         """Signed field minus the activation level near vortex idx."""
-        sign = 1.0 if idx < self.vs.m else -1.0
-        return sign * self.evaluate(x, require_inside=False) - self.threshold(idx, x)
+        return (self.vs.signs[idx] * self.evaluate(x, require_inside=False)
+                - self.threshold(idx, x))
 
 
 def support_predict(af, T=10.0, sigma=0.1, check=True, n_angles=32):

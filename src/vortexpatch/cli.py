@@ -12,12 +12,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ansatz import AnsatzField, refine_positions, solve_core_system
-from .config import config_hash, load_config
+from .ansatz import AnsatzField
+from .config import load_config
 from .errors import ConfigError, ConvergenceError, VortexPatchError
-from .pipeline import (PipelineContext, build_system, run_pipeline, run_sweep,
+from .pipeline import (PipelineContext, run_pipeline, run_sweep, solve_cores,
                        stage_equilibrium, stage_solve_one, stage_verify_one,
-                       write_csv, write_json, _round_floats, atomic_write)
+                       write_csv, write_json, write_solution, _round_floats,
+                       atomic_write)
 from .profile import solve_profile
 
 
@@ -28,7 +29,6 @@ def _common(parser):
                         help="override the config eps list (repeatable)")
     parser.add_argument("--grid-h", type=float, default=None,
                         help="override the grid spacing")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
 
 
@@ -38,8 +38,6 @@ def _load(args):
         cfg["eps"] = sorted(args.eps, reverse=True)
     if args.grid_h is not None:
         cfg["grid"]["h"] = args.grid_h
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     if args.seed is not None:
         cfg["seed"] = args.seed
     return cfg
@@ -114,11 +112,7 @@ def cmd_ansatz(args):
     cfg = _load(args)
     ctx = PipelineContext(cfg)
     vs_star, _, _ = stage_equilibrium(ctx)
-    eps = cfg["eps"][0]
-    if cfg["vortices"]["refine_centers"]:
-        vs_eps, cores = refine_positions(vs_star, ctx.green, ctx.q, eps, ctx.profile)
-    else:
-        vs_eps, cores = vs_star, solve_core_system(vs_star, ctx.green, ctx.q, eps, ctx.profile)
+    vs_eps, cores = solve_cores(ctx, vs_star, cfg["eps"][0])
     os.makedirs(args.out, exist_ok=True)
     precision = cfg["output"]["precision"]
     write_json(os.path.join(args.out, "cores.json"), cores.to_dict(), precision)
@@ -140,17 +134,10 @@ def cmd_solve(args):
     cfg = _load(args)
     ctx = PipelineContext(cfg)
     vs_star, _, _ = stage_equilibrium(ctx)
-    eps = cfg["eps"][0]
-    product = stage_solve_one(ctx, vs_star, eps)
+    product = stage_solve_one(ctx, vs_star, cfg["eps"][0])
     os.makedirs(args.out, exist_ok=True)
-    precision = cfg["output"]["precision"]
-    spec = product["grid"]
-    write_csv(os.path.join(args.out, "field.csv"), ["x1", "x2", "w"],
-              [(spec.points[i, 0], spec.points[i, 1], product["field"].values[i])
-               for i in range(spec.n_interior)], precision)
-    write_json(os.path.join(args.out, "report.json"),
-               {"eps": eps, "grid_h": product["h"], "grid_nodes": spec.n_interior,
-                "solver": product["report"].to_dict()}, precision)
+    write_solution(product, os.path.join(args.out, "field.csv"),
+                   os.path.join(args.out, "report.json"), cfg["output"]["precision"])
     print(f"converged in {product['report'].iterations} iterations; "
           f"wrote {args.out}/field.csv")
     return 0

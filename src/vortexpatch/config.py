@@ -93,7 +93,6 @@ _TOP_KEYS = {
     "search": (dict, {}, None),
     "output": (dict, {}, None),
     "seed": (int, 0, None),
-    "threads": (int, 1, lambda v: v >= 1),
 }
 
 _SECTIONS = {

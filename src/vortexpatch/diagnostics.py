@@ -13,6 +13,7 @@ from scipy.optimize import brentq  # noqa: F401
 from .ansatz import eps_log
 from .errors import ConfigError
 from .grid import ARM_DIRS, GridField, cell_weights, gradient, interpolate
+from .kirchhoff import interaction_table
 from .solver import rhs_eval, u_from_w, w_from_u
 
 TWO_PI = 2.0 * np.pi
@@ -232,7 +233,7 @@ def ansatz_energy(af, n_r=96, n_theta=192):
     grad_term = 0.0
     pot_term = 0.0
     for idx in range(k):
-        sign = 1.0 if idx < vs.m else -1.0
+        sign = vs.signs[idx]
         s = cores.s_all[idx]
         z = vs.positions[idx]
         amp = cores.delta**(2.0 / (p - 1.0)) * s**(-2.0 / (p - 1.0))
@@ -264,36 +265,20 @@ def ansatz_energy_expansion(cores, vs, green):
 
         sum_i [ pi(p+1)/4 d^2 a^2/L^2 + pi d^2 a^2/L - pi g(z,z) d^2 a^2/L^2
                 - pi d^2 a^2/(2 L^2) ]
-        + pi d^2 sum_{same-sign ordered pairs} a_i a_k barG(z_i, z_k)/(L_i L_k)
-        - 2 pi d^2 sum_{i, j mixed} a_i^+ a_j^- barG(z_i^+, z_j^-)/(L_i L_j)
+        + pi d^2 sum_{i != k} sigma_i sigma_k a_i a_k barG(z_i, z_k)/(L_i L_k)
 
-    with L = ln(bigR/s).  The remainder is higher order in eps.
+    with L = ln(bigR/s): the pair term is pi d^2 c^T (S o barG) c with
+    c = a/L and S the signed table of kirchhoff.interaction_table.  The
+    remainder is higher order in eps.
     """
+    t = interaction_table(vs, green)
     d2 = cores.delta**2
     p = cores.p
-    Z = vs.positions
-    k = vs.m + vs.n
-    s = cores.s_all
     a = cores.a_all
-    L = np.log(cores.big_r / s)
-    total = 0.0
-    for i in range(k):
-        gz = green.g(Z[i], Z[i])
-        total += (np.pi * (p + 1.0) / 4.0 * d2 * a[i]**2 / L[i]**2
-                  + np.pi * d2 * a[i]**2 / L[i]
-                  - np.pi * gz * d2 * a[i]**2 / L[i]**2
-                  - 0.5 * np.pi * d2 * a[i]**2 / L[i]**2)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            same = (i < vs.m) == (j < vs.m)
-            if same:
-                total += np.pi * d2 * a[i] * a[j] * green.bar_g(Z[i], Z[j]) / (L[i] * L[j])
-    for i in range(vs.m):
-        for j in range(vs.m, k):
-            total -= 2.0 * np.pi * d2 * a[i] * a[j] * green.bar_g(Z[i], Z[j]) / (L[i] * L[j])
-    return float(total)
+    L = np.log(cores.big_r / cores.s_all)
+    c = a / L
+    self_terms = (p + 1.0) / 4.0 * c**2 + a**2 / L - t.g_diag * c**2 - 0.5 * c**2
+    return float(np.pi * d2 * (self_terms.sum() + c @ (t.S * t.bar) @ c))
 
 
 def kr_consistency(eps_values, energies, phi_values, p):
@@ -352,9 +337,6 @@ class FlowField:
     divergence: np.ndarray        # (N,) centered divergence, regular nodes
     curl: np.ndarray              # (N,)
     regular: np.ndarray           # (N,) nodes with depth-2 uncut stencils
-
-    def to_arrays(self):
-        return self.velocity, self.pressure, self.divergence, self.curl
 
 
 def _deep_mask(spec, depth=2):

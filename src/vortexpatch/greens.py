@@ -358,14 +358,6 @@ class GreenEvaluator:
         z = np.asarray(z, dtype=float)
         return _ret(-TWO_PI * self.H_grad_x(x, z), single)
 
-    def g_hess_xx(self, x, z):
-        x, single = _as_points(x)
-        return _ret(-TWO_PI * self.H_hess_xx(x, np.asarray(z, dtype=float)), single)
-
-    def g_hess_xy(self, x, z):
-        x, single = _as_points(x)
-        return _ret(-TWO_PI * self.H_hess_xy(x, np.asarray(z, dtype=float)), single)
-
     def bar_g(self, x, y):
         """barG(x, y) = ln(bigR/|x-y|) - g(x, y); identical to 2 pi G."""
         x, single = _as_points(x)
@@ -457,10 +449,6 @@ class HarmonicBackground:
         fpp = self._poly(self._zeta(x), 2) / self.scale**2
         a, b = np.real(fpp), -np.imag(fpp)
         return np.stack([np.stack([a, b], -1), np.stack([b, -a], -1)], -2)
-
-    def psi0(self, x):
-        """Stream function of the background field, psi0 = -q."""
-        return -self.value(x)
 
 
 def background_from_flux(domain, vn, offset=0.0, n_modes=None):

@@ -53,9 +53,6 @@ class GridField:
         return GridField(self.spec, self.values.copy() if values is None else values,
                          self.variable, dict(self.params))
 
-    def max_norm(self):
-        return float(np.max(np.abs(self.values)))
-
 
 def _axis_crossing(domain, p, direction, h):
     """Distance in (0, h] from inside node p to the boundary along direction."""

@@ -105,6 +105,44 @@ class VortexSystem:
         return [(self.positions[i].copy(), radius) for i in range(k)]
 
 
+@dataclass
+class InteractionTable:
+    """Green interactions of a vortex system; pair entries vanish on the diagonal."""
+    g_diag: np.ndarray    # (k,)       g(z_i, z_i)
+    bar: np.ndarray       # (k, k)     barG(z_i, z_j)
+    dg_diag: np.ndarray   # (k, 2)     grad_x g(x, z_i) at x = z_i
+    dbar: np.ndarray      # (k, k, 2)  grad_x barG(x, z_j) at x = z_i
+    S: np.ndarray         # (k, k)     sigma_i sigma_j: +1 same sign, -1 mixed
+
+
+def interaction_table(vs, green):
+    """The signed interaction table that couples the vortices in the plateau
+    balance, the first-order tilt, the energy expansion and Phi.
+
+    One batched g and g_grad_x call per source point.  With two or more
+    vortices every position must lie in the domain (DomainError) and no two
+    may coincide (SingularityError), as for the Green function itself.
+    """
+    Z = vs.positions
+    k = len(Z)
+    off = ~np.eye(k, dtype=bool)
+    d = Z[:, None, :] - Z[None, :, :]                      # z_i - z_j
+    r = np.hypot(d[..., 0], d[..., 1])
+    if k > 1:
+        if not np.all(green.domain.contains(Z)):
+            raise DomainError("vortex position outside the domain")
+        if np.any(r[off] == 0.0):
+            raise SingularityError("coincident vortices")
+    g = np.column_stack([green.g(Z, z) for z in Z])        # g(z_i, z_j)
+    dg = np.stack([green.g_grad_x(Z, z) for z in Z], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bar = np.where(off, np.log(green.big_r / r) - g, 0.0)
+        dbar = np.where(off[..., None], -d / (r**2)[..., None] - dg, 0.0)
+    diag = np.arange(k)
+    return InteractionTable(g_diag=g[diag, diag], bar=bar, dg_diag=dg[diag, diag],
+                            dbar=dbar, S=np.where(off, np.outer(vs.signs, vs.signs), 0.0))
+
+
 def check_subdomains(vs, domain):
     """Mutual disjointness + containment; raises ConfigError naming offenders."""
     subs = vs.default_subdomains(domain)
@@ -194,29 +232,10 @@ def kr_hessian(vs, green, q):
 
 def phi_value(vs, green, q):
     """The reduced-energy companion of W (same critical points)."""
-    Z = vs.positions
-    m = vs.m
-    pi = np.pi
-    kp, km = vs.kappa_plus, vs.kappa_minus
-    zp, zm = Z[:m], Z[m:]
-    total = 0.0
-    for i in range(m):
-        total += 4.0 * pi**2 * kp[i] * q.value(zp[i])
-        total += pi * kp[i]**2 * green.g(zp[i], zp[i])
-    for j in range(vs.n):
-        total -= 4.0 * pi**2 * km[j] * q.value(zm[j])
-        total += pi * km[j]**2 * green.g(zm[j], zm[j])
-    for i in range(m):
-        for kk in range(m):
-            if kk != i:
-                total -= pi * kp[i] * kp[kk] * green.bar_g(zp[i], zp[kk])
-    for j in range(vs.n):
-        for l in range(vs.n):
-            if l != j:
-                total -= pi * km[j] * km[l] * green.bar_g(zm[l], zm[j])
-    for i in range(m):
-        for j in range(vs.n):
-            total += 2.0 * pi * kp[i] * km[j] * green.bar_g(zp[i], zm[j])
+    t = interaction_table(vs, green)
+    kap = vs.kappas
+    total = (4.0 * np.pi**2 * np.sum(vs.signs * kap * q.value(vs.positions))
+             + np.pi * np.sum(kap**2 * t.g_diag) - np.pi * kap @ (t.S * t.bar) @ kap)
     return float(total)
 
 

@@ -185,15 +185,30 @@ def _grid_h(cfg, cores):
     return h
 
 
+def solve_cores(ctx, vs_star, eps):
+    """Positions and core parameters at eps: moved to the finite-eps
+    equilibrium when vortices.refine_centers is set, else kept at vs_star."""
+    if ctx.cfg["vortices"]["refine_centers"]:
+        return refine_positions(vs_star, ctx.green, ctx.q, eps, ctx.profile)
+    return vs_star, solve_core_system(vs_star, ctx.green, ctx.q, eps, ctx.profile)
+
+
+def write_solution(product, field_path, report_path, precision):
+    """The solved field as x1,x2,w rows and the solver report of one eps."""
+    spec = product["grid"]
+    write_csv(field_path, ["x1", "x2", "w"],
+              [(spec.points[i, 0], spec.points[i, 1], product["field"].values[i])
+               for i in range(spec.n_interior)], precision)
+    write_json(report_path, {"eps": product["eps"], "grid_h": product["h"],
+                             "grid_nodes": spec.n_interior,
+                             "solver": product["report"].to_dict()}, precision)
+
+
 def stage_solve_one(ctx, vs_star, eps, warm=None, method=None):
     """Cores, ansatz, grid and PDE solve at one eps.  Returns a dict of stage
     products keyed for downstream verification."""
     cfg = ctx.cfg
-    if cfg["vortices"]["refine_centers"]:
-        vs_eps, cores = refine_positions(vs_star, ctx.green, ctx.q, eps, ctx.profile)
-    else:
-        vs_eps = vs_star
-        cores = solve_core_system(vs_eps, ctx.green, ctx.q, eps, ctx.profile)
+    vs_eps, cores = solve_cores(ctx, vs_star, eps)
     if cfg["vortices"]["subdomain_radius"] is not None:
         vs_eps = build_system(cfg, ctx.domain, positions=vs_eps.positions)
     subs = check_subdomains(vs_eps, ctx.domain)
@@ -338,14 +353,8 @@ def run_pipeline(cfg, outdir, progress=None):
         cores_path = os.path.join(outdir, f"cores_{tag}.json")
         write_json(cores_path, product["cores"].to_dict(), precision)
         field_path = os.path.join(outdir, f"field_{tag}.csv")
-        spec = product["grid"]
-        write_csv(field_path, ["x1", "x2", "w"],
-                  [(spec.points[i, 0], spec.points[i, 1], product["field"].values[i])
-                   for i in range(spec.n_interior)], precision)
         report_path = os.path.join(outdir, f"report_{tag}.json")
-        write_json(report_path, {"eps": eps, "grid_h": product["h"],
-                                 "grid_nodes": spec.n_interior,
-                                 "solver": product["report"].to_dict()}, precision)
+        write_solution(product, field_path, report_path, precision)
         tick(f"solve_{tag}", t0, **{f"cores_{tag}": cores_path,
                                     f"field_{tag}": field_path,
                                     f"report_{tag}": report_path})

@@ -232,7 +232,7 @@ def _near_null_basis(J, lu, k):
 
 def _jacobian(Ac, w, setup, jac_cap):
     """Semismooth Jacobian at w."""
-    return (Ac - _diag(rhs_derivative(w, setup, cap=jac_cap))).tocsc()
+    return (Ac - sp.diags(rhs_derivative(w, setup, cap=jac_cap), 0, format="csc")).tocsc()
 
 
 def _factorize(J, report):
@@ -562,10 +562,6 @@ def solve_linear(setup, rhs_values):
     Ac = setup.operator().tocsc()
     lu = spla.splu(Ac)
     return lu.solve(np.asarray(rhs_values, dtype=float))
-
-
-def _diag(d):
-    return sp.diags(d, 0, format="csc")
 
 
 def u_from_w(field):

@@ -1,16 +1,19 @@
 """Core radii, plateau levels, the coupled system and the composite field."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vortexpatch import (Domain, GreenEvaluator, HarmonicBackground,
                          background_from_flux, solve_core_system, solve_s,
                          w_delta_eval)
-from vortexpatch.ansatz import (AnsatzField, ansatz_tilt, delta_from_eps,
-                                glue_residual, refine_positions,
+from vortexpatch.ansatz import (AnsatzField, ansatz_tilt, core_residuals,
+                                delta_from_eps, glue_residual, refine_positions,
                                 support_predict, w_delta_grad)
-from vortexpatch.errors import DomainError, SolvabilityError
-from vortexpatch.kirchhoff import VortexSystem
+from vortexpatch.diagnostics import ansatz_energy_expansion
+from vortexpatch.errors import DomainError, SingularityError, SolvabilityError
+from vortexpatch.kirchhoff import VortexSystem, interaction_table, phi_value
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +211,82 @@ def test_core_parameter_z_derivative_scaling(disk_images, q_zero, profiles):
     assert max(scaled_s) / max(min(scaled_s), 1e-300) < 10.0
 
 
+def test_core_system_domain_and_singularity_errors(disk_images, q_zero, profiles):
+    rp = profiles[2.0]
+    outside = VortexSystem([1.0], [1.0], [[0.3, 0.0], [1.2, 0.0]])
+    with pytest.raises(DomainError):
+        solve_core_system(outside, disk_images, q_zero, 1e-3, rp)
+    coincident = VortexSystem([1.0], [1.0], [[0.3, 0.0], [0.3, 0.0]])
+    with pytest.raises(SingularityError):
+        solve_core_system(coincident, disk_images, q_zero, 1e-3, rp)
+
+
+# ---------------------------------------------------------------------- #
+#  signed interaction table against scalar same/opposite-sign loops
+# ---------------------------------------------------------------------- #
+
+
+def _scalar_reference(cores, vs, green, q):
+    """Balance residuals, tilt, energy expansion and Phi with one scalar
+    Green call per vortex pair, the sign of each pair term chosen by whether
+    the two vortices belong to the same family."""
+    Z, kap, m, k = vs.positions, vs.kappas, vs.m, vs.m + vs.n
+    lg = abs(np.log(cores.eps))
+    a = cores.a_all
+    L = np.log(cores.big_r / cores.s_all)
+    d2, p = cores.delta**2, cores.p
+    bal = np.zeros(k)
+    tilt = np.zeros((k, 2))
+    expansion = phi = 0.0
+    for i in range(k):
+        sign = 1.0 if i < m else -1.0
+        gz = green.g(Z[i], Z[i])
+        bal[i] = a[i] - (kap[i] + sign * 2 * np.pi * q.value(Z[i]) / lg + a[i] * gz / L[i])
+        tilt[i] = (sign * (2 * np.pi / lg) * q.grad(Z[i])
+                   + (a[i] / L[i]) * green.g_grad_x(Z[i], Z[i]))
+        expansion += np.pi * d2 * a[i]**2 * ((p + 1.0) / 4.0 / L[i]**2 + 1.0 / L[i]
+                                             - gz / L[i]**2 - 0.5 / L[i]**2)
+        phi += 4 * np.pi**2 * sign * kap[i] * q.value(Z[i]) + np.pi * kap[i]**2 * gz
+        for j in range(k):
+            if j == i:
+                continue
+            same = (i < m) == (j < m)
+            bg = green.bar_g(Z[i], Z[j])
+            bal[i] -= (-1.0 if same else 1.0) * a[j] * bg / L[j]
+            tilt[i] += (-1.0 if same else 1.0) * (a[j] / L[j]) * green.bar_g_grad_x(Z[i], Z[j])
+            if same:
+                expansion += np.pi * d2 * a[i] * a[j] * bg / (L[i] * L[j])
+                phi -= np.pi * kap[i] * kap[j] * bg
+            elif i < m:
+                expansion -= 2 * np.pi * d2 * a[i] * a[j] * bg / (L[i] * L[j])
+                phi += 2 * np.pi * kap[i] * kap[j] * bg
+    return np.abs(bal), tilt, expansion, phi
+
+
+@pytest.mark.parametrize("green_name", ["disk_images", "disk_bie"],
+                         ids=["images", "boundary-integral"])
+def test_interaction_table_matches_scalar_loops(request, unit_disk, profiles, green_name):
+    green = request.getfixturevalue(green_name)
+    rp = profiles[2.0]
+    q = background_from_flux(unit_disk, lambda t: np.cos(t))
+    vs = VortexSystem([1.0, 0.8], [1.2], [[0.35, 0.1], [-0.4, 0.25], [0.05, -0.45]])
+    cores = solve_core_system(vs, green, q, 1e-3, rp)
+    # the solved plateau levels satisfy the scalar balance
+    assert np.max(_scalar_reference(cores, vs, green, q)[0]) <= 1e-12
+    # off the solution the balance residuals are O(1), not rounding
+    off = replace(cores, a_plus=1.1 * cores.a_plus, a_minus=0.9 * cores.a_minus)
+    bal, tilt, expansion, phi = _scalar_reference(off, vs, green, q)
+    res = core_residuals(off, vs, interaction_table(vs, green), q, rp)
+    got = {"balance": np.concatenate([res["balance_plus"], res["balance_minus"]]),
+           "tilt": ansatz_tilt(off, vs, green, q),
+           "expansion": ansatz_energy_expansion(off, vs, green),
+           "phi": phi_value(vs, green, q)}
+    ref = {"balance": bal, "tilt": tilt, "expansion": expansion, "phi": phi}
+    for name, val in got.items():
+        err = np.max(np.abs(val - ref[name])) / np.max(np.abs(ref[name]))
+        assert err <= 1e-13, (name, err)
+
+
 # ---------------------------------------------------------------------- #
 #  composite field
 # ---------------------------------------------------------------------- #
@@ -251,14 +330,20 @@ def test_ansatz_rotational_symmetry(disk_images, profiles, q_zero):
     assert np.max(vals) - np.min(vals) < 1e-10
 
 
-def test_ansatz_gradient_fd(single_af):
+def test_translation_modes_fd(disk_images, profiles, q_zero):
+    # column (i, h) is the derivative of the composite field in z_{i,h} at
+    # frozen (a, s); a +/- pair checks the sign of each family
+    rp = profiles[2.0]
+    vs = VortexSystem([1.0], [1.0], [[0.3, 0.0], [-0.3, 0.1]])
+    cores = solve_core_system(vs, disk_images, q_zero, 1e-3, rp)
     x = np.array([0.24, 0.13])
+    an = AnsatzField(cores, vs, rp, disk_images, q_zero).translation_modes(x)[0]
     h = 1e-7
-    eye = np.eye(2)
-    fd = np.array([(single_af.evaluate(x + h * eye[i]) - single_af.evaluate(x - h * eye[i]))
-                   / (2 * h) for i in range(2)])
-    an = single_af.gradient(x)
-    assert np.max(np.abs(fd - an)) < 1e-5 * max(1.0, np.max(np.abs(an)))
+    for col in range(4):
+        dz = h * np.eye(4)[col]
+        fp, fm = (AnsatzField(cores, vs.with_positions(vs.positions.ravel() + dzs), rp,
+                              disk_images, q_zero).evaluate(x) for dzs in (dz, -dz))
+        assert abs((fp - fm) / (2 * h) - an[col]) < 1e-5 * max(1.0, np.max(np.abs(an)))
 
 
 def test_local_expansion_probe(disk_images, profiles):

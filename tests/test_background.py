@@ -97,5 +97,5 @@ def test_zero_background_class():
     q = HarmonicBackground.zero(offset=0.0)
     pts = np.zeros((3, 2))
     assert np.all(q.value(pts) == 0.0)
-    assert q.psi0(np.array([0.1, 0.2])) == 0.0
+    assert q.value(np.array([0.1, 0.2])) == 0.0
     assert q.hessian(np.array([0.1, 0.2])).shape == (2, 2)

@@ -51,6 +51,8 @@ def test_unknown_keys_rejected():
     bad2["solver"]["typo_tol"] = 1e-8
     with pytest.raises(ConfigError):
         validate_config(bad2)
+    with pytest.raises(ConfigError):
+        validate_config(dict(BASE_CONFIG, threads=1))
 
 
 def test_validation_rules():
@@ -195,3 +197,11 @@ def test_cli_ansatz(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "a" / "cores.json").exists()
     assert (tmp_path / "a" / "ansatz.csv").exists()
+
+
+def test_cli_solve(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "s"
+    assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
+    assert (out / "report.json").exists()
+    assert (out / "field.csv").read_text().splitlines()[0] == "x1,x2,w"
