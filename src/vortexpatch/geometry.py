@@ -13,6 +13,10 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
+# Points per block in the sample-based distance and winding tests: bounds
+# each (block x boundary samples) temporary, 4 MB at 512 samples.
+CHUNK = 1024
+
 
 def _fft_derivative(values, order=1):
     """Differentiate 2pi-periodic samples spectrally. values: (n,) or (n, d)."""
@@ -150,31 +154,40 @@ class Domain:
             return r < self.radius - tol
         return self.signed_distance(x) > tol
 
+    def boundary_distance(self, x):
+        """Unsigned distance to the boundary (parametric: to the nearest sample)."""
+        x = np.asarray(x, dtype=float)
+        if self.kind == "disk":
+            return np.abs(self.signed_distance(x))
+        bx, by = self.curve.x[:, 0], self.curve.x[:, 1]
+        pts = x.reshape(-1, 2)
+        r2min = np.empty(pts.shape[0])
+        for i in range(0, pts.shape[0], CHUNK):
+            dx = pts[i:i + CHUNK, 0, None] - bx
+            dy = pts[i:i + CHUNK, 1, None] - by
+            r2min[i:i + CHUNK] = (dx * dx + dy * dy).min(axis=1)
+        return np.sqrt(r2min).reshape(x.shape[:-1])
+
     def signed_distance(self, x):
         """Distance to the boundary, positive inside (parametric: sample-based)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "disk":
             r = np.hypot(x[..., 0] - self.center[0], x[..., 1] - self.center[1])
             return self.radius - r
-        pts = self.curve.x
-        diff = x[..., None, :] - pts[None, :, :] if x.ndim > 1 else x[None, :] - pts
-        dist = np.sqrt((diff**2).sum(-1)).min(axis=-1)
-        inside = self._winding_inside(x)
-        return np.where(inside, dist, -dist)
+        dist = self.boundary_distance(x)
+        return np.where(self._winding_inside(x), dist, -dist)
 
     def _winding_inside(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        c = self.curve.x
-        zb = c[:, 0] + 1j * c[:, 1]
-        zp = pts[:, 0] + 1j * pts[:, 1]
-        ang = np.angle((zb[None, :] - zp[:, None]))
-        dang = np.diff(np.concatenate([ang, ang[:, :1]], axis=1), axis=1)
-        dang = (dang + np.pi) % (2 * np.pi) - np.pi
-        wind = np.abs(dang.sum(axis=1)) / (2 * np.pi)
-        res = wind > 0.5
-        return res[0] if single else res
+        """Winding number of the sample polygon about each point exceeds 1/2."""
+        bx, by = self.curve.x[:, 0], self.curve.x[:, 1]
+        pts = x.reshape(-1, 2)
+        wind = np.empty(pts.shape[0])
+        for i in range(0, pts.shape[0], CHUNK):
+            ang = np.arctan2(by - pts[i:i + CHUNK, 1, None], bx - pts[i:i + CHUNK, 0, None])
+            dang = np.roll(ang, -1, axis=1) - ang
+            dang = (dang + np.pi) % (2 * np.pi) - np.pi
+            wind[i:i + CHUNK] = np.abs(dang.sum(axis=1)) / (2 * np.pi)
+        return (wind > 0.5).reshape(x.shape[:-1])
 
     def boundary_points(self, n=256):
         """n boundary samples plus outward unit normals, uniform in parameter."""

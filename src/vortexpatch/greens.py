@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import CompatibilityError, ConfigError, DomainError, SingularityError
-from .geometry import Domain, _fft_derivative
+from .geometry import CHUNK, Domain, _fft_derivative
 
 TWO_PI = 2.0 * np.pi
 
@@ -103,9 +103,10 @@ class _ImagesBackend:
 
 def _dlp_kernel(targets, bpts, bnormals):
     """Double-layer kernel (1/2pi) (x-b).n_b / |x-b|^2, shape (nt, nb)."""
-    d = targets[:, None, :] - bpts[None, :, :]
-    r2 = (d**2).sum(-1)
-    c = (d * bnormals[None, :, :]).sum(-1)
+    dx = targets[:, 0, None] - bpts[:, 0]
+    dy = targets[:, 1, None] - bpts[:, 1]
+    r2 = dx * dx + dy * dy
+    c = dx * bnormals[:, 0] + dy * bnormals[:, 1]
     with np.errstate(invalid="ignore", divide="ignore"):
         return c / (TWO_PI * r2)
 
@@ -130,7 +131,9 @@ class _BoundaryIntegralBackend:
         self.A = K * self.w[None, :] - 0.5 * np.eye(self.n)
         self.lu = lu_factor(self.A)
         self._cache = {}
-        self._spacing = curve.perimeter / self.n
+        self._fine = {}
+        # targets closer than this to the boundary take the upsampled rule
+        self.near_dist = 6.0 * curve.perimeter / self.n
 
     # -- density solves -------------------------------------------------- #
 
@@ -140,7 +143,7 @@ class _BoundaryIntegralBackend:
         entry = self._cache.get(key)
         if entry is None or entry["level"] < level:
             d = self.curve.x - y[None, :]
-            r2 = (d**2).sum(-1)
+            r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
             f = 0.5 * np.log(r2) / TWO_PI  # boundary data (1/2pi) ln|x_b - y|
             entry = {"level": 0, "mu": lu_solve(self.lu, f)}
             if level >= 1:
@@ -158,8 +161,21 @@ class _BoundaryIntegralBackend:
     # -- interior evaluation ---------------------------------------------- #
 
     def _eval(self, targets, mu):
-        K = _dlp_kernel(targets, self.curve.x, self.curve.normal)
-        return K @ (mu * self.w)
+        mw = mu * self.w
+        out = np.empty(targets.shape[0])
+        for i in range(0, targets.shape[0], CHUNK):
+            out[i:i + CHUNK] = _dlp_kernel(targets[i:i + CHUNK], self.curve.x,
+                                           self.curve.normal) @ mw
+        return out
+
+    def _fine_curve(self, n_f):
+        """Positions, normals and trapezoid weights of the curve resampled to
+        n_f points, kept per n_f for the near-boundary rule."""
+        fine = self._fine.get(n_f)
+        if fine is None:
+            curve_f = self.curve.resample(n_f)
+            fine = self._fine[n_f] = (curve_f.x, curve_f.normal, TWO_PI / n_f * curve_f.speed)
+        return fine
 
     def _eval_near(self, target, mu, dist):
         # Near-boundary: subtract the density at the closest boundary point
@@ -167,21 +183,22 @@ class _BoundaryIntegralBackend:
         # remainder by trigonometric interpolation until the kernel lobe of
         # width ~dist is resolved.
         n_f = int(min(2 ** int(np.ceil(np.log2(max(8.0 * self.curve.perimeter / max(dist, 1e-14), self.n)))), 2**20))
-        curve_f = self.curve.resample(n_f)
+        x_f, normal_f, w_f = self._fine_curve(n_f)
         spec = np.fft.fft(mu)
         pad = np.zeros(n_f, dtype=complex)
         half = self.n // 2
         pad[:half] = spec[:half]
         pad[-half:] = spec[-half:]
         mu_f = np.real(np.fft.ifft(pad)) * (n_f / self.n)
-        j = np.argmin(((curve_f.x - target)**2).sum(-1))
-        w_f = TWO_PI / n_f * curve_f.speed
-        K = _dlp_kernel(target[None, :], curve_f.x, curve_f.normal)[0]
+        dx = x_f[:, 0] - target[0]
+        dy = x_f[:, 1] - target[1]
+        j = np.argmin(dx * dx + dy * dy)
+        K = _dlp_kernel(target[None, :], x_f, normal_f)[0]
         return float(((mu_f - mu_f[j]) * w_f) @ K - mu_f[j])
 
     def _eval_auto(self, targets, mu, dists):
         out = np.empty(targets.shape[0])
-        near = dists < 6.0 * self._spacing
+        near = dists < self.near_dist
         if np.any(~near):
             out[~near] = self._eval(targets[~near], mu)
         for i in np.nonzero(near)[0]:
@@ -190,18 +207,18 @@ class _BoundaryIntegralBackend:
 
     def _eval_grad(self, targets, mu):
         d = targets[:, None, :] - self.curve.x[None, :, :]
-        r2 = (d**2).sum(-1)
+        r2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
         nrm = self.curve.normal
-        c = (d * nrm[None, :, :]).sum(-1)
+        c = d[..., 0] * nrm[:, 0] + d[..., 1] * nrm[:, 1]
         gk = (nrm[None, :, :] / r2[..., None]
               - 2.0 * c[..., None] * d / (r2**2)[..., None]) / TWO_PI
         return np.einsum("tbi,b->ti", gk, mu * self.w)
 
     def _eval_hess(self, targets, mu):
         d = targets[:, None, :] - self.curve.x[None, :, :]
-        r2 = (d**2).sum(-1)
+        r2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
         nrm = self.curve.normal
-        c = (d * nrm[None, :, :]).sum(-1)
+        c = d[..., 0] * nrm[:, 0] + d[..., 1] * nrm[:, 1]
         eye = np.eye(2)
         t1 = -2.0 * (nrm[None, :, :, None] * d[:, :, None, :]
                      + nrm[None, :, None, :] * d[:, :, :, None]) / (r2**2)[..., None, None]
@@ -255,7 +272,11 @@ class GreenEvaluator:
         if isinstance(self._b, _ImagesBackend):
             return _ret(self._b.H(x, y), single)
         ent = self._b._densities(y, 0)
-        dists = self.domain.signed_distance(x)
+        # the near/far switch needs |dist| only; the near rule also takes the
+        # sign, so the inside test runs on the near targets alone
+        dists = self.domain.boundary_distance(x)
+        near = dists < self._b.near_dist
+        dists[near] = self.domain.signed_distance(x[near])
         return _ret(self._b._eval_auto(x, ent["mu"], dists), single)
 
     def H_grad_x(self, x, y):

@@ -119,20 +119,19 @@ def interaction_table(vs, green):
     """The signed interaction table that couples the vortices in the plateau
     balance, the first-order tilt, the energy expansion and Phi.
 
-    One batched g and g_grad_x call per source point.  With two or more
-    vortices every position must lie in the domain (DomainError) and no two
-    may coincide (SingularityError), as for the Green function itself.
+    One batched g and g_grad_x call per source point.  Every position must
+    lie in the domain (DomainError) and no two may coincide
+    (SingularityError), as for the Green function itself.
     """
     Z = vs.positions
     k = len(Z)
     off = ~np.eye(k, dtype=bool)
     d = Z[:, None, :] - Z[None, :, :]                      # z_i - z_j
     r = np.hypot(d[..., 0], d[..., 1])
-    if k > 1:
-        if not np.all(green.domain.contains(Z)):
-            raise DomainError("vortex position outside the domain")
-        if np.any(r[off] == 0.0):
-            raise SingularityError("coincident vortices")
+    if not np.all(green.domain.contains(Z)):
+        raise DomainError("vortex position outside the domain")
+    if np.any(r[off] == 0.0):
+        raise SingularityError("coincident vortices")
     g = np.column_stack([green.g(Z, z) for z in Z])        # g(z_i, z_j)
     dg = np.stack([green.g_grad_x(Z, z) for z in Z], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -217,11 +217,13 @@ def stage_solve_one(ctx, vs_star, eps, warm=None, method=None):
     spec = build_grid(ctx.domain, h, boundary=cfg["grid"]["boundary"])
     setup = setup_problem(spec, vs_eps, ctx.q, eps, ctx.profile.p, subdomains=subs)
 
-    init_vals = af.evaluate(spec.points)
+    # build_grid selected the nodes with domain.contains already
+    ansatz_vals = af.evaluate(spec.points, require_inside=False)
     modes = af.translation_modes(spec.points)
+    init_vals = ansatz_vals
     if warm is not None:
         # warm start: previous correction interpolated onto the new grid
-        init_vals = init_vals + interpolate(warm["correction"], spec.points)
+        init_vals = ansatz_vals + interpolate(warm["correction"], spec.points)
     init = GridField(spec, init_vals, "w", {"eps": eps, "p": ctx.profile.p})
     sol_cfg = cfg["solver"]
     method = method or sol_cfg["method"]
@@ -234,8 +236,7 @@ def stage_solve_one(ctx, vs_star, eps, warm=None, method=None):
                                 max_iter=sol_cfg["max_iter"],
                                 jac_cap=sol_cfg["jacobian_cap"],
                                 null_fields=modes)
-    ansatz_field = GridField(spec, af.evaluate(spec.points), "w",
-                             {"eps": eps, "p": ctx.profile.p})
+    ansatz_field = GridField(spec, ansatz_vals, "w", {"eps": eps, "p": ctx.profile.p})
     correction = GridField(spec, fld.values - ansatz_field.values, "w", dict(fld.params))
     return {
         "eps": eps, "vs": vs_eps, "cores": cores, "ansatz": af, "grid": spec,

@@ -221,6 +221,16 @@ def test_core_system_domain_and_singularity_errors(disk_images, q_zero, profiles
         solve_core_system(coincident, disk_images, q_zero, 1e-3, rp)
 
 
+def test_single_vortex_outside_domain_raises(disk_images, q_zero, profiles):
+    # one vortex needs the domain check as much as a pair: without it the
+    # Green machinery returns finite values (a = 1.506, Phi = 6.93 here)
+    outside = VortexSystem([1.0], [], [[1.2, 0.0]])
+    with pytest.raises(DomainError):
+        solve_core_system(outside, disk_images, q_zero, 1e-3, profiles[2.0])
+    with pytest.raises(DomainError):
+        phi_value(outside, disk_images, q_zero)
+
+
 # ---------------------------------------------------------------------- #
 #  signed interaction table against scalar same/opposite-sign loops
 # ---------------------------------------------------------------------- #
