@@ -103,7 +103,7 @@ def cmd_profile(args):
     print(f"table ODE residual = {_ode_residual(rp):.2e}")
     if args.csv:
         write_csv(args.csv, ["r", "phi", "dphi"],
-                  [(rp.r[i], rp.phi[i], rp.dphi[i]) for i in range(len(rp.r))])
+                  np.column_stack((rp.r, rp.phi, rp.dphi)))
         print(f"wrote {args.csv}")
     return 0
 

@@ -522,6 +522,10 @@ def background_from_flux(domain, vn, offset=0.0, n_modes=None):
         # zeta = (z - center)/radius.  Dropping k = 0 makes q mean-zero.
         coeffs = np.zeros(kmax + 1, dtype=complex)
         coeffs[1:] = 2.0 * psi_spec[1:kmax + 1]
+        # drop the trailing FFT noise: the coefficients whose summed
+        # magnitude is below rounding of the whole series
+        tail = np.cumsum(np.abs(coeffs[::-1]))[::-1]
+        coeffs = coeffs[:np.count_nonzero(tail > np.finfo(float).eps * tail[0])]
         return HarmonicBackground("fourier-on-disk", -coeffs, domain.center,
                                   domain.radius, offset)
 

@@ -71,10 +71,16 @@ def _round_floats(obj, precision):
 
 
 def write_csv(path, header, rows, precision=17):
+    """Rows of mixed values, or a 2-D float array formatted with one row
+    format (the same text as `_fmt` per value, without a per-value test)."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v, precision) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row))
+    if isinstance(rows, np.ndarray):
+        fmt = ",".join([f"%.{precision}g"] * rows.shape[1])
+        lines.extend(fmt % tuple(row) for row in rows.tolist())
+    else:
+        for row in rows:
+            lines.append(",".join(_fmt(v, precision) if isinstance(v, (float, np.floating))
+                                  else str(v) for v in row))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -197,8 +203,7 @@ def write_solution(product, field_path, report_path, precision):
     """The solved field as x1,x2,w rows and the solver report of one eps."""
     spec = product["grid"]
     write_csv(field_path, ["x1", "x2", "w"],
-              [(spec.points[i, 0], spec.points[i, 1], product["field"].values[i])
-               for i in range(spec.n_interior)], precision)
+              np.column_stack((spec.points, product["field"].values)), precision)
     write_json(report_path, {"eps": product["eps"], "grid_h": product["h"],
                              "grid_nodes": spec.n_interior,
                              "solver": product["report"].to_dict()}, precision)

@@ -235,10 +235,20 @@ def _jacobian(Ac, w, setup, jac_cap):
     return (Ac - sp.diags(rhs_derivative(w, setup, cap=jac_cap), 0, format="csc")).tocsc()
 
 
+def _lu(M):
+    """Sparse LU of a structurally symmetric M (the 5-point stencil, and J,
+    which only shifts its diagonal): a minimum-degree ordering of M + M^T with
+    diagonal pivots preferred.  This keeps about half the fill of the default
+    COLAMD column ordering.  M's values are not symmetric (the cut rows), so
+    this stays LU, not Cholesky."""
+    return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                     options={"SymmetricMode": True})
+
+
 def _factorize(J, report):
     """Sparse LU of J; a singular J raises ConvergenceError."""
     try:
-        return spla.splu(J)
+        return _lu(J)
     except RuntimeError as exc:
         raise ConvergenceError(
             f"Newton Jacobian factorization failed ({exc}); "
@@ -502,7 +512,7 @@ def solve_picard(setup, initial, tol=1e-10, max_iter=400, relax=1.0,
     w = initial.values.copy() if isinstance(initial, GridField) else np.asarray(initial, dtype=float).copy()
     var = initial.variable if isinstance(initial, GridField) else setup.variable
     Ac = setup.operator().tocsc()
-    lu = spla.splu(Ac)
+    lu = _lu(Ac)
     report = SolveReport(method="picard")
 
     rhs = rhs_eval(w, setup)
@@ -552,7 +562,7 @@ def picard_gap(setup, field):
     """Max-norm distance between a field and one application of the Picard
     map; a solver-independent fixed-point check."""
     Ac = setup.operator().tocsc()
-    lu = spla.splu(Ac)
+    lu = _lu(Ac)
     mapped = lu.solve(rhs_eval(field.values, setup))
     return float(np.max(np.abs(mapped - field.values)))
 
@@ -560,7 +570,7 @@ def picard_gap(setup, field):
 def solve_linear(setup, rhs_values):
     """Solve (-coef lap_h) w = rhs for a prescribed right-hand side."""
     Ac = setup.operator().tocsc()
-    lu = spla.splu(Ac)
+    lu = _lu(Ac)
     return lu.solve(np.asarray(rhs_values, dtype=float))
 
 

@@ -29,6 +29,41 @@ def test_cos_flux_gives_linear_stream(unit_disk):
     assert np.max(np.abs(g - np.array([0.0, -1.0]))) < 1e-12
 
 
+def test_disk_series_drops_negligible_tail():
+    # v_n = 0.1 cos t on the 1/16 disk: only the zeta^1 coefficient survives.
+    # Against the untrimmed 255-term series (built here from the same FFT)
+    # the value moves by at most 2 ulp of max|q|; the gradient by at most
+    # 2 ulp of |grad q| up to 0.9 R and, at the rim, where the dropped tail
+    # is largest, toward the exact constant gradient (0, -0.1).
+    d = Domain.disk(1.0 / 16.0)
+    q = background_from_flux(d, lambda t: 0.1 * np.cos(t))
+    assert len(q.coeffs) == 2
+    n = 512
+    t = 2 * np.pi * np.arange(n) / n
+    spec = np.fft.fft(0.1 * np.cos(t)) / n
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi = np.where(k == 0, 0.0, d.radius * spec / (1j * k))
+    full = np.zeros(n // 2, dtype=complex)
+    full[1:] = 2.0 * psi[1:n // 2]
+    q_full = HarmonicBackground("fourier-on-disk", -full, d.center, d.radius)
+
+    rng = np.random.default_rng(11)
+    r = d.radius * np.sqrt(rng.random(20000))
+    th = 2 * np.pi * rng.random(20000)
+    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    v_full = q_full.value(pts)
+    assert np.max(np.abs(q.value(pts) - v_full)) <= 2 * np.spacing(np.max(np.abs(v_full)))
+    g, g_full = q.grad(pts), q_full.grad(pts)
+    ulp = np.spacing(0.1)
+    inner = r <= 0.9 * d.radius
+    assert np.max(np.abs(g - g_full)[inner]) <= 2 * ulp
+    exact = np.array([0.0, -0.1])
+    assert np.max(np.abs(g - exact)) <= 2 * ulp
+    assert np.max(np.abs(g - exact)) <= np.max(np.abs(g_full - exact))
+    assert np.all(q.hessian(pts) == 0.0)
+
+
 def test_nonzero_net_flux_rejected(unit_disk):
     with pytest.raises(CompatibilityError):
         background_from_flux(unit_disk, lambda t: 1.0)

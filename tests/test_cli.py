@@ -147,6 +147,28 @@ def test_field_csv_precision(pipeline_out):
     assert f"{vals[2]:.17g}" in first
 
 
+@pytest.mark.parametrize("precision", [17, 9])
+def test_field_csv_bytes_match_per_value_format(tmp_path, precision):
+    # the row-format writer gives the same bytes as formatting every value
+    # on its own
+    from vortexpatch import Domain, build_grid
+    from vortexpatch.grid import GridField
+    from vortexpatch.pipeline import write_solution
+    from vortexpatch.solver import SolveReport
+    spec = build_grid(Domain.disk(1.0 / 16.0), 1.0 / 64.0)
+    n = spec.n_interior
+    vals = np.random.default_rng(2).standard_normal(n) * 1e-3
+    vals[:6] = [-0.0, 1e-300, 0.12345678901234567, -2.5e-7, np.nan, np.inf]
+    product = {"grid": spec, "field": GridField(spec, vals, "w"), "eps": 3e-3,
+               "h": 1.0 / 64.0, "report": SolveReport("newton")}
+    path = tmp_path / "field.csv"
+    write_solution(product, str(path), str(tmp_path / "report.json"), precision)
+    expected = "x1,x2,w\n" + "".join(
+        ",".join(f"{float(v):.{precision}g}" for v in (x1, x2, w)) + "\n"
+        for (x1, x2), w in zip(spec.points, vals))
+    assert path.read_bytes() == expected.encode()
+
+
 def test_invalid_config_no_artifacts(tmp_path):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["vortices"]["subdomain_radius"] = 0.2    # sticks out of the 1/16 disk

@@ -149,7 +149,7 @@ def test_ansatz_energy_bracket_errors(disk_images, profiles, q_zero):
         ansatz_energy(AnsatzField(cores, high, rp, disk_images, q_zero), n_r=8, n_theta=8)
 
 
-def test_traced_scipy_entry_points_resolve():
+def test_traced_scipy_entry_points_resolve(monkeypatch):
     # perfbench/tracer.py patches these attributes by name to time and count
     # them; the solver must reach splu/eigs through the module to be counted
     for name in ("vortexpatch.diagnostics.brentq", "scipy.sparse.linalg.splu",
@@ -158,6 +158,23 @@ def test_traced_scipy_entry_points_resolve():
         assert callable(getattr(importlib.import_module(module), attr)), name
     solver = importlib.import_module("vortexpatch.solver")
     assert solver.spla is importlib.import_module("scipy.sparse.linalg")
+
+    # a replaced scipy.sparse.linalg.splu sees the factorization, with the
+    # solver's ordering passed through
+    import scipy.sparse as sp
+    calls = []
+    real = solver.spla.splu
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", recording)
+    J = sp.diags([2.0, 3.0, 4.0], 0, format="csc")
+    lu = solver._factorize(J, solver.SolveReport("newton"))
+    assert np.allclose(lu.solve(np.ones(3)), [0.5, 1.0 / 3.0, 0.25])
+    assert len(calls) == 1
+    assert calls[0]["permc_spec"] == "MMD_AT_PLUS_A"
 
 
 def test_grid_energy_matches_polar_quadrature(solved_case):
