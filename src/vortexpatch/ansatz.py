@@ -56,6 +56,12 @@ def eps_log(eps):
     return abs(np.log(eps))
 
 
+def activation_level(kappa, sign, q_values, eps):
+    """kappa + sign 2 pi q/|ln eps|: the level of the rescaled field w at
+    which a vortex's gate opens (times |ln eps|/2 pi in u units)."""
+    return kappa + sign * TWO_PI * q_values / eps_log(eps)
+
+
 # ---------------------------------------------------------------------- #
 #  single-core machinery
 # ---------------------------------------------------------------------- #
@@ -182,7 +188,7 @@ def core_residuals(cores, vs, table, q, rp):
     a = cores.a_all
     c = a / np.log(cores.big_r / s)
     glue = glue_residual(cores.delta, a, s, rp, cores.big_r)
-    rhs = (vs.kappas + vs.signs * TWO_PI * q.value(vs.positions) / eps_log(cores.eps)
+    rhs = (activation_level(vs.kappas, vs.signs, q.value(vs.positions), cores.eps)
            + table.g_diag * c - (table.S * table.bar) @ c)
     bal = a - rhs
     return {"glue_plus": np.abs(glue[:m]), "glue_minus": np.abs(glue[m:]),
@@ -233,7 +239,7 @@ def solve_core_system(vs, green, q, eps, rp, big_r=None, max_iter=200,
 
 def _iterate_cores(vs, table, q, eps, delta, rp, big_r, a_init, max_iter, tol):
     k = vs.m + vs.n
-    rhs = vs.kappas + vs.signs * TWO_PI * q.value(vs.positions) / eps_log(eps)
+    rhs = activation_level(vs.kappas, vs.signs, q.value(vs.positions), eps)
     coupling = table.S * table.bar
 
     a = a_init.astype(float).copy()
@@ -385,8 +391,8 @@ class AnsatzField:
 
     def threshold(self, idx, x):
         """kappa_idx (+/-) 2 pi q(x)/|ln eps|: the local activation level."""
-        sign = self.vs.signs[idx]
-        return self.vs.kappas[idx] + sign * TWO_PI * self.q.value(x) / eps_log(self.cores.eps)
+        return activation_level(self.vs.kappas[idx], self.vs.signs[idx],
+                                self.q.value(x), self.cores.eps)
 
     def translation_modes(self, x):
         """Columns of d(composite field)/d(z_{i,h}) at frozen (a, s).

@@ -5,7 +5,6 @@ Exit codes: 0 success, 2 invalid configuration, 3 non-convergence, 4 I/O.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -16,9 +15,8 @@ from .ansatz import AnsatzField
 from .config import load_config
 from .errors import ConfigError, ConvergenceError, VortexPatchError
 from .pipeline import (PipelineContext, run_pipeline, run_sweep, solve_cores,
-                       stage_equilibrium, stage_solve_one, stage_verify_one,
-                       write_csv, write_json, write_solution, _round_floats,
-                       atomic_write)
+                       stage_equilibrium, stage_solve_one, write_csv, write_json,
+                       write_jsonl, write_solution)
 from .profile import solve_profile
 
 
@@ -65,9 +63,7 @@ def cmd_find_equilibrium(args):
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "equilibrium.jsonl")
     precision = cfg["output"]["precision"]
-    lines = [json.dumps(_round_floats(report, precision), sort_keys=True)]
-    lines += [json.dumps(_round_floats(r, precision), sort_keys=True) for r in extra]
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_jsonl(path, [report] + extra, precision)
     print(f"critical point: {vs_star.positions.tolist()}")
     if args.landscape_grid:
         from .kirchhoff import kr_value
@@ -119,13 +115,12 @@ def cmd_ansatz(args):
     af = AnsatzField(cores, vs_eps, ctx.profile, ctx.green, ctx.q)
     n = args.sample_grid
     lo, hi = ctx.domain.bounding_box()
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            x = lo + (hi - lo) * np.array([(i + 0.5) / n, (j + 0.5) / n])
-            if ctx.domain.contains(x):
-                rows.append((x[0], x[1], float(af.evaluate(x))))
-    write_csv(os.path.join(args.out, "ansatz.csv"), ["x1", "x2", "value"], rows, precision)
+    t = (np.arange(n) + 0.5) / n
+    ti, tj = np.meshgrid(t, t, indexing="ij")
+    probes = lo + (hi - lo) * np.column_stack((ti.ravel(), tj.ravel()))
+    pts = probes[ctx.domain.contains(probes)]
+    write_csv(os.path.join(args.out, "ansatz.csv"), ["x1", "x2", "value"],
+              np.column_stack((pts, af.evaluate(pts, require_inside=False))), precision)
     print(f"wrote {args.out}/cores.json and {args.out}/ansatz.csv")
     return 0
 
@@ -144,23 +139,8 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    cfg = _load(args)
-    ctx = PipelineContext(cfg)
-    vs_star, _, _ = stage_equilibrium(ctx)
-    os.makedirs(args.out, exist_ok=True)
-    precision = cfg["output"]["precision"]
-    diags = []
-    warm = None
-    for eps in cfg["eps"]:
-        product = stage_solve_one(ctx, vs_star, eps,
-                                  warm=warm if cfg["solver"]["continuation"] else None)
-        verify, _, _ = stage_verify_one(ctx, product)
-        diags.append(verify)
-        warm = {"correction": product["correction"]}
-    path = os.path.join(args.out, "diagnostics.jsonl")
-    atomic_write(path, "\n".join(
-        json.dumps(_round_floats(d, precision), sort_keys=True) for d in diags) + "\n")
-    print(f"wrote {path}")
+    manifest = run_pipeline(_load(args), args.out)
+    print(f"wrote {manifest['artifacts']['diagnostics']}")
     return 0
 
 

@@ -67,7 +67,6 @@ _SOLVER_KEYS = {
     "tol": ((int, float), 1e-10, lambda v: v > 0),
     "max_iter": (int, 60, lambda v: v >= 1),
     "picard_relax": ((int, float), 1.0, lambda v: 0 < v <= 1),
-    "jacobian_cap": ((int, float, type(None)), None, None),
     "continuation": (bool, True, None),
 }
 

@@ -101,11 +101,10 @@ def vorticity_extract(fld, setup, vs, subdomains=None):
     r_out = np.zeros(k)
     confinement_ok = True
 
-    # gate argument per vortex (positive on the support)
-    vals = fld.values
+    # gate argument (positive on the supports), -1 off each vortex's subdomain
+    gate_arg = setup.gate_argument(fld.values)
     for i in range(k):
-        arg = setup.signs[i] * vals - setup.thresholds[i]
-        arg[~setup.masks[i]] = -1.0
+        arg = np.where(setup.vortex == i, gate_arg, -1.0)
         on = arg > 0.0
         if not np.any(on):
             warnings.warn(f"vortex {i}: empty vorticity support on the grid", stacklevel=2)
@@ -144,7 +143,7 @@ def vorticity_extract(fld, setup, vs, subdomains=None):
             warnings.warn(f"vortex {i}: support within one cell of its subdomain "
                           "boundary (confinement at risk)", stacklevel=2)
         ring_r = 0.5 * (r_out[i] + r_sub)
-        circ_flux[i] = setup.signs[i] * abs(_ring_flux(u_field, z, ring_r))
+        circ_flux[i] = vs.signs[i] * abs(_ring_flux(u_field, z, ring_r))
 
     total = float((omega * weights).sum())
     total_flux = None
@@ -181,13 +180,8 @@ def energy_eval(fld, setup):
     weights = cell_weights(spec)
     grad = gradient(fld)
     kinetic = 0.5 * setup.coef * float(((grad**2).sum(axis=1) * weights).sum())
-    potential = 0.0
-    for i in range(setup.masks.shape[0]):
-        arg = setup.signs[i] * fld.values - setup.thresholds[i]
-        np.maximum(arg, 0.0, out=arg)
-        arg[~setup.masks[i]] = 0.0
-        potential += float((arg**(setup.p + 1.0) * weights).sum()) / (setup.p + 1.0)
-    return kinetic - potential
+    potential = float((setup.excess(fld.values)**(setup.p + 1.0) * weights).sum())
+    return kinetic - potential / (setup.p + 1.0)
 
 
 def _free_boundary_radii(af, idx, z, dirs, lo, hi, xtol):
@@ -367,17 +361,12 @@ def reconstruct_flow(fld, setup, q):
     dpsi = du - dq
     velocity = np.column_stack((dpsi[:, 1], -dpsi[:, 0]))
 
-    lg = eps_log(setup.eps)
-    potential = np.zeros(spec.n_interior)
-    for i in range(setup.masks.shape[0]):
-        if setup.variable == "u":
-            arg = setup.signs[i] * u.values - setup.thresholds[i]
-        else:
-            arg = (setup.signs[i] * u.values
-                   - (lg / TWO_PI) * setup.thresholds[i])
-        np.maximum(arg, 0.0, out=arg)
-        arg[~setup.masks[i]] = 0.0
-        potential += arg**(setup.p + 1.0) / (setup.p + 1.0)
+    if setup.variable == "u":
+        excess = setup.excess(u.values)
+    else:
+        w = fld if fld.variable == "w" else w_from_u(fld)
+        excess = setup.excess(w.values) * (eps_log(setup.eps) / TWO_PI)
+    potential = excess**(setup.p + 1.0) / (setup.p + 1.0)
     # stationary pressure P = -F(psi) - |grad psi|^2/2 with F' = f and
     # -lap psi = f(psi); for the physical equation f carries the eps^-2 of
     # the vorticity, and the rigid-rotation oracle fixes the sign of F

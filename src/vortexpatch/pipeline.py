@@ -70,17 +70,19 @@ def _round_floats(obj, precision):
     return obj
 
 
+def write_jsonl(path, records, precision=17):
+    """One sorted-key JSON object per line."""
+    atomic_write(path, "\n".join(json.dumps(_round_floats(r, precision), sort_keys=True)
+                                 for r in records) + "\n")
+
+
 def write_csv(path, header, rows, precision=17):
-    """Rows of mixed values, or a 2-D float array formatted with one row
-    format (the same text as `_fmt` per value, without a per-value test)."""
-    lines = [",".join(header)]
-    if isinstance(rows, np.ndarray):
-        fmt = ",".join([f"%.{precision}g"] * rows.shape[1])
-        lines.extend(fmt % tuple(row) for row in rows.tolist())
-    else:
-        for row in rows:
-            lines.append(",".join(_fmt(v, precision) if isinstance(v, (float, np.floating))
-                                  else str(v) for v in row))
+    """A 2-D float array (no rows: the header alone), formatted with one row
+    format: the text of `_fmt` per value, and of str(int) for an integer
+    of at most `precision` digits."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    fmt = ",".join([f"%.{precision}g"] * len(header))
+    lines = [",".join(header)] + [fmt % tuple(row) for row in rows.tolist()]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -239,7 +241,6 @@ def stage_solve_one(ctx, vs_star, eps, warm=None, method=None):
     else:
         fld, rep = solve_newton(setup, init, tol=sol_cfg["tol"],
                                 max_iter=sol_cfg["max_iter"],
-                                jac_cap=sol_cfg["jacobian_cap"],
                                 null_fields=modes)
     ansatz_field = GridField(spec, ansatz_vals, "w", {"eps": eps, "p": ctx.profile.p})
     correction = GridField(spec, fld.values - ansatz_field.values, "w", dict(fld.params))
@@ -326,9 +327,7 @@ def run_pipeline(cfg, outdir, progress=None):
     t0 = time.time()
     vs_star, eq_report, extra = stage_equilibrium(ctx)
     eq_path = os.path.join(outdir, "equilibrium.jsonl")
-    lines = [json.dumps(_round_floats(eq_report, precision), sort_keys=True)]
-    lines += [json.dumps(_round_floats(r, precision), sort_keys=True) for r in extra]
-    atomic_write(eq_path, "\n".join(lines) + "\n")
+    write_jsonl(eq_path, [eq_report] + extra, precision)
     tick("equilibrium", t0, equilibrium=eq_path)
 
     t0 = time.time()
@@ -373,8 +372,7 @@ def run_pipeline(cfg, outdir, progress=None):
         warm = {"correction": product["correction"]}
 
     diag_path = os.path.join(outdir, "diagnostics.jsonl")
-    atomic_write(diag_path, "\n".join(
-        json.dumps(_round_floats(d, precision), sort_keys=True) for d in diags) + "\n")
+    write_jsonl(diag_path, diags, precision)
     manifest["artifacts"]["diagnostics"] = diag_path
 
     conv_path = os.path.join(outdir, "convergence.csv")

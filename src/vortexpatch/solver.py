@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from dataclasses import dataclass, field
 
-from .ansatz import delta_from_eps, eps_log
+from .ansatz import activation_level, delta_from_eps, eps_log
 from .errors import ConfigError, ConvergenceError
 from .grid import GridField, discretize
 
@@ -41,85 +41,79 @@ TRUST_RADIUS = 0.05
 
 @dataclass
 class ProblemSetup:
-    """Node-level data of the gated problem on one grid."""
+    """Node-level data of the gated problem on one grid.
+
+    The gate map: the subdomains are disjoint, so each node has at most one
+    gate.  `vortex` is the index of the vortex whose subdomain holds the node
+    (-1 off every subdomain), `sign` that vortex's sign and `level` its
+    activation level in the variable's units (both 0 off every subdomain).
+    """
     spec: object
     A: object                   # sparse -lap_h
     coef: float                 # delta^2 (w-form) or eps^2 (u-form)
     p: float
     eps: float
     variable: str
-    masks: np.ndarray           # (k, N) gates
-    thresholds: np.ndarray      # (k, N) activation levels
-    signs: np.ndarray           # (k,)
-    q_nodes: np.ndarray = None
+    vortex: np.ndarray          # (N,) int
+    sign: np.ndarray            # (N,)
+    level: np.ndarray           # (N,)
 
     def operator(self):
         return self.coef * self.A
 
+    def gate_argument(self, values):
+        """sign * field - level on every gated node, -1 off every subdomain."""
+        return np.where(self.vortex >= 0, self.sign * values - self.level, -1.0)
+
+    def excess(self, values):
+        """The gated excess (sign * field - level)_+, 0 off every subdomain."""
+        return np.maximum(self.gate_argument(values), 0.0)
+
 
 def setup_problem(spec, vs, q, eps, p, variable="w", A=None, subdomains=None):
-    """Precompute gates, thresholds and the scaled operator for one grid."""
+    """Precompute the gate map and the scaled operator for one grid."""
     if variable not in ("w", "u"):
         raise ConfigError("variable must be 'w' or 'u'")
     pts = spec.points
-    k = vs.m + vs.n
     subs = subdomains if subdomains is not None else vs.default_subdomains(spec.domain)
-    if len(subs) != k:
+    if len(subs) != vs.m + vs.n:
         raise ConfigError("need one subdomain per vortex")
-    masks = np.zeros((k, spec.n_interior), dtype=bool)
+    vortex = np.full(spec.n_interior, -1)
     for i, (c, r) in enumerate(subs):
         c = np.asarray(c, dtype=float)
-        masks[i] = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) < r
-    overlap = masks.sum(axis=0) > 1
-    if np.any(overlap):
-        bad = [tuple(np.nonzero(masks[:, nid])[0]) for nid in np.nonzero(overlap)[0][:1]]
-        raise ConfigError(f"vortex subdomains overlap on the grid: pair {bad[0]}")
+        inside = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) < r
+        taken = inside & (vortex >= 0)
+        if np.any(taken):
+            pair = (int(vortex[np.argmax(taken)]), i)
+            raise ConfigError(f"vortex subdomains overlap on the grid: pair {pair}")
+        vortex[inside] = i
 
-    lg = eps_log(eps)
-    q_nodes = q.value(pts)
-    if np.ndim(q_nodes) == 0:
-        q_nodes = np.full(spec.n_interior, float(q_nodes))
-    signs = vs.signs
-    kap = vs.kappas
+    gated = vortex >= 0
+    sign = np.where(gated, vs.signs[vortex], 0.0)
+    level = np.where(gated, activation_level(vs.kappas[vortex], sign, q.value(pts), eps), 0.0)
     if variable == "w":
         coef = delta_from_eps(eps, p)**2
-        thr = kap[:, None] + signs[:, None] * (TWO_PI / lg) * q_nodes[None, :]
     else:
         coef = eps**2
-        thr = kap[:, None] * (lg / TWO_PI) + signs[:, None] * q_nodes[None, :]
+        level *= eps_log(eps) / TWO_PI
     A = discretize(spec) if A is None else A
     return ProblemSetup(spec=spec, A=A, coef=coef, p=p, eps=float(eps),
-                        variable=variable, masks=masks, thresholds=thr,
-                        signs=signs, q_nodes=q_nodes)
+                        variable=variable, vortex=vortex, sign=sign, level=level)
 
 
 def rhs_eval(field_or_values, setup):
     """Gated nonlinearity at the nodes; returns the same kind as the input."""
     values = field_or_values.values if isinstance(field_or_values, GridField) \
         else np.asarray(field_or_values, dtype=float)
-    out = np.zeros_like(values)
-    for i in range(setup.masks.shape[0]):
-        arg = setup.signs[i] * values - setup.thresholds[i]
-        np.maximum(arg, 0.0, out=arg)
-        arg[~setup.masks[i]] = 0.0
-        out += setup.signs[i] * arg**setup.p
+    out = setup.sign * setup.excess(values)**setup.p
     if isinstance(field_or_values, GridField):
         return field_or_values.copy(values=out)
     return out
 
 
-def rhs_derivative(values, setup, cap=None):
-    """d rhs / d field, a nonnegative diagonal: p sum_i X_i (arg_i)_+^(p-1)."""
-    out = np.zeros_like(values)
-    for i in range(setup.masks.shape[0]):
-        arg = setup.signs[i] * values - setup.thresholds[i]
-        np.maximum(arg, 0.0, out=arg)
-        arg[~setup.masks[i]] = 0.0
-        out += arg**(setup.p - 1.0)
-    out *= setup.p
-    if cap is not None:
-        np.minimum(out, cap, out=out)
-    return out
+def rhs_derivative(values, setup):
+    """d rhs / d field, a nonnegative diagonal: p X (arg)_+^(p-1)."""
+    return setup.p * setup.excess(values)**(setup.p - 1.0)
 
 
 @dataclass
@@ -230,9 +224,9 @@ def _near_null_basis(J, lu, k):
     return np.linalg.qr(basis)[0], np.real(vals)
 
 
-def _jacobian(Ac, w, setup, jac_cap):
+def _jacobian(Ac, w, setup):
     """Semismooth Jacobian at w."""
-    return (Ac - sp.diags(rhs_derivative(w, setup, cap=jac_cap), 0, format="csc")).tocsc()
+    return (Ac - sp.diags(rhs_derivative(w, setup), 0, format="csc")).tocsc()
 
 
 def _lu(M):
@@ -330,8 +324,8 @@ def _deflated_step(w, r, Ac, setup, J, lu, Q, radius, max_tries=8):
     return w, r, rhs, 0.0, radius
 
 
-def solve_newton(setup, initial, tol=1e-10, max_iter=60, jac_cap=None,
-                 null_fields=None, min_damping=2.0**-20):
+def solve_newton(setup, initial, tol=1e-10, max_iter=60, null_fields=None,
+                 min_damping=2.0**-20):
     """Damped semismooth Newton from the given initial grid field.
 
     tol is relative to the max norm of the active nonlinearity.  The line
@@ -412,7 +406,7 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60, jac_cap=None,
             rhs = rhs_eval(w, setup)
             r = Ac @ w - rhs
         if radius is not None:
-            J = _jacobian(Ac, w, setup, jac_cap)
+            J = _jacobian(Ac, w, setup)
             lu = _factorize(J, report)
             Q, eigvals = _near_null_basis(J, lu, n_null)
             if Q is None:
@@ -422,7 +416,7 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60, jac_cap=None,
             rl2_try = float(np.linalg.norm(r_try))
         else:
             if lu is None or last_ratio > 0.2:
-                J = _jacobian(Ac, w, setup, jac_cap)
+                J = _jacobian(Ac, w, setup)
                 lu = _factorize(J, report)
                 if n_null and Q is None and slow >= 1:
                     Q, eigvals = _near_null_basis(J, lu, n_null)
@@ -459,7 +453,7 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60, jac_cap=None,
                     slow = 0
                 if slow >= 2 and since_refine >= 2:
                     if Q is None:
-                        J = _jacobian(Ac, w_try, setup, jac_cap)
+                        J = _jacobian(Ac, w_try, setup)
                         lu = _factorize(J, report)
                         Q, eigvals = _near_null_basis(J, lu, n_null)
                     if Q is not None:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from vortexpatch.cli import main
 from vortexpatch.config import config_hash, load_config, validate_config
-from vortexpatch.errors import ConfigError
-from vortexpatch.pipeline import run_pipeline, run_sweep
+from vortexpatch.errors import ConfigError, ConvergenceError
+from vortexpatch.pipeline import _CONV_HEADER, run_pipeline, run_sweep
 
 BASE_CONFIG = {
     "domain": {"kind": "disk", "radius": 1.0 / 16.0},
@@ -53,6 +53,8 @@ def test_unknown_keys_rejected():
         validate_config(bad2)
     with pytest.raises(ConfigError):
         validate_config(dict(BASE_CONFIG, threads=1))
+    with pytest.raises(ConfigError):
+        validate_config(dict(BASE_CONFIG, solver={"jacobian_cap": 1.0}))
 
 
 def test_validation_rules():
@@ -169,6 +171,31 @@ def test_field_csv_bytes_match_per_value_format(tmp_path, precision):
     assert path.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("precision", [17, 9])
+def test_csv_integer_column_matches_per_value_format(tmp_path, precision):
+    # convergence.csv rows mix an integer column (grid_nodes) into floats:
+    # the one row format prints it as str(int) does
+    from vortexpatch.pipeline import write_csv
+    rows = [[3e-3, 6006, 0.1 / 3.0, -0.0], [1e-3, 104123, 2.5e-300, np.nan]]
+    path = tmp_path / "rows.csv"
+    write_csv(str(path), ["eps", "grid_nodes", "a", "b"], rows, precision)
+    expected = "eps,grid_nodes,a,b\n" + "".join(
+        ",".join(str(v) if isinstance(v, int) else f"{v:.{precision}g}" for v in row) + "\n"
+        for row in rows)
+    assert path.read_bytes() == expected.encode()
+
+
+def test_all_failed_sweep_writes_header_only_table(tmp_path):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["solver"]["max_iter"] = 1
+    out = tmp_path / "failed"
+    with pytest.raises(ConvergenceError, match="1 sweep entry failed"):
+        run_pipeline(cfg, str(out))
+    assert (out / "convergence.csv").read_text() == ",".join(_CONV_HEADER) + "\n"
+    assert (out / "diagnostics.jsonl").read_text() == "\n"
+    assert not json.loads((out / "manifest.json").read_text())["converged"]
+
+
 def test_invalid_config_no_artifacts(tmp_path):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["vortices"]["subdomain_radius"] = 0.2    # sticks out of the 1/16 disk
@@ -227,3 +254,16 @@ def test_cli_solve(tmp_path, capsys):
     assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
     assert (out / "report.json").exists()
     assert (out / "field.csv").read_text().splitlines()[0] == "x1,x2,w"
+
+
+def test_cli_verify(tmp_path, pipeline_out, capsys):
+    # verify is a view of run: the same diagnostics, byte for byte, plus the
+    # manifest and the other run artifacts
+    run_out, _, _ = pipeline_out
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 0
+    assert (out / "diagnostics.jsonl").read_bytes() == \
+        (run_out / "diagnostics.jsonl").read_bytes()
+    for name in ("manifest.json", "equilibrium.jsonl", "convergence.csv", "field_eps0.csv"):
+        assert (out / name).exists(), name

@@ -12,9 +12,11 @@ import scipy.sparse.linalg as spla
 
 from vortexpatch import (Domain, GreenEvaluator, HarmonicBackground,
                          background_from_flux, build_grid, solve_profile)
-from vortexpatch.ansatz import AnsatzField, refine_positions, solve_core_system
+from vortexpatch.ansatz import (AnsatzField, activation_level, refine_positions,
+                                solve_core_system)
+from vortexpatch.diagnostics import energy_eval, reconstruct_flow
 from vortexpatch.errors import ConfigError, ConvergenceError
-from vortexpatch.grid import GridField, interpolate
+from vortexpatch.grid import GridField, cell_weights, gradient, interpolate
 from vortexpatch.kirchhoff import VortexSystem, find_critical
 from vortexpatch.solver import (STALL_WINDOW, TRUST_RADIUS, SolveReport,
                                 _deflated_step, _factorize, _jacobian, _lu,
@@ -46,9 +48,9 @@ def test_rhs_zero_field(solved_case):
 def test_rhs_unit_excess(solved_case):
     # w = kappa + 2 pi q/lg + 1 on the subdomain -> rhs = 1 there (p-th power of 1)
     setup = solved_case["setup"]
-    w = setup.thresholds[0] + 1.0
+    w = setup.level + 1.0
     rhs = rhs_eval(w, setup)
-    mask = setup.masks[0]
+    mask = setup.vortex == 0
     assert np.max(np.abs(rhs[mask] - 1.0)) < 1e-14
     assert np.all(rhs[~mask] == 0.0)
 
@@ -69,6 +71,116 @@ def test_rhs_matches_core_bump(solved_case):
                      for p in pts]) - a
     # agreement up to the O(s/lg) linear tilt
     assert np.max(np.abs(arg - bump)) < 5.0 * s
+
+
+# ---------------------------------------------------------------------- #
+#  the gate map against the per-vortex (k, N) gate arrays it replaced
+# ---------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def gate_pair(small_disk):
+    """A +/- pair of unequal strengths under a nonzero background, and a
+    field that opens both gates on a few dozen nodes and stays shut on the
+    rest of each subdomain."""
+    q = background_from_flux(small_disk, lambda t: 0.1 * np.cos(t) + 0.05 * np.sin(2 * t))
+    Z = np.array([[0.02, 0.005], [-0.02, -0.005]])
+    vs = VortexSystem([1.0], [1.3], Z, subdomains=[(Z[0], 0.015), (Z[1], 0.015)])
+    gs = build_grid(small_disk, R0 / 48.0)
+    pts = gs.points
+    bumps = [np.exp(-((pts - z)**2).sum(axis=1) / 0.006**2) for z in Z]
+    w = (1.6 * bumps[0] - 2.0 * bumps[1]
+         + 0.05 * np.random.default_rng(3).standard_normal(gs.n_interior))
+    return dict(q=q, vs=vs, grid=gs, eps=3e-3, p=2.0, w=w)
+
+
+def _old_gates(c, variable, level_order):
+    """The (k, N) masks and thresholds of the per-vortex design.  With
+    level_order="old" the thresholds use its own formulas, with "helper"
+    the operation order of ansatz.activation_level."""
+    pts, vs, eps = c["grid"].points, c["vs"], c["eps"]
+    lg = abs(np.log(eps))
+    masks = np.array([np.hypot(pts[:, 0] - z[0], pts[:, 1] - z[1]) < r
+                      for z, r in vs.subdomains])
+    kap, sgn, qn = vs.kappas[:, None], vs.signs[:, None], c["q"].value(pts)[None, :]
+    if level_order == "helper":
+        thr = kap + sgn * 2.0 * np.pi * qn / lg
+        return masks, thr if variable == "w" else thr * (lg / (2.0 * np.pi))
+    if variable == "w":
+        return masks, kap + sgn * (2.0 * np.pi / lg) * qn
+    return masks, kap * (lg / (2.0 * np.pi)) + sgn * qn
+
+
+def _old_excess(c, masks, thr, values, i):
+    arg = c["vs"].signs[i] * values - thr[i]
+    np.maximum(arg, 0.0, out=arg)
+    arg[~masks[i]] = 0.0
+    return arg
+
+
+@pytest.mark.parametrize("variable", ["w", "u"])
+def test_gate_map_matches_old_levels(gate_pair, variable):
+    c = gate_pair
+    setup = setup_problem(c["grid"], c["vs"], c["q"], c["eps"], c["p"], variable=variable)
+    masks, thr = _old_gates(c, variable, "old")
+    assert np.all(masks.sum(axis=0) <= 1) and np.all(masks.sum(axis=1) > 100)
+    assert np.array_equal(setup.vortex, np.where(masks.any(axis=0), masks.argmax(axis=0), -1))
+    off = setup.vortex < 0
+    assert np.all(setup.sign[off] == 0.0) and np.all(setup.level[off] == 0.0)
+    for i in range(2):
+        assert np.all(setup.sign[masks[i]] == c["vs"].signs[i])
+        # one definition of the level: the same value as the old formulas up
+        # to the rounding of their different operation order
+        ref = thr[i][masks[i]]
+        assert np.all(np.abs(setup.level[masks[i]] - ref) <= np.spacing(np.abs(ref)))
+
+
+@pytest.mark.parametrize("variable", ["w", "u"])
+def test_gate_map_matches_per_vortex_loops(gate_pair, variable):
+    c = gate_pair
+    p, eps = c["p"], c["eps"]
+    lg = abs(np.log(eps))
+    conv = 1.0 if variable == "w" else lg / (2.0 * np.pi)
+    values = c["w"] * conv
+    setup = setup_problem(c["grid"], c["vs"], c["q"], eps, p, variable=variable)
+    masks, thr = _old_gates(c, variable, "helper")
+    ex = [_old_excess(c, masks, thr, values, i) for i in range(2)]
+    assert all(np.sum(e > 0.0) > 10 for e in ex)
+
+    rhs = np.zeros_like(values)
+    der = np.zeros_like(values)
+    for i in range(2):
+        rhs += c["vs"].signs[i] * ex[i]**p
+        der += ex[i]**(p - 1.0)
+    assert np.array_equal(rhs_eval(values, setup), rhs)
+    assert np.array_equal(rhs_derivative(values, setup), p * der)
+
+    fld = GridField(c["grid"], values, variable, {"eps": eps, "p": p})
+    q = c["q"]
+    dpsi = gradient(fld if variable == "u" else u_from_w(fld)) - q.grad(c["grid"].points)
+    if variable == "u":
+        pot = sum(e**(p + 1.0) / (p + 1.0) for e in ex)
+        pressure = -pot / eps**2 - 0.5 * (dpsi**2).sum(axis=1)
+        assert np.array_equal(reconstruct_flow(fld, setup, q).pressure, pressure)
+        return
+
+    weights = cell_weights(c["grid"])
+    kinetic = 0.5 * setup.coef * float(((gradient(fld)**2).sum(axis=1) * weights).sum())
+    energy = kinetic - sum(float((e**(p + 1.0) * weights).sum()) / (p + 1.0) for e in ex)
+    # one sum over the nodes in place of one per vortex
+    assert abs(energy_eval(fld, setup) - energy) <= np.spacing(abs(energy))
+
+    # the old loop converted to u units before the subtraction, the gate map
+    # after it: the u-unit excess moves by at most 4 |u| unit roundoffs, so
+    # the pressure by e_max^p times that / eps^2, plus its own last rounding
+    u_vals = values * (lg / (2.0 * np.pi))
+    ex_u = [_old_excess(c, masks, thr * (lg / (2.0 * np.pi)), u_vals, i) for i in range(2)]
+    pot = sum(e**(p + 1.0) / (p + 1.0) for e in ex_u)
+    pressure = -pot / eps**2 - 0.5 * (dpsi**2).sum(axis=1)
+    e_max = max(float(e.max()) for e in ex_u)
+    bound = e_max**p * 4.0 * np.abs(u_vals).max() * 2.0**-53 / eps**2
+    diff = np.abs(reconstruct_flow(fld, setup, q).pressure - pressure)
+    assert np.all(diff <= bound + np.spacing(np.abs(pressure)))
 
 
 def test_overlapping_subdomains_rejected(small_disk, profiles):
@@ -180,7 +292,7 @@ def test_deflated_steps_reach_newton_solution(solved_case):
     for _ in range(10):
         if np.max(np.abs(r)) <= 1e-10 * np.max(np.abs(rhs)):
             break
-        J = _jacobian(Ac, w, setup, None)
+        J = _jacobian(Ac, w, setup)
         lu = _factorize(J, SolveReport("newton"))
         Q, _ = _near_null_basis(J, lu, 2)
         w, r, rhs, _, radius = _deflated_step(w, r, Ac, setup, J, lu, Q, radius)
@@ -197,7 +309,7 @@ def test_lu_ordering_matches_colamd_with_less_fill(solved_case):
     setup = c["setup"]
     w = c["field"].values
     assert np.any(rhs_derivative(w, setup) > 0.0)
-    J = _jacobian(setup.operator(), w, setup, None)
+    J = _jacobian(setup.operator(), w, setup)
     lu, ref = _lu(J), spla.splu(J)
     b = np.random.default_rng(5).standard_normal(J.shape[0])
     x, x_ref = lu.solve(b), ref.solve(b)
