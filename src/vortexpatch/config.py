@@ -102,6 +102,13 @@ _SECTIONS = {
 }
 
 
+def _type_ok(val, types):
+    """isinstance, except that a bool is not a number: isinstance(True, int)
+    holds, and {"tol": true} would read as 1.0."""
+    types = types if isinstance(types, tuple) else (types,)
+    return isinstance(val, types) and (bool in types or not isinstance(val, bool))
+
+
 def _apply_schema(section, data, schema):
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be an object")
@@ -116,7 +123,7 @@ def _apply_schema(section, data, schema):
             raise ConfigError(f"missing required key {section!r}.{key!r}")
         else:
             val = default
-        if not isinstance(val, types):
+        if not _type_ok(val, types):
             raise ConfigError(f"{section!r}.{key!r} has wrong type {type(val).__name__}")
         if check is not None and val is not None and not check(val):
             raise ConfigError(f"{section!r}.{key!r} fails validation: {val!r}")
@@ -139,7 +146,7 @@ def validate_config(raw):
             raise ConfigError(f"missing required section {key!r}")
         else:
             val = default
-        if not isinstance(val, types):
+        if not _type_ok(val, types):
             raise ConfigError(f"top-level {key!r} has wrong type")
         if check is not None and not check(val):
             raise ConfigError(f"top-level {key!r} fails validation: {val!r}")
@@ -148,7 +155,7 @@ def validate_config(raw):
         cfg[name] = _apply_schema(name, cfg.get(name, {}), schema)
 
     eps = cfg["eps"]
-    if not eps or not all(isinstance(e, (int, float)) and e > 0 for e in eps):
+    if not eps or not all(_type_ok(e, (int, float)) and e > 0 for e in eps):
         raise ConfigError("eps must be a nonempty list of positive numbers")
     if any(e >= 1.0 for e in eps):
         raise ConfigError("eps values must be below 1")

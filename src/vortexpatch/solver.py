@@ -9,20 +9,25 @@ Two equivalent variable forms share the machinery:
 
 with w = 2 pi u / |ln eps| and delta = eps (2 pi/|ln eps|)^((p-1)/2).  Each
 gate X_i is the indicator of the vortex subdomain.  Newton uses the
-semismooth derivative p(.)_+^(p-1), a sparse LU of the Jacobian (refreshed
-only when the observed contraction degrades), and a backtracking line search
-on the residual norm; a solve that stops making progress restarts from its
-best iterate in a deflated mode that splits each step along the near-null
-(core-translation) subspace, and raises if that stalls too.  Picard
-iterates the bare fixed-point map w <- (-coef lap)^{-1} rhs(w) and reports
-the observed contraction or growth factor; it is a fallback and a
-cross-check, not the workhorse.
+semismooth derivative p(.)_+^(p-1) and a backtracking line search on the
+residual norm.  The Jacobian differs from the fixed operator only on the
+diagonal of the active core nodes, so each solve factors that operator once,
+with the candidate core nodes eliminated last, and every Jacobian is a dense
+LU of their Schur complement shifted by the derivative.  A solve that stops
+making progress restarts from its best iterate in a deflated mode that
+splits each step along the near-null (core-translation) subspace, and
+raises if that stalls too.  Picard iterates the bare fixed-point map
+w <- (-coef lap)^{-1} rhs(w) and reports the observed contraction or growth
+factor; it is a fallback and a cross-check, not the workhorse.
 """
+
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from dataclasses import dataclass, field
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .ansatz import activation_level, delta_from_eps, eps_log
 from .errors import ConfigError, ConvergenceError
@@ -37,6 +42,9 @@ STALL_WINDOW = 8
 # initial trust radius of the deflated mode along span(Q), a 2-norm in field
 # units; it adapts from there
 TRUST_RADIUS = 0.05
+# the candidate core nodes of a Newton solve: the gated nodes whose gate
+# argument at the start exceeds -CORE_MARGIN times its maximum
+CORE_MARGIN = 0.15
 
 
 @dataclass
@@ -125,6 +133,8 @@ class SolveReport:
     damping_history: list = field(default_factory=list)
     correction_max_norm: float = 0.0
     contraction_factor: float = None
+    factorizations: int = 0         # sparse LUs, a core rebuild included
+    core_nodes: int = 0             # the core of the Schur complement (Newton)
     notes: str = ""
 
     def to_dict(self):
@@ -136,6 +146,7 @@ class SolveReport:
             "correction_max_norm": float(self.correction_max_norm),
             "contraction_factor": None if self.contraction_factor is None
             else float(self.contraction_factor),
+            "factorizations": self.factorizations, "core_nodes": self.core_nodes,
             "notes": self.notes,
         }
 
@@ -229,24 +240,106 @@ def _jacobian(Ac, w, setup):
     return (Ac - sp.diags(rhs_derivative(w, setup), 0, format="csc")).tocsc()
 
 
-def _lu(M):
+def _lu(M, ordering="MMD_AT_PLUS_A"):
     """Sparse LU of a structurally symmetric M (the 5-point stencil, and J,
-    which only shifts its diagonal): a minimum-degree ordering of M + M^T with
-    diagonal pivots preferred.  This keeps about half the fill of the default
-    COLAMD column ordering.  M's values are not symmetric (the cut rows), so
-    this stays LU, not Cholesky."""
-    return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+    which only shifts its diagonal): by default a minimum-degree ordering of
+    M + M^T with diagonal pivots preferred.  This keeps about half the fill of
+    the default COLAMD column ordering.  M's values are not symmetric (the cut
+    rows), so this stays LU, not Cholesky."""
+    return spla.splu(M, permc_spec=ordering, diag_pivot_thresh=0.1,
                      options={"SymmetricMode": True})
 
 
-def _factorize(J, report):
-    """Sparse LU of J; a singular J raises ConvergenceError."""
-    try:
-        return _lu(J)
-    except RuntimeError as exc:
-        raise ConvergenceError(
-            f"Newton Jacobian factorization failed ({exc}); "
-            "consider the Picard fallback", report=report)
+def _factorization_failed(exc, report):
+    return ConvergenceError(f"Newton Jacobian factorization failed ({exc}); "
+                            "consider the Picard fallback", report=report)
+
+
+def _core_candidates(setup, w):
+    """The nodes where the Jacobian may leave Ac: the gated nodes whose gate
+    argument exceeds -CORE_MARGIN times its maximum (every active node among
+    them)."""
+    arg = setup.gate_argument(w)
+    return np.flatnonzero((setup.vortex >= 0) & (arg > -CORE_MARGIN * np.max(arg)))
+
+
+class _CoreLU:
+    """One sparse LU of Ac with the candidate core nodes T eliminated last.
+
+    The trailing k x k block of that factorization, L22 U22, is the Schur
+    complement S of Ac on T, so a Jacobian J = Ac - diag(d) with d zero off T
+    costs a dense LU of S - diag(d_T) (the capacitance-matrix method, Buzbee,
+    Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971).  When d is nonzero
+    off T, T grows to the union and Ac is factored again.  `report` counts
+    the sparse factorizations and the core size.
+    """
+
+    def __init__(self, Ac, core, report):
+        self.Ac = sp.csc_matrix(Ac)
+        self.report = report
+        # the ordering pass: a minimum-degree elimination order of Ac
+        self.order = np.argsort(self._splu(self.Ac).perm_c)
+        self._factor(core)
+
+    def _splu(self, M, ordering="MMD_AT_PLUS_A"):
+        try:
+            lu = _lu(M, ordering)
+        except RuntimeError as exc:
+            raise _factorization_failed(exc, self.report)
+        self.report.factorizations += 1
+        return lu
+
+    def _factor(self, core):
+        n = self.Ac.shape[0]
+        in_core = np.zeros(n, dtype=bool)
+        in_core[core] = True
+        self.core = np.flatnonzero(in_core)
+        m = n - self.core.size
+        self.perm = np.concatenate((self.order[~in_core[self.order]], self.core))
+        self.lu = self._splu(self.Ac[self.perm][:, self.perm], "NATURAL")
+        tail = np.arange(m, n)
+        if not (np.array_equal(self.lu.perm_c[m:], tail)
+                and np.array_equal(self.lu.perm_r[m:], tail)):
+            raise ConvergenceError("the sparse LU pivoted the core nodes out of the "
+                                   "trailing block", report=self.report)
+        # each full copy of L or U is dropped as soon as it is sliced
+        self.S = (self.lu.L[m:, m:] @ self.lu.U[m:, m:]).toarray()
+        self.report.core_nodes = self.core.size
+
+    def jacobian(self, d):
+        """The solver of J = Ac - diag(d)."""
+        off = d > 0.0
+        off[self.core] = False
+        if np.any(off):
+            self._factor(np.union1d(self.core, np.flatnonzero(off)))
+        return _JacobianLU(self, d[self.core])
+
+
+class _JacobianLU:
+    """Solves with J = Ac - diag(d), d zero off the core T of `core_lu`.  With
+    z = Ac^-1 b, the core values y of J^-1 b solve (S - D) y = S z_T, and
+    J^-1 b = Ac^-1 (b + D y): two sparse solves and one dense k x k solve."""
+
+    def __init__(self, core_lu, d_core):
+        self.lu, self.perm, self.S = core_lu.lu, core_lu.perm, core_lu.S
+        self.d = d_core
+        self.m = self.perm.size - d_core.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            try:
+                self.dense = lu_factor(self.S - np.diag(d_core)) if d_core.size else None
+            except LinAlgWarning as exc:
+                raise _factorization_failed(f"singular core block: {exc}", core_lu.report)
+
+    def solve(self, b):
+        c = np.asarray(b, dtype=float)[self.perm]
+        if self.dense is not None:
+            z = self.lu.solve(c)
+            y = lu_solve(self.dense, self.S @ z[self.m:])
+            c[self.m:] += self.d * y
+        x = np.empty_like(c)
+        x[self.perm] = self.lu.solve(c)
+        return x
 
 
 def _trust_step(g, M, radius):
@@ -334,19 +427,19 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60, null_fields=None,
     one shot invalidates the local model).  When null_fields is given (the
     sampled vortex-translation modes of the initial guess), slow progress
     triggers a nonlinear refinement inside that subspace, which removes the
-    near-null creep without extra factorizations.  The Jacobian LU is reused
-    while contraction stays strong.
+    near-null creep.  Every iteration takes an exact Newton step: the
+    operator is factored once (`_CoreLU`, with the candidate core nodes of
+    the start last) and each Jacobian costs a dense LU of its core block.
 
     When STALL_WINDOW iterations pass without a new lowest max-residual, or
     the line search stagnates, the solve restarts once from its best iterate
-    in deflated mode (needs null_fields): each iteration refactors J,
-    recomputes its near-null basis Q and takes `_deflated_step`, starting
-    from TRUST_RADIUS along span(Q).  This is the regime of
-    degenerate equilibria (a pair on a rotation orbit), where the near-null
-    eigenvalues come within the grid's own pinning of the cores and plain
-    Newton steps are almost all along span(Q).  A second stall raises
-    ConvergenceError carrying the lowest-residual iterate and quoting the
-    near-null eigenvalues.
+    in deflated mode (needs null_fields): each iteration recomputes J's
+    near-null basis Q and takes `_deflated_step`, starting from TRUST_RADIUS
+    along span(Q).  This is the regime of degenerate equilibria (a pair on
+    a rotation orbit), where the near-null eigenvalues come within the
+    grid's own pinning of the cores and plain Newton steps are almost all
+    along span(Q).  A second stall raises ConvergenceError carrying the
+    lowest-residual iterate and quoting the near-null eigenvalues.
     """
     w = initial.values.copy() if isinstance(initial, GridField) else np.asarray(initial, dtype=float).copy()
     var = initial.variable if isinstance(initial, GridField) else setup.variable
@@ -368,14 +461,20 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60, null_fields=None,
     # iterates are never modified in place, so the best one is kept by reference
     best_w, best_rn, best_it = w, rn, 0
     idle = 0                 # iterations since the last new best (or restart)
+    core_lu = None           # the operator's LU, built at the first Jacobian
     lu = None
     J = None
-    last_ratio = 1.0
     field_range = max(float(np.max(w) - np.min(w)), 1e-12)
     slow = 0
     since_refine = 99
     radius = None            # trust radius along span(Q) once deflated
     stalled = None
+
+    def linearize(v):
+        nonlocal core_lu
+        if core_lu is None:
+            core_lu = _CoreLU(Ac, _core_candidates(setup, v), report)
+        return _jacobian(Ac, v, setup), core_lu.jacobian(rhs_derivative(v, setup))
 
     def fail(message):
         nonlocal eigvals
@@ -406,8 +505,7 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60, null_fields=None,
             rhs = rhs_eval(w, setup)
             r = Ac @ w - rhs
         if radius is not None:
-            J = _jacobian(Ac, w, setup)
-            lu = _factorize(J, report)
+            J, lu = linearize(w)
             Q, eigvals = _near_null_basis(J, lu, n_null)
             if Q is None:
                 fail(f"Newton stalled (near-null basis unavailable, iteration {it})")
@@ -415,11 +513,9 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60, null_fields=None,
                 w, r, Ac, setup, J, lu, Q, radius)
             rl2_try = float(np.linalg.norm(r_try))
         else:
-            if lu is None or last_ratio > 0.2:
-                J = _jacobian(Ac, w, setup)
-                lu = _factorize(J, report)
-                if n_null and Q is None and slow >= 1:
-                    Q, eigvals = _near_null_basis(J, lu, n_null)
+            J, lu = linearize(w)
+            if n_null and Q is None and slow >= 1:
+                Q, eigvals = _near_null_basis(J, lu, n_null)
             step = lu.solve(-r)
             sn = float(np.max(np.abs(step)))
             if sn > 0.3 * field_range:
@@ -453,8 +549,7 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60, null_fields=None,
                     slow = 0
                 if slow >= 2 and since_refine >= 2:
                     if Q is None:
-                        J = _jacobian(Ac, w_try, setup)
-                        lu = _factorize(J, report)
+                        J, lu = linearize(w_try)
                         Q, eigvals = _near_null_basis(J, lu, n_null)
                     if Q is not None:
                         w_ref = _subspace_refine(w_try, Ac, setup, Q, field_range)
@@ -464,14 +559,12 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60, null_fields=None,
                             rhs_try = rhs_eval(w_try, setup)
                             r_try = Ac @ w_try - rhs_try
                             rl2_try = float(np.linalg.norm(r_try))
-                            lu = None
                             slow = 0
                             since_refine = 0
                         elif lam == 0.0:
                             stalled = f"stagnated at residual {rn:.3e} despite subspace refinement"
                     elif lam == 0.0:
                         stalled = f"stagnated at residual {rn:.3e}, near-null basis unavailable"
-        last_ratio = rl2_try / max(rl2, 1e-300)
         w, rhs, r = w_try, rhs_try, r_try
         rn = float(np.max(np.abs(r)))
         rl2 = rl2_try
@@ -507,7 +600,7 @@ def solve_picard(setup, initial, tol=1e-10, max_iter=400, relax=1.0,
     var = initial.variable if isinstance(initial, GridField) else setup.variable
     Ac = setup.operator().tocsc()
     lu = _lu(Ac)
-    report = SolveReport(method="picard")
+    report = SolveReport(method="picard", factorizations=1)
 
     rhs = rhs_eval(w, setup)
     r = Ac @ w - rhs

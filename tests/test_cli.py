@@ -24,6 +24,11 @@ BASE_CONFIG = {
 }
 
 
+# config_hash of the validated BASE_CONFIG; it pins the schema's defaults
+# and key set, so a deleted or added key changes it on purpose
+HASH_BASE = "2179312f775a57039afcedfbef2445e817b66aa6d796c2c42a971f76c1335a52"
+
+
 def write_config(tmp_path, overrides=None, name="cfg.json"):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     for key, val in (overrides or {}).items():
@@ -55,6 +60,24 @@ def test_unknown_keys_rejected():
         validate_config(dict(BASE_CONFIG, threads=1))
     with pytest.raises(ConfigError):
         validate_config(dict(BASE_CONFIG, solver={"jacobian_cap": 1.0}))
+
+
+@pytest.mark.parametrize("override", [
+    {"solver": {"tol": True}}, {"solver": {"max_iter": True}},
+    {"grid": {"h": True}}, {"search": {"multistart": True}}, {"seed": True},
+    {"profile": {"p": True}}, {"eps": [True]}])
+def test_boolean_numbers_rejected(override):
+    # isinstance(True, int) holds: a bool must not pass as 1 or 1.0
+    with pytest.raises(ConfigError, match="type|eps"):
+        validate_config(dict(BASE_CONFIG, **override))
+
+
+def test_bool_keys_accept_bools_and_hash_unchanged():
+    cfg = validate_config(dict(BASE_CONFIG, solver={"continuation": False}))
+    assert cfg["solver"]["continuation"] is False
+    with pytest.raises(ConfigError, match="type"):
+        validate_config(dict(BASE_CONFIG, solver={"continuation": 0}))
+    assert config_hash(validate_config(BASE_CONFIG)) == HASH_BASE
 
 
 def test_validation_rules():

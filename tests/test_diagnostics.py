@@ -159,8 +159,9 @@ def test_traced_scipy_entry_points_resolve(monkeypatch):
     solver = importlib.import_module("vortexpatch.solver")
     assert solver.spla is importlib.import_module("scipy.sparse.linalg")
 
-    # a replaced scipy.sparse.linalg.splu sees the factorization, with the
-    # solver's ordering passed through
+    # a replaced scipy.sparse.linalg.splu sees every factorization of a
+    # Newton solve, with the solver's orderings passed through: the
+    # minimum-degree pass, then the factorization with the core last
     import scipy.sparse as sp
     calls = []
     real = solver.spla.splu
@@ -170,11 +171,12 @@ def test_traced_scipy_entry_points_resolve(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver.spla, "splu", recording)
-    J = sp.diags([2.0, 3.0, 4.0], 0, format="csc")
-    lu = solver._factorize(J, solver.SolveReport("newton"))
-    assert np.allclose(lu.solve(np.ones(3)), [0.5, 1.0 / 3.0, 0.25])
-    assert len(calls) == 1
-    assert calls[0]["permc_spec"] == "MMD_AT_PLUS_A"
+    Ac = sp.diags([2.0, 3.0, 4.0], 0, format="csc")
+    report = solver.SolveReport("newton")
+    lu = solver._CoreLU(Ac, [1], report).jacobian(np.array([0.0, 1.0, 0.0]))
+    assert np.allclose(lu.solve(np.ones(3)), [0.5, 0.5, 0.25])
+    assert [c["permc_spec"] for c in calls] == ["MMD_AT_PLUS_A", "NATURAL"]
+    assert report.factorizations == len(calls)
 
 
 def test_grid_energy_matches_polar_quadrature(solved_case):

@@ -18,9 +18,11 @@ from vortexpatch.diagnostics import energy_eval, reconstruct_flow
 from vortexpatch.errors import ConfigError, ConvergenceError
 from vortexpatch.grid import GridField, cell_weights, gradient, interpolate
 from vortexpatch.kirchhoff import VortexSystem, find_critical
+from vortexpatch import solver
 from vortexpatch.solver import (STALL_WINDOW, TRUST_RADIUS, SolveReport,
-                                _deflated_step, _factorize, _jacobian, _lu,
-                                _near_null_basis, _trust_step, picard_gap,
+                                _core_candidates, _CoreLU, _deflated_step,
+                                _jacobian, _lu, _near_null_basis, _trust_step,
+                                picard_gap,
                                 rhs_derivative, rhs_eval, setup_problem,
                                 solve_linear, solve_newton, solve_picard,
                                 u_from_w, w_from_u)
@@ -289,11 +291,12 @@ def test_deflated_steps_reach_newton_solution(solved_case):
     rhs = rhs_eval(w, setup)
     r = Ac @ w - rhs
     radius = TRUST_RADIUS
+    core_lu = _CoreLU(Ac, _core_candidates(setup, w), SolveReport("newton"))
     for _ in range(10):
         if np.max(np.abs(r)) <= 1e-10 * np.max(np.abs(rhs)):
             break
         J = _jacobian(Ac, w, setup)
-        lu = _factorize(J, SolveReport("newton"))
+        lu = core_lu.jacobian(rhs_derivative(w, setup))
         Q, _ = _near_null_basis(J, lu, 2)
         w, r, rhs, _, radius = _deflated_step(w, r, Ac, setup, J, lu, Q, radius)
     assert np.max(np.abs(r)) <= 1e-10 * np.max(np.abs(rhs))
@@ -318,9 +321,119 @@ def test_lu_ordering_matches_colamd_with_less_fill(solved_case):
 
 
 def test_factorize_singular_raises():
-    J = sp.diags([1.0, 0.0, 2.0], 0, format="csc")
+    # a singular operator fails in the sparse LU, a singular Jacobian in the
+    # dense LU of its core block; both name the failed factorization
     with pytest.raises(ConvergenceError, match="factorization failed"):
-        _factorize(J, SolveReport("newton"))
+        _CoreLU(sp.diags([1.0, 0.0, 2.0], 0, format="csc"), [], SolveReport("newton"))
+    Ac = sp.diags([1.0, 2.0, 3.0], 0, format="csc")
+    core_lu = _CoreLU(Ac, [1, 2], SolveReport("newton"))
+    assert np.allclose(core_lu.jacobian(np.array([0.0, 1.0, 0.0])).solve(np.ones(3)),
+                       [1.0, 1.0, 1.0 / 3.0])
+    d = np.array([0.0, 2.0, 0.0])
+    with pytest.raises(ConvergenceError, match="factorization failed.*core block"):
+        core_lu.jacobian(d)
+
+
+def test_core_row_pivot_raises():
+    # a tiny core diagonal next to a unit off-diagonal entry: the threshold
+    # pivoting swaps the two core rows, so the trailing block of the LU is no
+    # longer the Schur complement in the core's own order
+    Ac = sp.csc_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 1e-3, 1.0], [0.0, 1.0, 1.0]]))
+    with pytest.raises(ConvergenceError, match="pivoted the core nodes"):
+        _CoreLU(Ac, [1, 2], SolveReport("newton"))
+    # with node 2 eliminated before it, node 1's pivot is the Schur
+    # complement 1e-3 - 1, and nothing pivots
+    core_lu = _CoreLU(Ac, [1], SolveReport("newton"))
+    assert np.allclose(core_lu.S, [[1e-3 - 1.0]])
+
+
+# ---------------------------------------------------------------------- #
+#  the Jacobian solves on the core Schur complement
+# ---------------------------------------------------------------------- #
+
+
+def _relative_gap(lu, J, seed=5):
+    b = np.random.default_rng(seed).standard_normal(J.shape[0])
+    ref = spla.splu(J).solve(b)
+    return np.linalg.norm(lu.solve(b) - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("variable", ["w", "u"])
+def test_core_jacobian_solve_matches_splu(solved_case, variable):
+    c = solved_case
+    conv = 1.0 if variable == "w" else abs(np.log(c["eps"])) / (2 * np.pi)
+    setup = setup_problem(c["grid"], c["vs"], c["q"], c["eps"], 2.0, variable=variable)
+    Ac = setup.operator()
+    start = c["init"].values * conv
+    report = SolveReport("newton")
+    core_lu = _CoreLU(Ac, _core_candidates(setup, start), report)
+    for w in (start, c["field"].values * conv):
+        d = rhs_derivative(w, setup)
+        assert 100 < np.sum(d > 0.0) < core_lu.core.size
+        assert _relative_gap(core_lu.jacobian(d), _jacobian(Ac, w, setup)) <= 1e-10
+    # the ordering pass and one factorization with the core last, no rebuild
+    assert report.factorizations == 2 and report.core_nodes == core_lu.core.size
+
+
+def test_core_grows_when_the_active_set_leaves_it(solved_case):
+    c = solved_case
+    setup = c["setup"]
+    Ac = setup.operator()
+    report = SolveReport("newton")
+    core_lu = _CoreLU(Ac, _core_candidates(setup, c["init"].values), report)
+    first = core_lu.core
+    # a raised field opens the gate on a wider disc than the candidate core
+    w = c["field"].values + 0.5
+    d = rhs_derivative(w, setup)
+    assert np.any(d[np.setdiff1d(np.arange(d.size), first)] > 0.0)
+    lu = core_lu.jacobian(d)
+    assert report.factorizations == 3
+    assert np.all(np.isin(first, core_lu.core))
+    assert np.array_equal(core_lu.core, np.union1d(first, np.flatnonzero(d > 0.0)))
+    assert report.core_nodes == core_lu.core.size
+    assert _relative_gap(lu, _jacobian(Ac, w, setup)) <= 1e-10
+    # the grown core serves the old active set without another rebuild
+    core_lu.jacobian(rhs_derivative(c["field"].values, setup))
+    assert report.factorizations == 3
+
+
+def test_empty_core(solved_case):
+    # no candidate node (k = 0): J = Ac, solved by the sparse LU alone; the
+    # first Jacobian with an active node grows the core from nothing
+    c = solved_case
+    setup = c["setup"]
+    Ac = setup.operator()
+    zero = np.zeros(setup.spec.n_interior)
+    assert _core_candidates(setup, zero).size == 0
+    report = SolveReport("newton")
+    core_lu = _CoreLU(Ac, _core_candidates(setup, zero), report)
+    assert report.core_nodes == 0
+    assert _relative_gap(core_lu.jacobian(rhs_derivative(zero, setup)), Ac.tocsc()) <= 1e-10
+    w = c["field"].values
+    lu = core_lu.jacobian(rhs_derivative(w, setup))
+    assert report.factorizations == 3 and report.core_nodes == np.sum(rhs_derivative(w, setup) > 0)
+    assert _relative_gap(lu, _jacobian(Ac, w, setup)) <= 1e-10
+
+
+def test_newton_factors_the_operator_once(solved_case, monkeypatch):
+    # one ordering pass and one factorization with the core last; every
+    # Newton step after that is a dense LU of the core block
+    c = solved_case
+    calls = []
+    real = solver.spla.splu
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", recording)
+    fld, rep = solve_newton(c["setup"], c["init"],
+                            null_fields=c["af"].translation_modes(c["grid"].points))
+    assert rep.converged and rep.iterations >= 2
+    assert calls == ["MMD_AT_PLUS_A", "NATURAL"]
+    assert rep.factorizations == 2
+    assert rep.core_nodes == _core_candidates(c["setup"], c["init"].values).size
+    assert np.max(np.abs(fld.values - c["field"].values)) < 1e-12
 
 
 def test_trust_step_model_minimizer():
