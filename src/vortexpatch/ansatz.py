@@ -394,26 +394,6 @@ class AnsatzField:
         return activation_level(self.vs.kappas[idx], self.vs.signs[idx],
                                 self.q.value(x), self.cores.eps)
 
-    def translation_modes(self, x):
-        """Columns of d(composite field)/d(z_{i,h}) at frozen (a, s).
-
-        These span the almost-null directions of the linearized problem; the
-        solver uses them to take the slow core-translation motion out of the
-        Newton loop.  Shape (npts, 2(m+n)).
-        """
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        k = self.vs.m + self.vs.n
-        cols = np.zeros((pts.shape[0], 2 * k))
-        for idx, sign in enumerate(self.vs.signs):
-            s, a, z = self._params(idx)
-            gw = w_delta_grad(self.cores.delta, a, s, z, self.rp, self.big_r, pts)
-            # d/dz_h g(x, z) = -2 pi [d_y H](x, z)
-            dz_g = -TWO_PI * self.green.H_grad_y(pts, z)
-            for h in range(2):
-                cols[:, 2 * idx + h] = sign * (-gw[:, h]
-                                               - a / np.log(self.big_r / s) * dz_g[:, h])
-        return cols
-
     def excess(self, idx, x):
         """Signed field minus the activation level near vortex idx."""
         return (self.vs.signs[idx] * self.evaluate(x, require_inside=False)

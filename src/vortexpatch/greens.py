@@ -70,12 +70,6 @@ class _ImagesBackend:
         dq = 2.0 * yy * xt - 2.0 * self.rho**2 * yt
         return dq / (2.0 * TWO_PI * q2[..., None])
 
-    def H_grad_y(self, x, y):
-        q2, xt, yt = self._q2(x, y)
-        xx = (xt**2).sum(-1)[..., None]
-        dq = 2.0 * xx * yt - 2.0 * self.rho**2 * xt
-        return dq / (2.0 * TWO_PI * q2[..., None])
-
     def H_hess_xx(self, x, y):
         q2, xt, yt = self._q2(x, y)
         yy = (yt**2).sum(-1)[..., None, None]
@@ -286,16 +280,6 @@ class GreenEvaluator:
             return _ret(self._b.H_grad_x(x, y), single)
         ent = self._b._densities(y, 0)
         return _ret(self._b._eval_grad(x, ent["mu"]), single)
-
-    def H_grad_y(self, x, y):
-        """Gradient of H(x, y) in the source point, vectorized over x."""
-        x, single = _as_points(x)
-        y = np.asarray(y, dtype=float)
-        if isinstance(self._b, _ImagesBackend):
-            return _ret(self._b.H_grad_y(x, y), single)
-        ent = self._b._densities(y, 1)
-        cols = [self._b._eval(x, ent["mu_y"][:, h]) for h in range(2)]
-        return _ret(np.stack(cols, axis=-1), single)
 
     def H_hess_xx(self, x, y):
         x, single = _as_points(x)

@@ -226,7 +226,6 @@ def stage_solve_one(ctx, vs_star, eps, warm=None, method=None):
 
     # build_grid selected the nodes with domain.contains already
     ansatz_vals = af.evaluate(spec.points, require_inside=False)
-    modes = af.translation_modes(spec.points)
     init_vals = ansatz_vals
     if warm is not None:
         # warm start: previous correction interpolated onto the new grid
@@ -240,8 +239,7 @@ def stage_solve_one(ctx, vs_star, eps, warm=None, method=None):
                                 relax=sol_cfg["picard_relax"])
     else:
         fld, rep = solve_newton(setup, init, tol=sol_cfg["tol"],
-                                max_iter=sol_cfg["max_iter"],
-                                null_fields=modes)
+                                max_iter=sol_cfg["max_iter"])
     ansatz_field = GridField(spec, ansatz_vals, "w", {"eps": eps, "p": ctx.profile.p})
     correction = GridField(spec, fld.values - ansatz_field.values, "w", dict(fld.params))
     return {

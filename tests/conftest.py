@@ -42,8 +42,7 @@ def _build_solved_case(profiles):
     setup = setup_problem(gs, vs, q, eps, rp.p)
     af = AnsatzField(cores, vs, rp, small_ge, q)
     init = GridField(gs, af.evaluate(gs.points), "w", {"eps": eps, "p": rp.p})
-    fld, rep_n = solve_newton(setup, init,
-                              null_fields=af.translation_modes(gs.points))
+    fld, rep_n = solve_newton(setup, init)
     return dict(domain=small_disk, green=small_ge, q=q, rp=rp, vs=vs, eps=eps,
                 cores=cores, grid=gs, setup=setup, af=af, init=init,
                 field=fld, report=rep_n)

@@ -8,6 +8,8 @@ with grid spacing s/8 this is the node budget the free-boundary solves need
 prints a PASS/FAIL line.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -56,8 +58,7 @@ def _solve_one(dom, ge, q, rp, vs0, eps, subdomain_radius):
     gs = build_grid(dom, s_min / 8.0)
     setup = setup_problem(gs, vs, q, eps, rp.p)
     init = GridField(gs, af.evaluate(gs.points), "w", {"eps": eps, "p": rp.p})
-    fld, rep = solve_newton(setup, init,
-                            null_fields=af.translation_modes(gs.points))
+    fld, rep = solve_newton(setup, init)
     diag = vorticity_extract(fld, setup, vs)
     af_centered = AnsatzField(cores, vs.with_positions(diag.centers), rp, ge, q)
     corr_recentered = float(np.max(np.abs(fld.values - af_centered.evaluate(gs.points))))
@@ -248,6 +249,18 @@ def test_criterion_7_newton_convergence_and_correction_law(sweep):
                   "rate window not certifiable - see ROADMAP.md item 0)"), ratios
 
 
+def test_pair_deflates_after_a_line_search_stall(pair):
+    # the zero-background pair at 3e-4 is a degenerate equilibrium: plain
+    # Newton creeps along the near-null pair, the line search gives up at its
+    # smallest damping, and the deflated restart converges; every iteration,
+    # the refused step included, has one residual and one damping entry
+    rep = pair["solver_report"]
+    m = re.match(r"deflated from iteration (\d+) \(line search stalled", rep.notes)
+    ok = rep.converged and m is not None and int(m.group(1)) <= 3 and rep.iterations <= 10
+    assert ok, (rep.notes, rep.iterations)
+    assert len(rep.residual_history) == len(rep.damping_history) + 1 == rep.iterations + 1
+
+
 def test_criterion_8_circulation_limit(sweep, pair):
     gaps = []
     for s in sweep["singles"]:
@@ -332,9 +345,7 @@ def test_criterion_11_cross_solver_and_variables(sweep):
                             sweep["rp"].p, variable="u")
     init_u = GridField(s["grid"], s["af"].evaluate(s["grid"].points) * lg / (2 * np.pi),
                        "u", {"eps": s["eps"], "p": sweep["rp"].p})
-    fld_u, rep_u = solve_newton(
-        setup_u, init_u,
-        null_fields=s["af"].translation_modes(s["grid"].points) * lg / (2 * np.pi))
+    fld_u, rep_u = solve_newton(setup_u, init_u)
     diff = float(np.max(np.abs(w_from_u(fld_u).values - s["field"].values)))
     ok = gap <= 1e-8 and rep_u.converged and diff <= 1e-8
     assert report(11, ok,

@@ -340,22 +340,6 @@ def test_ansatz_rotational_symmetry(disk_images, profiles, q_zero):
     assert np.max(vals) - np.min(vals) < 1e-10
 
 
-def test_translation_modes_fd(disk_images, profiles, q_zero):
-    # column (i, h) is the derivative of the composite field in z_{i,h} at
-    # frozen (a, s); a +/- pair checks the sign of each family
-    rp = profiles[2.0]
-    vs = VortexSystem([1.0], [1.0], [[0.3, 0.0], [-0.3, 0.1]])
-    cores = solve_core_system(vs, disk_images, q_zero, 1e-3, rp)
-    x = np.array([0.24, 0.13])
-    an = AnsatzField(cores, vs, rp, disk_images, q_zero).translation_modes(x)[0]
-    h = 1e-7
-    for col in range(4):
-        dz = h * np.eye(4)[col]
-        fp, fm = (AnsatzField(cores, vs.with_positions(vs.positions.ravel() + dzs), rp,
-                              disk_images, q_zero).evaluate(x) for dzs in (dz, -dz))
-        assert abs((fp - fm) / (2 * h) - an[col]) < 1e-5 * max(1.0, np.max(np.abs(an)))
-
-
 def test_local_expansion_probe(disk_images, profiles):
     # inside the core ball the composite field minus the activation level is
     # the bump profile plus a linear tilt of the expected size

@@ -268,8 +268,7 @@ def test_newton_stall_raises_with_best_iterate(solved_case, variable):
     max_iter = 60
     with pytest.raises(ConvergenceError,
                        match="no new best residual.*near-null eigenvalues") as info:
-        solve_newton(setup, init, tol=1e-30, max_iter=max_iter,
-                     null_fields=c["af"].translation_modes(c["grid"].points) * conv)
+        solve_newton(setup, init, tol=1e-30, max_iter=max_iter)
     exc = info.value
     hist = [h[1] for h in exc.report.residual_history]
     best_it = int(np.argmin(hist))
@@ -427,13 +426,43 @@ def test_newton_factors_the_operator_once(solved_case, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver.spla, "splu", recording)
-    fld, rep = solve_newton(c["setup"], c["init"],
-                            null_fields=c["af"].translation_modes(c["grid"].points))
+    fld, rep = solve_newton(c["setup"], c["init"])
     assert rep.converged and rep.iterations >= 2
     assert calls == ["MMD_AT_PLUS_A", "NATURAL"]
     assert rep.factorizations == 2
     assert rep.core_nodes == _core_candidates(c["setup"], c["init"].values).size
     assert np.max(np.abs(fld.values - c["field"].values)) < 1e-12
+
+
+def test_pair_converges_on_the_plain_path(small_disk, profiles, monkeypatch):
+    # the +/- pair at eps 3e-3 in 0.02 subdomains, a saddle of the reduced
+    # energy: exact Newton steps converge with no deflated restart and no
+    # near-null basis (shift-invert Arnoldi) at all
+    rp, eps = profiles[2.0], 3e-3
+    ge = GreenEvaluator(small_disk)
+    q = HarmonicBackground.zero()
+    d = R0 * np.sqrt(np.sqrt(5.0) - 2.0)
+    z0 = [[d, 0.0], [-d, 0.0]]
+    z_star = find_critical(VortexSystem([1.0], [1.0], z0), ge, q, z0=z0).z_star
+    vs_eps, cores = refine_positions(VortexSystem([1.0], [1.0], z_star), ge, q, eps, rp)
+    vs = VortexSystem([1.0], [1.0], vs_eps.positions,
+                      subdomains=[(z, 0.02) for z in vs_eps.positions])
+    gs = build_grid(small_disk, float(np.min(cores.s_all)) / 8.0)
+    setup = setup_problem(gs, vs, q, eps, rp.p)
+    init = GridField(gs, AnsatzField(cores, vs, rp, ge, q).evaluate(gs.points), "w",
+                     {"eps": eps, "p": rp.p})
+    calls = []
+    real = solver.spla.eigs
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("k"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "eigs", recording)
+    _, rep = solve_newton(setup, init)
+    assert setup.near_null_dim == 4
+    assert rep.converged and rep.notes == ""
+    assert calls == []
 
 
 def test_trust_step_model_minimizer():
@@ -503,8 +532,7 @@ def test_u_form_matches_w_form(solved_case):
     lg = abs(np.log(c["eps"]))
     init_u = GridField(c["grid"], c["init"].values * lg / (2 * np.pi), "u",
                        {"eps": c["eps"], "p": 2.0})
-    fld_u, rep_u = solve_newton(setup_u, init_u,
-                                null_fields=c["af"].translation_modes(c["grid"].points) * lg / (2 * np.pi))
+    fld_u, rep_u = solve_newton(setup_u, init_u)
     assert rep_u.converged
     w_back = w_from_u(fld_u)
     assert np.max(np.abs(w_back.values - c["field"].values)) < 1e-8
@@ -520,8 +548,7 @@ def test_mesh_refinement_study(solved_case):
     setup2 = setup_problem(gs2, c["vs"], c["q"], c["eps"], 2.0)
     init2 = GridField(gs2, c["af"].evaluate(gs2.points), "w",
                       {"eps": c["eps"], "p": 2.0})
-    fld2, _ = solve_newton(setup2, init2,
-                           null_fields=c["af"].translation_modes(gs2.points))
+    fld2, _ = solve_newton(setup2, init2)
     # compare on probe points in the smooth annulus between core and boundary
     z = c["vs"].positions[0]
     th = np.linspace(0, 2 * np.pi, 16)[:-1]
@@ -545,6 +572,5 @@ def test_solver_independent_of_big_r(solved_case, small_disk, profiles):
     af2 = AnsatzField(cores2, c["vs"], profiles[2.0], ge2, c["q"])
     init2 = GridField(c["grid"], af2.evaluate(c["grid"].points), "w",
                       {"eps": c["eps"], "p": 2.0})
-    fld2, _ = solve_newton(c["setup"], init2,
-                           null_fields=af2.translation_modes(c["grid"].points))
+    fld2, _ = solve_newton(c["setup"], init2)
     assert np.max(np.abs(fld2.values - c["field"].values)) < 1e-8
