@@ -18,7 +18,7 @@ from .kirchhoff import (CriticalPointReport, VortexSystem, find_critical,
 from .ansatz import (AnsatzField, CoreParameters, solve_core_system, solve_s,
                      w_delta_eval)
 from .grid import GridField, GridSpec, build_grid
-from .solver import SolveReport, rhs_eval, solve_newton, solve_picard
+from .solver import SolveReport, rhs_eval, solve_newton
 from .diagnostics import (FlowField, VortexDiagnostics, ansatz_energy,
                           ansatz_energy_expansion, energy_eval,
                           kr_consistency, reconstruct_flow, vorticity_extract)
@@ -32,7 +32,7 @@ __all__ = [
     "CoreParameters", "AnsatzField", "solve_s", "solve_core_system",
     "w_delta_eval",
     "GridSpec", "GridField", "build_grid",
-    "SolveReport", "rhs_eval", "solve_newton", "solve_picard",
+    "SolveReport", "rhs_eval", "solve_newton",
     "VortexDiagnostics", "FlowField", "vorticity_extract", "energy_eval",
     "ansatz_energy", "ansatz_energy_expansion", "kr_consistency",
     "reconstruct_flow",

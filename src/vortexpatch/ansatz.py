@@ -82,22 +82,6 @@ def w_delta_eval(delta, a, s, z, rp, big_r, x):
     return float(out[0]) if single else out
 
 
-def w_delta_grad(delta, a, s, z, rp, big_r, x):
-    """Gradient of the bump in x (radially symmetric)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    d = pts - np.asarray(z, dtype=float)[None, :]
-    r = np.hypot(d[..., 0], d[..., 1])
-    rs = np.maximum(r, 1e-300)
-    amp = delta**(2.0 / (rp.p - 1.0)) * s**(-2.0 / (rp.p - 1.0))
-    dr_inner = amp * rp.dphi_at(np.minimum(r / s, 1.0)) / s
-    dr_outer = a / (np.log(s / big_r) * rs)
-    dr = np.where(r <= s, dr_inner, dr_outer)
-    out = dr[..., None] * d / rs[..., None]
-    return out[0] if single else out
-
-
 def glue_residual(delta, a, s, rp, big_r):
     """Residual of the C^1 gluing equation in its printed form."""
     lhs = delta**(2.0 / (rp.p - 1.0)) * s**(-2.0 / (rp.p - 1.0)) * rp.slope_at_one

@@ -58,15 +58,11 @@ _PROFILE_KEYS = {
 _GRID_KEYS = {
     "h": ((int, float, type(None)), None, lambda v: v is None or v > 0),
     "points_per_core": ((int, float), 8.0, lambda v: v >= 4),
-    "boundary": (str, "shortley-weller",
-                 lambda v: v in ("shortley-weller", "mask-only")),
 }
 
 _SOLVER_KEYS = {
-    "method": (str, "newton", lambda v: v in ("newton", "picard")),
     "tol": ((int, float), 1e-10, lambda v: v > 0),
     "max_iter": (int, 60, lambda v: v >= 1),
-    "picard_relax": ((int, float), 1.0, lambda v: 0 < v <= 1),
     "continuation": (bool, True, None),
 }
 

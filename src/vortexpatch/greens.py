@@ -371,13 +371,6 @@ class GreenEvaluator:
         r = np.hypot(x[..., 0] - y[0], x[..., 1] - y[1])
         return _ret(np.log(self.big_r / r) - self.g(x, y), single)
 
-    def bar_g_grad_x(self, x, y):
-        x, single = _as_points(x)
-        y = np.asarray(y, dtype=float)
-        d = x - y[None, :]
-        r2 = (d**2).sum(-1)[..., None]
-        return _ret(-d / r2 - self.g_grad_x(x, y), single)
-
     def _check_pair(self, x, y):
         if not np.all(self.domain.contains(x)):
             raise DomainError("evaluation point outside the domain")

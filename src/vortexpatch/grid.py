@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ResolutionError
+from .errors import ResolutionError
 
 ARM_DIRS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])  # E, W, N, S
 
@@ -23,7 +23,6 @@ class GridSpec:
     h: float
     origin: np.ndarray            # coordinates of node (0, 0)
     shape: tuple                  # (nx, ny)
-    boundary: str                 # "shortley-weller" | "mask-only"
     index: np.ndarray             # (nx, ny) -> unknown number or -1
     points: np.ndarray            # (N, 2) node coordinates
     neighbors: np.ndarray         # (N, 4) unknown numbers, -1 if arm is cut
@@ -84,14 +83,9 @@ def _curve_crossings(domain, p, directions, h):
     return np.clip(0.5 * (lo + hi), 1e-12 * h, h)
 
 
-def build_grid(domain, h, boundary="shortley-weller", box=None):
+def build_grid(domain, h):
     """Mask the domain on a uniform grid and measure the cut arms."""
-    if boundary not in ("shortley-weller", "mask-only"):
-        raise ConfigError(f"unknown boundary treatment {boundary!r}")
-    if box is None:
-        lo, hi = domain.bounding_box(pad=1.5 * h)
-    else:
-        lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
+    lo, hi = domain.bounding_box(pad=1.5 * h)
     nx = int(np.ceil((hi[0] - lo[0]) / h)) + 1
     ny = int(np.ceil((hi[1] - lo[1]) / h)) + 1
     xs = lo[0] + h * np.arange(nx)
@@ -116,17 +110,16 @@ def build_grid(domain, h, boundary="shortley-weller", box=None):
         neighbors[:, d] = nbr
     is_adjacent = np.any(neighbors < 0, axis=1)
 
-    if boundary == "shortley-weller":
-        direction = ARM_DIRS.astype(float)
-        kk, dd = np.nonzero(neighbors < 0)
-        if domain.kind == "disk":
-            for k, d in zip(kk, dd):
-                arms[k, d] = _disk_crossing(domain, points[k], direction[d], h)
-        else:
-            arms[kk, dd] = _curve_crossings(domain, points[kk], direction[dd], h)
+    direction = ARM_DIRS.astype(float)
+    kk, dd = np.nonzero(neighbors < 0)
+    if domain.kind == "disk":
+        for k, d in zip(kk, dd):
+            arms[k, d] = _disk_crossing(domain, points[k], direction[d], h)
+    else:
+        arms[kk, dd] = _curve_crossings(domain, points[kk], direction[dd], h)
 
     return GridSpec(domain=domain, h=float(h), origin=np.array([lo[0], lo[1]]),
-                    shape=(nx, ny), boundary=boundary, index=index,
+                    shape=(nx, ny), index=index,
                     points=points, neighbors=neighbors, arms=arms,
                     is_adjacent=is_adjacent, ij=np.column_stack([ii, jj]))
 

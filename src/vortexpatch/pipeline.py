@@ -24,7 +24,7 @@ from .grid import GridField, build_grid, check_resolution, interpolate
 from .kirchhoff import (VortexSystem, check_subdomains, find_critical, kr_grad,
                         multistart_find_critical)
 from .profile import solve_profile
-from .solver import setup_problem, solve_newton, solve_picard
+from .solver import setup_problem, solve_newton
 
 TWO_PI = 2.0 * np.pi
 
@@ -211,7 +211,7 @@ def write_solution(product, field_path, report_path, precision):
                              "solver": product["report"].to_dict()}, precision)
 
 
-def stage_solve_one(ctx, vs_star, eps, warm=None, method=None):
+def stage_solve_one(ctx, vs_star, eps, warm=None):
     """Cores, ansatz, grid and PDE solve at one eps.  Returns a dict of stage
     products keyed for downstream verification."""
     cfg = ctx.cfg
@@ -221,7 +221,7 @@ def stage_solve_one(ctx, vs_star, eps, warm=None, method=None):
     subs = check_subdomains(vs_eps, ctx.domain)
     af = AnsatzField(cores, vs_eps, ctx.profile, ctx.green, ctx.q)
     h = _grid_h(cfg, cores)
-    spec = build_grid(ctx.domain, h, boundary=cfg["grid"]["boundary"])
+    spec = build_grid(ctx.domain, h)
     setup = setup_problem(spec, vs_eps, ctx.q, eps, ctx.profile.p, subdomains=subs)
 
     # build_grid selected the nodes with domain.contains already
@@ -232,14 +232,7 @@ def stage_solve_one(ctx, vs_star, eps, warm=None, method=None):
         init_vals = ansatz_vals + interpolate(warm["correction"], spec.points)
     init = GridField(spec, init_vals, "w", {"eps": eps, "p": ctx.profile.p})
     sol_cfg = cfg["solver"]
-    method = method or sol_cfg["method"]
-    if method == "picard":
-        fld, rep = solve_picard(setup, init, tol=sol_cfg["tol"],
-                                max_iter=sol_cfg["max_iter"] * 10,
-                                relax=sol_cfg["picard_relax"])
-    else:
-        fld, rep = solve_newton(setup, init, tol=sol_cfg["tol"],
-                                max_iter=sol_cfg["max_iter"])
+    fld, rep = solve_newton(setup, init, tol=sol_cfg["tol"], max_iter=sol_cfg["max_iter"])
     ansatz_field = GridField(spec, ansatz_vals, "w", {"eps": eps, "p": ctx.profile.p})
     correction = GridField(spec, fld.values - ansatz_field.values, "w", dict(fld.params))
     return {

@@ -41,16 +41,11 @@ class RadialProfile:
     phi0: float                        # phi(0)
     interpolant_order: int = 3
     _phi_ip: PchipInterpolator = field(default=None, repr=False)
-    _dphi_ip: PchipInterpolator = field(default=None, repr=False)
 
     def phi_at(self, r):
         """phi(|r|) for r in [0, 1]; clamps tiny overshoots at the ends."""
         rr = np.clip(np.asarray(r, dtype=float), 0.0, 1.0)
         return np.maximum(self._phi_ip(rr), 0.0)
-
-    def dphi_at(self, r):
-        rr = np.clip(np.asarray(r, dtype=float), 0.0, 1.0)
-        return self._dphi_ip(rr)
 
     def pohozaev_residuals(self):
         s = abs(self.slope_at_one)
@@ -125,7 +120,6 @@ def solve_profile(p, tol=1e-4):
                          slope_at_one=slope, int_phi_p=int_phi_p,
                          int_phi_p1=int_phi_p1, phi0=phi0)
     prof._phi_ip = PchipInterpolator(r, phi, extrapolate=False)
-    prof._dphi_ip = PchipInterpolator(r, dphi, extrapolate=False)
 
     res = _ode_residual(prof)
     if res > tol:

@@ -1,4 +1,4 @@
-"""Newton and Picard solves of the gated semilinear free-boundary problem.
+"""Newton solve of the gated semilinear free-boundary problem.
 
 Two equivalent variable forms share the machinery:
 
@@ -18,9 +18,10 @@ the exact Newton step.  A solve whose line search would need a damping
 below MIN_DAMPING (creep along the near-null core translations), or that
 stops making progress, restarts once from its best iterate in a deflated
 mode that splits each step along the near-null subspace, and raises if that
-stalls too.  Picard iterates the bare fixed-point map
-w <- (-coef lap)^{-1} rhs(w) and reports the observed contraction or growth
-factor; it is a fallback and a cross-check, not the workhorse.
+stalls too.  `picard_gap` applies the bare fixed-point map
+w <- (-coef lap)^{-1} rhs(w) once to a given field: a solver-independent
+check of a solution.  Iterating that map does not reach the solution, which
+is an unstable fixed point of it.
 """
 
 import warnings
@@ -145,9 +146,8 @@ class SolveReport:
     residual_history: list = field(default_factory=list)   # (l2, max) pairs
     damping_history: list = field(default_factory=list)
     correction_max_norm: float = 0.0
-    contraction_factor: float = None
     factorizations: int = 0         # sparse LUs, a core rebuild included
-    core_nodes: int = 0             # the core of the Schur complement (Newton)
+    core_nodes: int = 0             # the core of the Schur complement
     notes: str = ""
 
     def to_dict(self):
@@ -157,8 +157,6 @@ class SolveReport:
             "residual_history": [[float(a), float(b)] for a, b in self.residual_history],
             "damping_history": [float(d) for d in self.damping_history],
             "correction_max_norm": float(self.correction_max_norm),
-            "contraction_factor": None if self.contraction_factor is None
-            else float(self.contraction_factor),
             "factorizations": self.factorizations, "core_nodes": self.core_nodes,
             "notes": self.notes,
         }
@@ -208,8 +206,8 @@ def _lu(M, ordering="MMD_AT_PLUS_A"):
 
 
 def _factorization_failed(exc, report):
-    return ConvergenceError(f"Newton Jacobian factorization failed ({exc}); "
-                            "consider the Picard fallback", report=report)
+    return ConvergenceError(f"Newton Jacobian factorization failed ({exc})",
+                            report=report)
 
 
 def _core_candidates(setup, w):
@@ -413,8 +411,7 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
     best_w, best_rn, best_it = w, rn, 0
     idle = 0                 # iterations since the last new best (or restart)
     core_lu = None           # the operator's LU, built at the first Jacobian
-    lu = None
-    J = None
+    lu = lu_w = None         # the last Jacobian's solver and its iterate
     field_range = max(float(np.max(w) - np.min(w)), 1e-12)
     radius = None            # trust radius along span(Q) once deflated
     stalled = None
@@ -422,7 +419,7 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
     def fail(message):
         nonlocal eigvals
         if eigvals is None and lu is not None:
-            eigvals = _near_null_basis(J, lu, n_null or 2)[1]
+            eigvals = _near_null_basis(_jacobian(Ac, lu_w, setup), lu, n_null or 2)[1]
         near_null = ("unavailable" if eigvals is None
                      else ", ".join(f"{v:.2e}" for v in sorted(eigvals, key=abs)))
         raise ConvergenceError(
@@ -449,9 +446,9 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
             r = Ac @ w - rhs
         if core_lu is None:
             core_lu = _CoreLU(Ac, _core_candidates(setup, w), report)
-        J = _jacobian(Ac, w, setup)
-        lu = core_lu.jacobian(rhs_derivative(w, setup))
+        lu, lu_w = core_lu.jacobian(rhs_derivative(w, setup)), w
         if radius is not None:
+            J = _jacobian(Ac, w, setup)
             Q, eigvals = _near_null_basis(J, lu, n_null)
             if Q is None:
                 fail(f"Newton stalled (near-null basis unavailable, iteration {it})")
@@ -499,65 +496,6 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
     return out, report
 
 
-def solve_picard(setup, initial, tol=1e-10, max_iter=400, relax=1.0,
-                 divergence_window=5):
-    """Bare fixed-point iteration w <- (1-relax) w + relax (-coef lap)^{-1} rhs(w).
-
-    Reports the observed contraction factor.  Residual growth over
-    `divergence_window` consecutive steps raises with the best iterate, since
-    the desingularized solution is an unstable fixed point of this map
-    whenever the core nonlinearity is active (Newton is the workhorse; this
-    map is the independent cross-check).
-    """
-    w = initial.values.copy() if isinstance(initial, GridField) else np.asarray(initial, dtype=float).copy()
-    var = initial.variable if isinstance(initial, GridField) else setup.variable
-    Ac = setup.operator().tocsc()
-    lu = _lu(Ac)
-    report = SolveReport(method="picard", factorizations=1)
-
-    rhs = rhs_eval(w, setup)
-    r = Ac @ w - rhs
-    rn = float(np.max(np.abs(r)))
-    scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    report.residual_history.append(_res_norms(r))
-    grow = 0
-    best = w.copy()
-    best_rn = rn
-    ratios = []
-    for it in range(1, max_iter + 1):
-        if rn <= tol * scale:
-            report.converged = True
-            break
-        w = (1.0 - relax) * w + relax * lu.solve(rhs)
-        rhs = rhs_eval(w, setup)
-        r = Ac @ w - rhs
-        rn_new = float(np.max(np.abs(r)))
-        report.iterations = it
-        report.residual_history.append(_res_norms(r))
-        if rn > 0 and rn_new > 0:
-            ratios.append(rn_new / rn)
-        grow = grow + 1 if rn_new > rn else 0
-        if rn_new < best_rn:
-            best_rn, best = rn_new, w.copy()
-        rn = rn_new
-        scale = max(float(np.max(np.abs(rhs))), 1e-300)
-        if grow >= divergence_window:
-            report.contraction_factor = float(np.exp(np.mean(np.log(ratios[-divergence_window:]))))
-            report.notes = "diverged: residual grew over consecutive steps"
-            raise ConvergenceError(
-                f"Picard map diverged (growth factor ~ {report.contraction_factor:.3f})",
-                best=GridField(setup.spec, best, var), report=report)
-    else:
-        raise ConvergenceError(
-            f"Picard did not converge in {max_iter} iterations (residual {rn:.3e})",
-            best=GridField(setup.spec, best, var), report=report)
-    if ratios:
-        report.contraction_factor = float(np.exp(np.mean(np.log(ratios))))
-    init_vals = initial.values if isinstance(initial, GridField) else np.asarray(initial)
-    report.correction_max_norm = float(np.max(np.abs(w - init_vals)))
-    return GridField(setup.spec, w, var, {"eps": setup.eps, "p": setup.p}), report
-
-
 def picard_gap(setup, field):
     """Max-norm distance between a field and one application of the Picard
     map; a solver-independent fixed-point check."""
@@ -565,13 +503,6 @@ def picard_gap(setup, field):
     lu = _lu(Ac)
     mapped = lu.solve(rhs_eval(field.values, setup))
     return float(np.max(np.abs(mapped - field.values)))
-
-
-def solve_linear(setup, rhs_values):
-    """Solve (-coef lap_h) w = rhs for a prescribed right-hand side."""
-    Ac = setup.operator().tocsc()
-    lu = _lu(Ac)
-    return lu.solve(np.asarray(rhs_values, dtype=float))
 
 
 def u_from_w(field):

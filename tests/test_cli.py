@@ -26,7 +26,7 @@ BASE_CONFIG = {
 
 # config_hash of the validated BASE_CONFIG; it pins the schema's defaults
 # and key set, so a deleted or added key changes it on purpose
-HASH_BASE = "2179312f775a57039afcedfbef2445e817b66aa6d796c2c42a971f76c1335a52"
+HASH_BASE = "68075f04a9f32deb721eac3bf10458ed8f23e9f49e4168112e613f8fd37d6b20"
 
 
 def write_config(tmp_path, overrides=None, name="cfg.json"):
@@ -60,6 +60,12 @@ def test_unknown_keys_rejected():
         validate_config(dict(BASE_CONFIG, threads=1))
     with pytest.raises(ConfigError):
         validate_config(dict(BASE_CONFIG, solver={"jacobian_cap": 1.0}))
+    # keys of removed options are rejected, not silently ignored
+    for section, key, val in (("solver", "method", "newton"),
+                              ("solver", "picard_relax", 1.0),
+                              ("grid", "boundary", "shortley-weller")):
+        with pytest.raises(ConfigError, match="unknown key"):
+            validate_config(dict(BASE_CONFIG, **{section: {key: val}}))
 
 
 @pytest.mark.parametrize("override", [

@@ -63,18 +63,6 @@ def test_manufactured_solution(disk_grid):
     assert np.max(np.abs(u - ustar)) < 1e-10
 
 
-def test_manufactured_solution_mask_only(unit_disk):
-    # the mask-only treatment is first order at the boundary
-    spec = build_grid(unit_disk, h=0.02, boundary="mask-only")
-    assert np.all(spec.arms == spec.h)
-    A = discretize(spec).tocsc()
-    pts = spec.points
-    ustar = 1.0 - pts[:, 0]**2 - pts[:, 1]**2
-    u = spla.splu(A).solve(np.full(spec.n_interior, 4.0))
-    err = np.max(np.abs(u - ustar))
-    assert 1e-4 < err < 0.1    # O(h) boundary error, far worse than cut cells
-
-
 def test_second_order_convergence(unit_disk):
     # smooth manufactured solution: u = sin(pi x) sin(pi y) restricted
     errs = []

@@ -24,8 +24,7 @@ from vortexpatch.solver import (STALL_WINDOW, TRUST_RADIUS, SolveReport,
                                 _jacobian, _lu, _near_null_basis, _trust_step,
                                 picard_gap,
                                 rhs_derivative, rhs_eval, setup_problem,
-                                solve_linear, solve_newton, solve_picard,
-                                u_from_w, w_from_u)
+                                solve_newton, u_from_w, w_from_u)
 
 R0 = 1.0 / 16.0
 
@@ -242,7 +241,7 @@ def test_manufactured_linear_recovery(solved_case):
     c = solved_case
     setup, init = c["setup"], c["init"]
     f_star = setup.operator() @ init.values
-    w_rec = solve_linear(setup, f_star)
+    w_rec = _lu(setup.operator().tocsc()).solve(f_star)
     assert np.max(np.abs(w_rec - init.values)) < 1e-9 * np.max(np.abs(init.values))
 
 
@@ -416,7 +415,9 @@ def test_empty_core(solved_case):
 
 def test_newton_factors_the_operator_once(solved_case, monkeypatch):
     # one ordering pass and one factorization with the core last; every
-    # Newton step after that is a dense LU of the core block
+    # Newton step after that is a dense LU of the core block, and the sparse
+    # Jacobian, read only by the deflated mode and the failure message, is
+    # never built on the plain path
     c = solved_case
     calls = []
     real = solver.spla.splu
@@ -425,7 +426,11 @@ def test_newton_factors_the_operator_once(solved_case, monkeypatch):
         calls.append(kwargs.get("permc_spec"))
         return real(*args, **kwargs)
 
+    def no_jacobian(*args):
+        raise AssertionError("sparse Jacobian built on the plain path")
+
     monkeypatch.setattr(solver.spla, "splu", recording)
+    monkeypatch.setattr(solver, "_jacobian", no_jacobian)
     fld, rep = solve_newton(c["setup"], c["init"])
     assert rep.converged and rep.iterations >= 2
     assert calls == ["MMD_AT_PLUS_A", "NATURAL"]
@@ -490,35 +495,9 @@ def test_trust_step_model_minimizer():
 # ---------------------------------------------------------------------- #
 
 
-def test_picard_one_step_on_linear_problem(solved_case):
-    # nonlinearity inactive everywhere -> converges in one application
-    setup = solved_case["setup"]
-    rng = np.random.default_rng(5)
-    start = GridField(setup.spec, 1e-3 * rng.random(setup.spec.n_interior), "w",
-                      {"eps": solved_case["eps"], "p": 2.0})
-    # thresholds are ~1, the start field is far below activation
-    fld, rep = solve_picard(setup, start)
-    assert rep.iterations <= 2
-    assert np.max(np.abs(fld.values)) < 1e-12
-
-
 def test_picard_fixed_point_gap_at_newton_solution(solved_case):
     gap = picard_gap(solved_case["setup"], solved_case["field"])
     assert gap < 1e-8
-
-
-def test_picard_from_ansatz_diverges_or_agrees(solved_case):
-    # the desingularized solution is an unstable fixed point of the bare map;
-    # from the ansatz the iteration must either flag divergence or land on
-    # the Newton solution
-    c = solved_case
-    try:
-        fld, rep = solve_picard(c["setup"], c["init"], max_iter=60)
-        assert np.max(np.abs(fld.values - c["field"].values)) < 1e-8
-    except ConvergenceError as exc:
-        assert exc.report is not None
-        assert exc.report.contraction_factor is not None
-        assert exc.report.contraction_factor > 1.0
 
 
 # ---------------------------------------------------------------------- #
