@@ -39,7 +39,6 @@ class RadialProfile:
     int_phi_p: float                   # int_{B1} phi^p
     int_phi_p1: float                  # int_{B1} phi^(p+1)
     phi0: float                        # phi(0)
-    interpolant_order: int = 3
     _phi_ip: PchipInterpolator = field(default=None, repr=False)
 
     def phi_at(self, r):

@@ -140,7 +140,6 @@ def rhs_derivative(values, setup):
 
 @dataclass
 class SolveReport:
-    method: str
     iterations: int = 0
     converged: bool = False
     residual_history: list = field(default_factory=list)   # (l2, max) pairs
@@ -152,8 +151,7 @@ class SolveReport:
 
     def to_dict(self):
         return {
-            "method": self.method, "iterations": self.iterations,
-            "converged": self.converged,
+            "iterations": self.iterations, "converged": self.converged,
             "residual_history": [[float(a), float(b)] for a, b in self.residual_history],
             "damping_history": [float(d) for d in self.damping_history],
             "correction_max_norm": float(self.correction_max_norm),
@@ -224,21 +222,30 @@ class _CoreLU:
     The trailing k x k block of that factorization, L22 U22, is the Schur
     complement S of Ac on T, so a Jacobian J = Ac - diag(d) with d zero off T
     costs a dense LU of S - diag(d_T) (the capacitance-matrix method, Buzbee,
-    Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971).  When d is nonzero
-    off T, T grows to the union and Ac is factored again.  `report` counts
-    the sparse factorizations and the core size.
+    Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971).  The elimination
+    order is Ac's minimum-degree order with T moved last.  When d is
+    nonzero off T, T grows to the union and Ac is factored again.  `report`
+    counts the sparse factorizations and the core size.
     """
 
     def __init__(self, Ac, core, report):
         self.Ac = sp.csc_matrix(Ac)
         self.report = report
-        # the ordering pass: a minimum-degree elimination order of Ac
-        self.order = np.argsort(self._splu(self.Ac).perm_c)
+        # the ordering pass, which factors nothing: SuperLU picks `_lu`'s
+        # minimum-degree order from the pattern of Ac + Ac^T alone and, in
+        # symmetric mode, does not postorder it, so an incomplete LU that
+        # drops all fill returns the full LU's order (George & Liu, 1981)
+        try:
+            self.order = np.argsort(spla.spilu(
+                self.Ac, drop_tol=np.inf, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.1, options={"SymmetricMode": True}).perm_c)
+        except RuntimeError as exc:
+            raise _factorization_failed(exc, report)
         self._factor(core)
 
-    def _splu(self, M, ordering="MMD_AT_PLUS_A"):
+    def _splu(self, M):
         try:
-            lu = _lu(M, ordering)
+            lu = _lu(M, "NATURAL")
         except RuntimeError as exc:
             raise _factorization_failed(exc, self.report)
         self.report.factorizations += 1
@@ -251,7 +258,7 @@ class _CoreLU:
         self.core = np.flatnonzero(in_core)
         m = n - self.core.size
         self.perm = np.concatenate((self.order[~in_core[self.order]], self.core))
-        self.lu = self._splu(self.Ac[self.perm][:, self.perm], "NATURAL")
+        self.lu = self._splu(self.Ac[self.perm][:, self.perm])
         tail = np.arange(m, n)
         if not (np.array_equal(self.lu.perm_c[m:], tail)
                 and np.array_equal(self.lu.perm_r[m:], tail)):
@@ -397,7 +404,7 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
     w = initial.values.copy() if isinstance(initial, GridField) else np.asarray(initial, dtype=float).copy()
     var = initial.variable if isinstance(initial, GridField) else setup.variable
     Ac = setup.operator()
-    report = SolveReport(method="newton")
+    report = SolveReport()
     n_null = setup.near_null_dim
     eigvals = None
 

@@ -191,7 +191,7 @@ def test_field_csv_bytes_match_per_value_format(tmp_path, precision):
     vals = np.random.default_rng(2).standard_normal(n) * 1e-3
     vals[:6] = [-0.0, 1e-300, 0.12345678901234567, -2.5e-7, np.nan, np.inf]
     product = {"grid": spec, "field": GridField(spec, vals, "w"), "eps": 3e-3,
-               "h": 1.0 / 64.0, "report": SolveReport("newton")}
+               "h": 1.0 / 64.0, "report": SolveReport()}
     path = tmp_path / "field.csv"
     write_solution(product, str(path), str(tmp_path / "report.json"), precision)
     expected = "x1,x2,w\n" + "".join(

@@ -289,7 +289,7 @@ def test_deflated_steps_reach_newton_solution(solved_case):
     rhs = rhs_eval(w, setup)
     r = Ac @ w - rhs
     radius = TRUST_RADIUS
-    core_lu = _CoreLU(Ac, _core_candidates(setup, w), SolveReport("newton"))
+    core_lu = _CoreLU(Ac, _core_candidates(setup, w), SolveReport())
     for _ in range(10):
         if np.max(np.abs(r)) <= 1e-10 * np.max(np.abs(rhs)):
             break
@@ -319,12 +319,13 @@ def test_lu_ordering_matches_colamd_with_less_fill(solved_case):
 
 
 def test_factorize_singular_raises():
-    # a singular operator fails in the sparse LU, a singular Jacobian in the
-    # dense LU of its core block; both name the failed factorization
+    # a singular operator fails in the ordering pass's incomplete LU, a
+    # singular Jacobian in the dense LU of its core block; both name the
+    # failed factorization
     with pytest.raises(ConvergenceError, match="factorization failed"):
-        _CoreLU(sp.diags([1.0, 0.0, 2.0], 0, format="csc"), [], SolveReport("newton"))
+        _CoreLU(sp.diags([1.0, 0.0, 2.0], 0, format="csc"), [], SolveReport())
     Ac = sp.diags([1.0, 2.0, 3.0], 0, format="csc")
-    core_lu = _CoreLU(Ac, [1, 2], SolveReport("newton"))
+    core_lu = _CoreLU(Ac, [1, 2], SolveReport())
     assert np.allclose(core_lu.jacobian(np.array([0.0, 1.0, 0.0])).solve(np.ones(3)),
                        [1.0, 1.0, 1.0 / 3.0])
     d = np.array([0.0, 2.0, 0.0])
@@ -338,10 +339,10 @@ def test_core_row_pivot_raises():
     # longer the Schur complement in the core's own order
     Ac = sp.csc_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 1e-3, 1.0], [0.0, 1.0, 1.0]]))
     with pytest.raises(ConvergenceError, match="pivoted the core nodes"):
-        _CoreLU(Ac, [1, 2], SolveReport("newton"))
+        _CoreLU(Ac, [1, 2], SolveReport())
     # with node 2 eliminated before it, node 1's pivot is the Schur
     # complement 1e-3 - 1, and nothing pivots
-    core_lu = _CoreLU(Ac, [1], SolveReport("newton"))
+    core_lu = _CoreLU(Ac, [1], SolveReport())
     assert np.allclose(core_lu.S, [[1e-3 - 1.0]])
 
 
@@ -363,21 +364,33 @@ def test_core_jacobian_solve_matches_splu(solved_case, variable):
     setup = setup_problem(c["grid"], c["vs"], c["q"], c["eps"], 2.0, variable=variable)
     Ac = setup.operator()
     start = c["init"].values * conv
-    report = SolveReport("newton")
+    report = SolveReport()
     core_lu = _CoreLU(Ac, _core_candidates(setup, start), report)
     for w in (start, c["field"].values * conv):
         d = rhs_derivative(w, setup)
         assert 100 < np.sum(d > 0.0) < core_lu.core.size
         assert _relative_gap(core_lu.jacobian(d), _jacobian(Ac, w, setup)) <= 1e-10
-    # the ordering pass and one factorization with the core last, no rebuild
-    assert report.factorizations == 2 and report.core_nodes == core_lu.core.size
+    # one factorization with the core last, no rebuild
+    assert report.factorizations == 1 and report.core_nodes == core_lu.core.size
+
+
+@pytest.mark.parametrize("variable", ["w", "u"])
+def test_ordering_pass_matches_full_lu_order(solved_case, variable):
+    # the order read off the fill-dropping ILU is the minimum-degree order of
+    # the full LU; a SciPy that postordered or reordered it would change the
+    # fill of every factorization
+    c = solved_case
+    setup = setup_problem(c["grid"], c["vs"], c["q"], c["eps"], 2.0, variable=variable)
+    Ac = setup.operator().tocsc()
+    core_lu = _CoreLU(Ac, [], SolveReport())
+    assert np.array_equal(core_lu.order, np.argsort(_lu(Ac).perm_c))
 
 
 def test_core_grows_when_the_active_set_leaves_it(solved_case):
     c = solved_case
     setup = c["setup"]
     Ac = setup.operator()
-    report = SolveReport("newton")
+    report = SolveReport()
     core_lu = _CoreLU(Ac, _core_candidates(setup, c["init"].values), report)
     first = core_lu.core
     # a raised field opens the gate on a wider disc than the candidate core
@@ -385,14 +398,14 @@ def test_core_grows_when_the_active_set_leaves_it(solved_case):
     d = rhs_derivative(w, setup)
     assert np.any(d[np.setdiff1d(np.arange(d.size), first)] > 0.0)
     lu = core_lu.jacobian(d)
-    assert report.factorizations == 3
+    assert report.factorizations == 2
     assert np.all(np.isin(first, core_lu.core))
     assert np.array_equal(core_lu.core, np.union1d(first, np.flatnonzero(d > 0.0)))
     assert report.core_nodes == core_lu.core.size
     assert _relative_gap(lu, _jacobian(Ac, w, setup)) <= 1e-10
     # the grown core serves the old active set without another rebuild
     core_lu.jacobian(rhs_derivative(c["field"].values, setup))
-    assert report.factorizations == 3
+    assert report.factorizations == 2
 
 
 def test_empty_core(solved_case):
@@ -403,19 +416,19 @@ def test_empty_core(solved_case):
     Ac = setup.operator()
     zero = np.zeros(setup.spec.n_interior)
     assert _core_candidates(setup, zero).size == 0
-    report = SolveReport("newton")
+    report = SolveReport()
     core_lu = _CoreLU(Ac, _core_candidates(setup, zero), report)
     assert report.core_nodes == 0
     assert _relative_gap(core_lu.jacobian(rhs_derivative(zero, setup)), Ac.tocsc()) <= 1e-10
     w = c["field"].values
     lu = core_lu.jacobian(rhs_derivative(w, setup))
-    assert report.factorizations == 3 and report.core_nodes == np.sum(rhs_derivative(w, setup) > 0)
+    assert report.factorizations == 2 and report.core_nodes == np.sum(rhs_derivative(w, setup) > 0)
     assert _relative_gap(lu, _jacobian(Ac, w, setup)) <= 1e-10
 
 
 def test_newton_factors_the_operator_once(solved_case, monkeypatch):
-    # one ordering pass and one factorization with the core last; every
-    # Newton step after that is a dense LU of the core block, and the sparse
+    # one factorization with the core last, after an ordering pass that
+    # factors nothing; every Newton step after that is a dense LU of the core block, and the sparse
     # Jacobian, read only by the deflated mode and the failure message, is
     # never built on the plain path
     c = solved_case
@@ -433,8 +446,8 @@ def test_newton_factors_the_operator_once(solved_case, monkeypatch):
     monkeypatch.setattr(solver, "_jacobian", no_jacobian)
     fld, rep = solve_newton(c["setup"], c["init"])
     assert rep.converged and rep.iterations >= 2
-    assert calls == ["MMD_AT_PLUS_A", "NATURAL"]
-    assert rep.factorizations == 2
+    assert calls == ["NATURAL"]
+    assert rep.factorizations == 1
     assert rep.core_nodes == _core_candidates(c["setup"], c["init"].values).size
     assert np.max(np.abs(fld.values - c["field"].values)) < 1e-12
 
