@@ -18,9 +18,12 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import CompatibilityError, ConfigError, DomainError, SingularityError
-from .geometry import CHUNK, Domain, _fft_derivative
+from .geometry import Domain, _fft_derivative
 
 TWO_PI = 2.0 * np.pi
+# Targets per block in the far-field Nystrom sum: bounds each (block x
+# boundary samples) kernel temporary, 4 MB at 512 samples.
+CHUNK = 1024
 
 
 def _as_points(x):
@@ -31,6 +34,14 @@ def _as_points(x):
 
 def _ret(val, single):
     return val[0] if single else val
+
+
+def _log_hess(x, y):
+    """Hessian of ln|x - y| in x, shape (..., 2, 2)."""
+    d = x - y[None, :]
+    r2 = (d**2).sum(-1)
+    return (np.eye(2) / r2[..., None, None]
+            - 2.0 * d[..., :, None] * d[..., None, :] / (r2**2)[..., None, None])
 
 
 # ====================================================================== #
@@ -171,19 +182,11 @@ class _BoundaryIntegralBackend:
             fine = self._fine[n_f] = (curve_f.x, curve_f.normal, TWO_PI / n_f * curve_f.speed)
         return fine
 
-    def _eval_near(self, target, mu, dist):
+    def _eval_near(self, target, mu_f):
         # Near-boundary: subtract the density at the closest boundary point
-        # (Gauss identity gives the subtracted part exactly) and upsample the
-        # remainder by trigonometric interpolation until the kernel lobe of
-        # width ~dist is resolved.
-        n_f = int(min(2 ** int(np.ceil(np.log2(max(8.0 * self.curve.perimeter / max(dist, 1e-14), self.n)))), 2**20))
-        x_f, normal_f, w_f = self._fine_curve(n_f)
-        spec = np.fft.fft(mu)
-        pad = np.zeros(n_f, dtype=complex)
-        half = self.n // 2
-        pad[:half] = spec[:half]
-        pad[-half:] = spec[-half:]
-        mu_f = np.real(np.fft.ifft(pad)) * (n_f / self.n)
+        # (Gauss identity gives the subtracted part exactly) and integrate the
+        # remainder on the curve resampled to len(mu_f) points.
+        x_f, normal_f, w_f = self._fine_curve(len(mu_f))
         dx = x_f[:, 0] - target[0]
         dy = x_f[:, 1] - target[1]
         j = np.argmin(dx * dx + dy * dy)
@@ -195,8 +198,19 @@ class _BoundaryIntegralBackend:
         near = dists < self.near_dist
         if np.any(~near):
             out[~near] = self._eval(targets[~near], mu)
-        for i in np.nonzero(near)[0]:
-            out[i] = self._eval_near(targets[i], mu, dists[i])
+        # the near rule resolves a kernel lobe of width ~dist on n_f points, a
+        # power of two up to 2^20; the density is upsampled once per n_f
+        idx = np.nonzero(near)[0]
+        ratio = np.maximum(8.0 * self.curve.perimeter / np.maximum(dists[idx], 1e-14), self.n)
+        n_f = 2 ** np.minimum(np.ceil(np.log2(ratio)), 20).astype(np.int64)
+        spec, half = np.fft.fft(mu), self.n // 2
+        for m in np.unique(n_f):
+            pad = np.zeros(m, dtype=complex)
+            pad[:half] = spec[:half]
+            pad[-half:] = spec[-half:]
+            mu_f = np.real(np.fft.ifft(pad)) * (m / self.n)
+            for i in idx[n_f == m]:
+                out[i] = self._eval_near(targets[i], mu_f)
         return out
 
     def _eval_grad(self, targets, mu):
@@ -270,7 +284,7 @@ class GreenEvaluator:
         # sign, so the inside test runs on the near targets alone
         dists = self.domain.boundary_distance(x)
         near = dists < self._b.near_dist
-        dists[near] = self.domain.signed_distance(x[near])
+        dists[near] = np.where(self.domain.contains(x[near]), dists[near], -dists[near])
         return _ret(self._b._eval_auto(x, ent["mu"], dists), single)
 
     def H_grad_x(self, x, y):
@@ -319,22 +333,12 @@ class GreenEvaluator:
     def green_hess_xx(self, x, y):
         x, single = _as_points(x)
         y = np.asarray(y, dtype=float)
-        d = x - y[None, :]
-        r2 = (d**2).sum(-1)
-        eye = np.eye(2)
-        log_h = (eye / r2[..., None, None]
-                 - 2.0 * d[..., :, None] * d[..., None, :] / (r2**2)[..., None, None])
-        return _ret(-log_h / TWO_PI + self.H_hess_xx(x, y), single)
+        return _ret(-_log_hess(x, y) / TWO_PI + self.H_hess_xx(x, y), single)
 
     def green_hess_xy(self, x, y):
         x, single = _as_points(x)
         y = np.asarray(y, dtype=float)
-        d = x - y[None, :]
-        r2 = (d**2).sum(-1)
-        eye = np.eye(2)
-        log_h = (eye / r2[..., None, None]
-                 - 2.0 * d[..., :, None] * d[..., None, :] / (r2**2)[..., None, None])
-        return _ret(log_h / TWO_PI + self.H_hess_xy(x, y), single)
+        return _ret(_log_hess(x, y) / TWO_PI + self.H_hess_xy(x, y), single)
 
     def robin(self, z):
         """Robin function H(z, z)."""

@@ -148,7 +148,7 @@ def check_subdomains(vs, domain):
     k = len(subs)
     for i in range(k):
         ci, ri = np.asarray(subs[i][0]), subs[i][1]
-        if not domain.contains(ci) or domain.signed_distance(ci) < ri:
+        if domain.signed_distance(ci) < ri:
             raise ConfigError(f"subdomain {i} is not contained in the domain")
         if np.hypot(*(ci - vs.positions[i])) >= ri:
             raise ConfigError(f"subdomain {i} does not contain its vortex")

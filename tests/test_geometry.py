@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vortexpatch import Domain, GreenEvaluator, build_grid
-from vortexpatch.geometry import CHUNK
+from vortexpatch.greens import CHUNK
 from vortexpatch.grid import ARM_DIRS
 
 TWO_PI = 2.0 * np.pi
@@ -91,6 +91,71 @@ def test_contains_memory_is_bounded():
         tracemalloc.stop()
     assert 0 < np.count_nonzero(inside) < len(x)
     assert peak < 40e6
+
+
+@pytest.fixture(scope="module")
+def nonconvex():
+    return Domain.named("blob", n=256, radius=1.0, wobble=0.3, mode=5)
+
+
+def _edges_in_band(dom, y):
+    """Edges of the sample polygon whose half-open y-span holds y."""
+    y0 = dom.curve.x[:, 1]
+    y1 = np.roll(y0, -1)
+    return np.count_nonzero((np.minimum(y0, y1) <= y) & (y < np.maximum(y0, y1)))
+
+
+@pytest.mark.parametrize("shape", ["ellipse", "blob", "nonconvex"])
+def test_parity_inside_matches_winding_oracle(shape, ellipse, blob, nonconvex):
+    dom = {"ellipse": ellipse, "blob": blob, "nonconvex": nonconvex}[shape]
+    h = 0.05
+    # the lattice build_grid masks
+    spec = build_grid(dom, h)
+    nx, ny = spec.shape
+    X, Y = np.meshgrid(spec.origin[0] + h * np.arange(nx), spec.origin[1] + h * np.arange(ny),
+                       indexing="ij")
+    lattice = np.column_stack((X.ravel(), Y.ravel()))
+    # the mean grid of background_from_flux: its edges sit exactly on the
+    # extreme sample coordinates
+    lo, hi = dom.bounding_box()
+    X, Y = np.meshgrid(np.linspace(lo[0], hi[0], 160), np.linspace(lo[1], hi[1], 160),
+                       indexing="ij")
+    mean_grid = np.column_stack((X.ravel(), Y.ravel()))
+    assert np.any(mean_grid[:, 1] == dom.curve.x[:, 1].max())
+    assert np.any(mean_grid[:, 0] == dom.curve.x[:, 0].min())
+    # 1e-9 inside and outside along the normal at every sample
+    c, nrm = dom.curve.x, dom.curve.normal
+    hugging = np.vstack((c - 1e-9 * nrm, c + 1e-9 * nrm))
+    # rays through every sample: the half-open rule counts a vertex once
+    X, Y = np.meshgrid(np.linspace(lo[0] - 0.1, hi[0] + 0.1, 11), c[:, 1], indexing="ij")
+    through = np.column_stack((X.ravel(), Y.ravel()))
+    for x in (lattice, mean_grid, hugging, through):
+        ref = _signed_distance_ref(dom, x) > 0
+        assert 0 < np.count_nonzero(ref) < len(x)
+        assert np.array_equal(dom.contains(x), ref)
+    assert np.all(dom.contains(hugging[:len(c)])) and not np.any(dom.contains(hugging[len(c):]))
+    # batch shape (a, b, 2) maps to (a, b)
+    ref = _signed_distance_ref(dom, lattice[:nx * (ny // 2)]) > 0
+    assert np.array_equal(dom.contains(lattice[:nx * (ny // 2)].reshape(nx, -1, 2)),
+                          ref.reshape(nx, -1))
+    if shape == "nonconvex":
+        assert max(_edges_in_band(dom, y) for y in np.unique(mean_grid[:, 1])) >= 4
+
+
+def test_contains_cost_does_not_scale_with_samples():
+    # the parity test visits the edges whose y-span holds each point, about
+    # two per point on an ellipse: no (points x samples) temporary, which
+    # is 32 MB for one block of 1,024 points against 4,096 samples
+    dom = Domain.named("ellipse", n=4096)
+    x = np.random.default_rng(4).uniform(-1.1, 1.1, (20_000, 2))
+    tracemalloc.start()
+    try:
+        inside = dom.contains(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < np.count_nonzero(inside) < len(x)
+    assert peak < 10e6
 
 
 # ---------------------------------------------------------------------- #
