@@ -107,7 +107,7 @@ def solve_s(delta, a, big_r, rp):
     lo = np.log(delta) - 60.0
     hi = np.log(big_r) - 1e-12
     grid = np.linspace(lo, hi, 200)
-    vals = np.array([f(g) for g in grid])
+    vals = f(grid)
     sign = np.sign(vals)
     idx = np.nonzero(np.diff(sign) < 0)[0]
     if len(idx) == 0:

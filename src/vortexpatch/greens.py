@@ -24,6 +24,10 @@ TWO_PI = 2.0 * np.pi
 # Targets per block in the far-field Nystrom sum: bounds each (block x
 # boundary samples) kernel temporary, 4 MB at 512 samples.
 CHUNK = 1024
+# Far-field series about y on |x - y| < SERIES_THETA min_j |b_j - y|: each
+# pole's tail after SERIES_TERMS terms is below 2 * 2^-56 = 2.8e-17 of it.
+SERIES_THETA = 0.5
+SERIES_TERMS = 56
 
 
 def _as_points(x):
@@ -123,7 +127,8 @@ class _BoundaryIntegralBackend:
     the trapezoid discretization of the double-layer operator; the diagonal
     carries the continuous limit -curvature/(4pi).  Densities for the Green
     regular part (and its derivatives in the source point) are cached per
-    source, reusing one LU factorization of the Nystrom matrix.
+    source, reusing one LU factorization of the Nystrom matrix; each entry
+    also keeps the local expansion of H(., y) about y, built on first use.
     """
 
     def __init__(self, domain, order=512):
@@ -163,6 +168,23 @@ class _BoundaryIntegralBackend:
             self._cache[key] = entry
         return entry
 
+    def _local(self, y, entry):
+        """Radius rho and Taylor coefficients L of the far-field sum
+        Re sum_j c_j / (z - b_j), c_j = mu_j w_j n_j / 2pi, about z = y:
+        Re sum_k L_k (z - y)^k for |z - y| < rho.  rho is 0 when the disk
+        would reach the near rule's band (a source near the wall)."""
+        if "local" not in entry:
+            d = (self.curve.x[:, 0] - y[0]) + 1j * (self.curve.x[:, 1] - y[1])
+            rho = SERIES_THETA * float(np.abs(d).min())
+            entry["local"] = (0.0, None)
+            if rho >= self.near_dist:
+                nrm = self.curve.normal
+                c = entry["mu"] * self.w * (nrm[:, 0] + 1j * nrm[:, 1]) / TWO_PI
+                # L_k = -sum_j c_j (b_j - y)^-(k+1)
+                powers = np.cumprod(np.broadcast_to(1.0 / d, (SERIES_TERMS, self.n)), axis=0)
+                entry["local"] = (rho, -(powers @ c))
+        return entry["local"]
+
     # -- interior evaluation ---------------------------------------------- #
 
     def _eval(self, targets, mu):
@@ -198,9 +220,11 @@ class _BoundaryIntegralBackend:
         near = dists < self.near_dist
         if np.any(~near):
             out[~near] = self._eval(targets[~near], mu)
+        idx = np.nonzero(near)[0]
+        if len(idx) == 0:
+            return out
         # the near rule resolves a kernel lobe of width ~dist on n_f points, a
         # power of two up to 2^20; the density is upsampled once per n_f
-        idx = np.nonzero(near)[0]
         ratio = np.maximum(8.0 * self.curve.perimeter / np.maximum(dists[idx], 1e-14), self.n)
         n_f = 2 ** np.minimum(np.ceil(np.log2(ratio)), 20).astype(np.int64)
         spec, half = np.fft.fft(mu), self.n // 2
@@ -280,12 +304,28 @@ class GreenEvaluator:
         if isinstance(self._b, _ImagesBackend):
             return _ret(self._b.H(x, y), single)
         ent = self._b._densities(y, 0)
-        # the near/far switch needs |dist| only; the near rule also takes the
-        # sign, so the inside test runs on the near targets alone
-        dists = self.domain.boundary_distance(x)
-        near = dists < self._b.near_dist
-        dists[near] = np.where(self.domain.contains(x[near]), dists[near], -dists[near])
-        return _ret(self._b._eval_auto(x, ent["mu"], dists), single)
+        rho, L = self._b._local(y, ent)
+        out = np.empty(x.shape[0])
+        t = (x[:, 0] - y[0]) + 1j * (x[:, 1] - y[1])
+        inner = np.abs(t) < rho
+        if np.any(inner):
+            # targets in the series disk lie at least rho >= near_dist from
+            # every sample, so the series stands in for the far sum (Horner)
+            ti = t[inner]
+            acc = np.full(ti.shape, L[-1])
+            for lk in L[-2::-1]:
+                acc *= ti
+                acc += lk
+            out[inner] = acc.real
+        if not np.all(inner):
+            # the near/far switch needs |dist| only; the near rule also takes
+            # the sign, so the inside test runs on the near targets alone
+            xr = x[~inner]
+            dists = self.domain.boundary_distance(xr)
+            near = dists < self._b.near_dist
+            dists[near] = np.where(self.domain.contains(xr[near]), dists[near], -dists[near])
+            out[~inner] = self._b._eval_auto(xr, ent["mu"], dists)
+        return _ret(out, single)
 
     def H_grad_x(self, x, y):
         x, single = _as_points(x)

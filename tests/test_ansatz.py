@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from vortexpatch import (Domain, GreenEvaluator, HarmonicBackground,
                          background_from_flux, solve_core_system, solve_s,
@@ -101,6 +102,38 @@ def test_solve_s_errors(profiles):
         solve_s(-1e-5, 1.0, 4.0, rp)
     with pytest.raises(SolvabilityError):
         solve_s(1e-5, -1.0, 4.0, rp)
+
+
+def _solve_s_scalar_scan(delta, a, big_r, rp):
+    """solve_s with its bracket scan written as one scalar call per grid
+    point."""
+    al = 2.0 / (rp.p - 1.0)
+    c = abs(rp.slope_at_one)
+
+    def f(ls):
+        s = np.exp(ls)
+        return (delta / s)**al * c * np.log(big_r / s) - a
+
+    grid = np.linspace(np.log(delta) - 60.0, np.log(big_r) - 1e-12, 200)
+    vals = np.array([f(g) for g in grid])
+    idx = np.nonzero(np.diff(np.sign(vals)) < 0)[0]
+    ls = brentq(f, grid[idx[0]], grid[idx[0] + 1], xtol=1e-15, rtol=8.9e-16)
+    for _ in range(3):
+        s = np.exp(ls)
+        df = -(al * (delta / s)**al * c * np.log(big_r / s) + (delta / s)**al * c)
+        if df == 0:
+            break
+        ls -= f(ls) / df
+    return float(np.exp(ls))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_solve_s_vector_scan_matches_scalar_scan(profiles, p):
+    rp = profiles[p]
+    for delta in (1e-2, 1e-4, 1e-6, 1e-8):
+        for a in (0.3, 1.0, 3.0):
+            for big_r in (1.0, 4.0):
+                assert solve_s(delta, a, big_r, rp) == _solve_s_scalar_scan(delta, a, big_r, rp)
 
 
 # ---------------------------------------------------------------------- #

@@ -178,6 +178,40 @@ def test_field_csv_precision(pipeline_out):
     assert f"{vals[2]:.17g}" in first
 
 
+ELLIPSE_CONFIG = {
+    "domain": {"kind": "ellipse", "a": 0.0625, "b": 0.0375, "n_boundary": 512,
+               "backend": "boundary-integral"},
+    "vortices": {"kappa_plus": [1.0], "kappa_minus": [], "seeds": [[0.0, 0.0]],
+                 "subdomain_radius": 0.016},
+    "background": {"kind": "vn-fourier", "cos": {"1": 0.1}, "sin": {}},
+    "profile": {"p": 2.0},
+    "eps": [3e-3],
+    "solver": {"tol": 1e-10},
+}
+
+
+def test_ellipse_pipeline_end_to_end(tmp_path, monkeypatch):
+    # the boundary-integral Green function on a parametric domain, with
+    # and without the local expansion of H about each source
+    from vortexpatch.greens import _BoundaryIntegralBackend
+
+    def run(name):
+        out = tmp_path / name
+        run_pipeline(validate_config(json.loads(json.dumps(ELLIPSE_CONFIG))), str(out))
+        return out, json.loads((out / "diagnostics.jsonl").read_text())["diagnostics"]
+
+    out, diag = run("first")
+    assert diag["confinement_ok"]
+    out2, _ = run("rerun")
+    for name in ("field_eps0.csv", "diagnostics.jsonl", "equilibrium.jsonl"):
+        assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+    monkeypatch.setattr(_BoundaryIntegralBackend, "_local", lambda self, y, entry: (0.0, None))
+    _, direct = run("direct")
+    for key in ("circulations", "energy", "total_circulation"):
+        assert np.allclose(diag[key], direct[key], rtol=1e-12, atol=0.0), key
+    assert json.loads((out / "manifest.json").read_text())["converged"]
+
+
 @pytest.mark.parametrize("precision", [17, 9])
 def test_field_csv_bytes_match_per_value_format(tmp_path, precision):
     # the row-format writer gives the same bytes as formatting every value

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vortexpatch import Domain, GreenEvaluator, build_grid
+from vortexpatch import Domain, GreenEvaluator, build_grid, greens
 from vortexpatch.greens import CHUNK
 from vortexpatch.grid import ARM_DIRS
 
@@ -259,3 +259,91 @@ def test_H_memory_is_bounded():
         tracemalloc.stop()
     assert np.all(np.isfinite(vals))
     assert peak < 40e6
+
+
+# ---------------------------------------------------------------------- #
+#  Nystrom regular part: local expansion about the source
+# ---------------------------------------------------------------------- #
+
+
+def _disk_targets(y, rho, n, seed):
+    """n targets over |x - y| <= 0.999 rho: the source, eight on the rim and
+    the rest uniform in area."""
+    rng = np.random.default_rng(seed)
+    r = 0.999 * rho * np.sqrt(rng.random(n))
+    r[0], r[1:9] = 0.0, 0.999 * rho
+    t = TWO_PI * rng.random(n)
+    return y + np.column_stack((r * np.cos(t), r * np.sin(t)))
+
+
+SERIES_SHAPES = {
+    "ellipse": ("ellipse", dict(a=1.0, b=0.6)),
+    "blob": ("blob", dict(radius=1.0, wobble=0.12, mode=3)),
+    # H(., y) of these two has singularities close enough outside the wall
+    # that 28 terms of the series are not enough
+    "thin-ellipse": ("ellipse", dict(a=1.0, b=0.3)),
+    "nonconvex-blob": ("blob", dict(radius=1.0, wobble=0.3, mode=5)),
+}
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("shape", list(SERIES_SHAPES))
+def test_H_series_matches_far_sum(shape, n):
+    name, params = SERIES_SHAPES[shape]
+    dom = Domain.named(name, n=n, **params)
+    ge = GreenEvaluator(dom, order=n)
+    near_dist = ge._b.near_dist
+    c, nrm = dom.curve.x, dom.curve.normal
+    wall = c[n // 4] - 2.1 * near_dist * nrm[n // 4]
+    used = 0
+    for y in (np.zeros(2), np.array([0.2, -0.05]), wall):
+        ent = ge._b._densities(y, 0)
+        rho, _ = ge._b._local(y, ent)
+        if rho == 0.0:
+            assert 0.5 * dom.boundary_distance(y) < near_dist
+            continue
+        assert rho >= near_dist
+        used += 1
+        x = _disk_targets(y, rho, 4000, n)
+        ref = ge._b._eval(x, ent["mu"])
+        assert np.max(np.abs(ge.H(x, y) - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    assert used >= 2
+
+
+def test_H_near_wall_source_takes_no_series(ellipse):
+    # R/2 < near_dist: the disk would reach the near rule's band, so every
+    # target keeps the near/far switch
+    ge = GreenEvaluator(ellipse, order=256)
+    near_dist = ge._b.near_dist
+    bp, nrm = ellipse.boundary_points(64)
+    y = bp[10] - 1.5 * near_dist * nrm[10]
+    assert ge._b._local(y, ge._b._densities(y, 0)) == (0.0, None)
+    close = _disk_targets(y, 0.7 * near_dist, 40, 5)
+    x = np.vstack((close, bp[::4] - 0.3 * near_dist * nrm[::4], [[0.0, 0.0], [-0.5, 0.2]]))
+    ref = _H_ref(ge, x, y)
+    assert np.any(_signed_distance_ref(ellipse, close) < near_dist)
+    assert np.array_equal(ge.H(x, y), ref)
+
+
+def test_H_series_targets_skip_kernel_and_distance(ellipse, monkeypatch):
+    ge = GreenEvaluator(ellipse, order=256)
+    y = np.array([0.1, 0.05])
+    rho, _ = ge._b._local(y, ge._b._densities(y, 0))
+    rows = {"kernel": 0, "distance": 0}
+    kernel, distance = greens._dlp_kernel, ellipse.boundary_distance
+
+    def counted_kernel(targets, bpts, bnormals):
+        rows["kernel"] += len(targets)
+        return kernel(targets, bpts, bnormals)
+
+    def counted_distance(x):
+        rows["distance"] += len(x)
+        return distance(x)
+
+    monkeypatch.setattr(greens, "_dlp_kernel", counted_kernel)
+    monkeypatch.setattr(ellipse, "boundary_distance", counted_distance)
+    ge.H(_disk_targets(y, rho, 50_000, 2), y)
+    assert rows == {"kernel": 0, "distance": 0}
+    # a target just outside the disk takes the direct sum
+    ge.H(y + np.array([[1.001 * rho, 0.0]]), y)
+    assert rows == {"kernel": 1, "distance": 1}
