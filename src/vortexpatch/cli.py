@@ -11,12 +11,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ansatz import AnsatzField
+from .ansatz import AnsatzField, refine_positions
 from .config import load_config
 from .errors import ConfigError, ConvergenceError, VortexPatchError
-from .pipeline import (PipelineContext, run_pipeline, run_sweep, solve_cores,
-                       stage_equilibrium, stage_solve_one, write_csv, write_json,
-                       write_jsonl, write_solution)
+from .pipeline import (PipelineContext, run_pipeline, run_sweep, stage_equilibrium,
+                       stage_solve_one, write_csv, write_json, write_jsonl,
+                       write_solution)
 from .profile import solve_profile
 
 
@@ -108,7 +108,8 @@ def cmd_ansatz(args):
     cfg = _load(args)
     ctx = PipelineContext(cfg)
     vs_star, _, _ = stage_equilibrium(ctx)
-    vs_eps, cores = solve_cores(ctx, vs_star, cfg["eps"][0])
+    vs_eps, cores = refine_positions(vs_star, ctx.green, ctx.q, cfg["eps"][0],
+                                     ctx.profile)
     os.makedirs(args.out, exist_ok=True)
     precision = cfg["output"]["precision"]
     write_json(os.path.join(args.out, "cores.json"), cores.to_dict(), precision)

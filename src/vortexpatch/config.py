@@ -26,7 +26,6 @@ _DOMAIN_KEYS = {
     "big_r": ((int, float, type(None)), None, None),
     "backend": ((str, type(None)), None,
                 lambda v: v in (None, "images", "boundary-integral")),
-    "quadrature_order": (int, 512, lambda v: v >= 64),
 }
 
 _VORTEX_KEYS = {
@@ -35,9 +34,6 @@ _VORTEX_KEYS = {
     "seeds": ((list, type(None)), None, None),
     "positions": ((list, type(None)), None, None),
     "subdomain_radius": ((int, float, list, type(None)), None, None),
-    "rho": ((int, float, type(None)), None, None),
-    "lbar": ((int, float), 2.0, lambda v: v > 0),
-    "refine_centers": (bool, True, None),
 }
 
 _BACKGROUND_KEYS = {
@@ -52,7 +48,6 @@ _BACKGROUND_KEYS = {
 
 _PROFILE_KEYS = {
     "p": ((int, float), 2.0, lambda v: v > 1),
-    "tol": ((int, float), 1e-4, lambda v: v > 0),
 }
 
 _GRID_KEYS = {
@@ -70,7 +65,6 @@ _SEARCH_KEYS = {
     "tol": ((int, float, type(None)), None, None),
     "max_iter": (int, 200, lambda v: v >= 1),
     "multistart": (int, 0, lambda v: v >= 0),
-    "degeneracy_threshold": ((int, float), 1e-8, lambda v: v > 0),
 }
 
 _OUTPUT_KEYS = {

@@ -12,8 +12,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .ansatz import (AnsatzField, eps_log, refine_positions, solve_core_system,
-                     support_predict)
+from .ansatz import AnsatzField, eps_log, refine_positions, support_predict
 from .config import config_hash, validate_config
 from .diagnostics import (ansatz_energy, ansatz_energy_expansion, energy_eval,
                           reconstruct_flow, vorticity_extract)
@@ -46,14 +45,8 @@ def atomic_write(path, text):
 
 
 def write_json(path, obj, precision=17):
-    def default(o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        raise TypeError(f"not serializable: {type(o)}")
     atomic_write(path, json.dumps(_round_floats(obj, precision), indent=2,
-                                  sort_keys=True, default=default) + "\n")
+                                  sort_keys=True) + "\n")
 
 
 def _round_floats(obj, precision):
@@ -136,20 +129,18 @@ def build_system(cfg, domain, positions=None):
         k = len(v["kappa_plus"]) + len(v["kappa_minus"])
         radii = [float(rad)] * k if isinstance(rad, (int, float)) else [float(r) for r in rad]
         subs = [(np.asarray(pos[i], dtype=float), radii[i]) for i in range(k)]
-    return VortexSystem(v["kappa_plus"], v["kappa_minus"], pos,
-                        subdomains=subs, rho=v["rho"], lbar=v["lbar"])
+    return VortexSystem(v["kappa_plus"], v["kappa_minus"], pos, subdomains=subs)
 
 
 class PipelineContext:
     """Shared objects for one run: domain, Green machinery, background, profile."""
 
     def __init__(self, cfg):
-        self.cfg = validate_config(cfg) if "eps" in cfg else cfg
+        self.cfg = validate_config(cfg)
         self.domain = build_domain(self.cfg)
-        self.green = GreenEvaluator(self.domain, backend=self.cfg["domain"]["backend"],
-                                    order=self.cfg["domain"]["quadrature_order"])
+        self.green = GreenEvaluator(self.domain, backend=self.cfg["domain"]["backend"])
         self.q = build_background(self.cfg, self.domain)
-        self.profile = solve_profile(self.cfg["profile"]["p"], self.cfg["profile"]["tol"])
+        self.profile = solve_profile(self.cfg["profile"]["p"])
 
 
 # ---------------------------------------------------------------------- #
@@ -168,8 +159,7 @@ def stage_equilibrium(ctx):
                     "from": "configured"}, []
     s = cfg["search"]
     rep = find_critical(vs, ctx.green, ctx.q, z0=v["seeds"], tol=s["tol"],
-                        max_iter=s["max_iter"],
-                        degeneracy_threshold=s["degeneracy_threshold"])
+                        max_iter=s["max_iter"])
     extra = []
     if s["multistart"] > 0:
         rng = np.random.default_rng(cfg["seed"])
@@ -193,14 +183,6 @@ def _grid_h(cfg, cores):
     return h
 
 
-def solve_cores(ctx, vs_star, eps):
-    """Positions and core parameters at eps: moved to the finite-eps
-    equilibrium when vortices.refine_centers is set, else kept at vs_star."""
-    if ctx.cfg["vortices"]["refine_centers"]:
-        return refine_positions(vs_star, ctx.green, ctx.q, eps, ctx.profile)
-    return vs_star, solve_core_system(vs_star, ctx.green, ctx.q, eps, ctx.profile)
-
-
 def write_solution(product, field_path, report_path, precision):
     """The solved field as x1,x2,w rows and the solver report of one eps."""
     spec = product["grid"]
@@ -212,10 +194,11 @@ def write_solution(product, field_path, report_path, precision):
 
 
 def stage_solve_one(ctx, vs_star, eps, warm=None):
-    """Cores, ansatz, grid and PDE solve at one eps.  Returns a dict of stage
-    products keyed for downstream verification."""
+    """Cores (centers moved to the finite-eps equilibrium), ansatz, grid and
+    PDE solve at one eps.  Returns a dict of stage products keyed for
+    downstream verification."""
     cfg = ctx.cfg
-    vs_eps, cores = solve_cores(ctx, vs_star, eps)
+    vs_eps, cores = refine_positions(vs_star, ctx.green, ctx.q, eps, ctx.profile)
     if cfg["vortices"]["subdomain_radius"] is not None:
         vs_eps = build_system(cfg, ctx.domain, positions=vs_eps.positions)
     subs = check_subdomains(vs_eps, ctx.domain)

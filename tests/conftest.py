@@ -2,8 +2,53 @@ import numpy as np
 import pytest
 
 from vortexpatch import Domain, GreenEvaluator, HarmonicBackground, solve_profile
+from vortexpatch.pipeline import (PipelineContext, stage_equilibrium, stage_solve_one,
+                                  stage_verify_one)
 
-SMALL_R0 = 1.0 / 16.0
+R0 = 1.0 / 16.0
+EPS_SWEEP = (3e-3, 1e-3, 3e-4)
+
+# The PDE cases of the suite, as run configs on a disk of radius R0 (with
+# grid spacing s/8 this is the node budget the free-boundary solves need).
+# One vortex with a mild background flux, at every eps of the sweep:
+SINGLE_CONFIG = {
+    "domain": {"kind": "disk", "radius": R0},
+    "vortices": {"kappa_plus": [1.0], "kappa_minus": [], "seeds": [[0.0, -0.001]],
+                 "subdomain_radius": 0.45 * R0},
+    "background": {"kind": "vn-fourier", "cos": {"1": 0.1}},
+    "profile": {"p": 2.0},
+    "eps": list(EPS_SWEEP),
+}
+
+# the +/- pair, equal strengths, zero background, at the smallest eps; its
+# equilibrium on the disk sits at +/- R0 sqrt(sqrt5 - 2)
+PAIR_D = float(R0 * np.sqrt(np.sqrt(5.0) - 2.0))
+PAIR_CONFIG = {
+    "domain": {"kind": "disk", "radius": R0},
+    "vortices": {"kappa_plus": [1.0], "kappa_minus": [1.0],
+                 "seeds": [[PAIR_D, 0.0], [-PAIR_D, 0.0]], "subdomain_radius": 0.02},
+    "profile": {"p": 2.0},
+    "eps": [EPS_SWEEP[-1]],
+}
+
+
+def equilibrium_stage(cfg):
+    """The run's shared objects and the equilibrium that every eps starts from."""
+    ctx = PipelineContext(cfg)
+    vs_star, _, _ = stage_equilibrium(ctx)
+    return ctx, vs_star
+
+
+def solve_case(ctx, vs_star, eps):
+    """One cold solve at eps through the pipeline's stages, with its checks."""
+    product = stage_solve_one(ctx, vs_star, eps)
+    verify, diag, flow = stage_verify_one(ctx, product)
+    return dict(domain=ctx.domain, green=ctx.green, q=ctx.q, rp=ctx.profile, eps=eps,
+                vs=product["vs"], cores=product["cores"], af=product["ansatz"],
+                grid=product["grid"], setup=product["setup"],
+                init=product["ansatz_field"], field=product["field"],
+                report=product["report"], diag=diag, flow=flow,
+                corr_recentered=verify["correction_recentered_max_norm"])
 
 
 @pytest.fixture(scope="session")
@@ -13,39 +58,17 @@ def profiles():
 
 
 @pytest.fixture(scope="session")
-def solved_case(profiles):
-    """Single vortex at eps = 3e-3 on a 1/16-radius disk with a mild
-    background flux: solved field plus every intermediate object.  Shared by
-    the solver and diagnostics tests (one Newton solve for the session)."""
-    return _build_solved_case(profiles)
+def single_equilibrium():
+    """Context and equilibrium of the single-vortex sweep."""
+    return equilibrium_stage(SINGLE_CONFIG)
 
 
-def _build_solved_case(profiles):
-    from vortexpatch import background_from_flux, build_grid
-    from vortexpatch.ansatz import AnsatzField, refine_positions
-    from vortexpatch.grid import GridField
-    from vortexpatch.kirchhoff import VortexSystem, find_critical
-    from vortexpatch.solver import setup_problem, solve_newton
-
-    small_disk = Domain.disk(SMALL_R0)
-    small_ge = GreenEvaluator(small_disk)
-    rp = profiles[2.0]
-    q = background_from_flux(small_disk, lambda t: 0.1 * np.cos(t))
-    rep = find_critical(VortexSystem([1.0], [], [[0.0, -0.001]]), small_ge, q,
-                        z0=[[0.0, -0.001]])
-    eps = 3e-3
-    vs_eps, cores = refine_positions(VortexSystem([1.0], [], rep.z_star),
-                                     small_ge, q, eps, rp)
-    z = vs_eps.positions[0]
-    vs = VortexSystem([1.0], [], [z], subdomains=[(z, 0.45 * SMALL_R0)])
-    gs = build_grid(small_disk, float(np.min(cores.s_all)) / 8.0)
-    setup = setup_problem(gs, vs, q, eps, rp.p)
-    af = AnsatzField(cores, vs, rp, small_ge, q)
-    init = GridField(gs, af.evaluate(gs.points), "w", {"eps": eps, "p": rp.p})
-    fld, rep_n = solve_newton(setup, init)
-    return dict(domain=small_disk, green=small_ge, q=q, rp=rp, vs=vs, eps=eps,
-                cores=cores, grid=gs, setup=setup, af=af, init=init,
-                field=fld, report=rep_n)
+@pytest.fixture(scope="session")
+def solved_case(single_equilibrium):
+    """The single vortex at eps = 3e-3: solved field plus every intermediate
+    object.  Shared by the solver and diagnostics tests and the acceptance
+    sweep, whose first entry it is (one Newton solve for the session)."""
+    return solve_case(*single_equilibrium, EPS_SWEEP[0])
 
 
 @pytest.fixture(scope="session")

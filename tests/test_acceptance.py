@@ -2,10 +2,11 @@
 
 The PDE sweep of criteria 7-11 (single vortex at eps in {3e-3, 1e-3, 3e-4},
 fixture `sweep`; a mixed pair at the smallest eps, fixture `pair`, read by
-criteria 8 and 9 only) runs once per session on a disk of radius 1/16;
-with grid spacing s/8 this is the node budget the free-boundary solves need
-(the confinement and circulation claims are domain-independent).  Each test
-prints a PASS/FAIL line.
+criteria 8 and 9 only) runs once per session on a disk of radius 1/16
+(the confinement and circulation claims are domain-independent).  Both
+run the pipeline's own stages on the run configs of conftest.py, so the
+suite checks the solve that `vortexpatch run` writes.  Each test prints a
+PASS/FAIL line.
 """
 
 import re
@@ -14,21 +15,17 @@ import numpy as np
 import pytest
 
 from vortexpatch import (Domain, GreenEvaluator, HarmonicBackground,
-                         background_from_flux, build_grid, solve_profile)
-from vortexpatch.ansatz import (AnsatzField, refine_positions, solve_core_system,
-                                solve_s)
+                         background_from_flux, solve_profile)
+from vortexpatch.ansatz import AnsatzField, solve_core_system, solve_s
 from vortexpatch.diagnostics import (ansatz_energy, ansatz_energy_expansion,
-                                     boundary_normal_velocity, reconstruct_flow,
-                                     vorticity_extract)
+                                     boundary_normal_velocity)
 from vortexpatch.grid import GridField
-from vortexpatch.kirchhoff import VortexSystem, find_critical, kr_value, phi_value
+from vortexpatch.kirchhoff import VortexSystem, kr_value, phi_value
 from vortexpatch.solver import (picard_gap, setup_problem, solve_newton,
                                 w_from_u)
 
-from conftest import random_disk_points
-
-R0 = 1.0 / 16.0
-EPS_SWEEP = (3e-3, 1e-3, 3e-4)
+from conftest import (EPS_SWEEP, PAIR_CONFIG, equilibrium_stage, random_disk_points,
+                      solve_case)
 
 
 def report(criterion, ok, detail):
@@ -47,39 +44,12 @@ def sig_digit_tolerance(value, digits=3):
 # ---------------------------------------------------------------------- #
 
 
-def _solve_one(dom, ge, q, rp, vs0, eps, subdomain_radius):
-    vs_eps, cores = refine_positions(vs0, ge, q, eps, rp)
-    k = vs_eps.m + vs_eps.n
-    vs = VortexSystem(vs_eps.kappa_plus, vs_eps.kappa_minus, vs_eps.positions,
-                      subdomains=[(vs_eps.positions[i], subdomain_radius)
-                                  for i in range(k)])
-    af = AnsatzField(cores, vs, rp, ge, q)
-    s_min = float(np.min(cores.s_all))
-    gs = build_grid(dom, s_min / 8.0)
-    setup = setup_problem(gs, vs, q, eps, rp.p)
-    init = GridField(gs, af.evaluate(gs.points), "w", {"eps": eps, "p": rp.p})
-    fld, rep = solve_newton(setup, init)
-    diag = vorticity_extract(fld, setup, vs)
-    af_centered = AnsatzField(cores, vs.with_positions(diag.centers), rp, ge, q)
-    corr_recentered = float(np.max(np.abs(fld.values - af_centered.evaluate(gs.points))))
-    return dict(vs=vs, cores=cores, af=af, grid=gs, setup=setup, field=fld,
-                solver_report=rep, diag=diag, eps=eps,
-                corr_recentered=corr_recentered)
-
-
 @pytest.fixture(scope="session")
-def sweep():
+def sweep(single_equilibrium, solved_case):
     """Single vortex at every eps of the sweep (criteria 7-11)."""
-    dom = Domain.disk(R0)
-    ge = GreenEvaluator(dom)
-    q = background_from_flux(dom, lambda t: 0.1 * np.cos(t))
-    rp = solve_profile(2.0)
-    z_star = find_critical(VortexSystem([1.0], [], [[0.0, -0.001]]), ge, q,
-                           z0=[[0.0, -0.001]]).z_star
-    vs0 = VortexSystem([1.0], [], z_star)
-    singles = [_solve_one(dom, ge, q, rp, vs0, eps, 0.45 * R0)
-               for eps in EPS_SWEEP]
-    return dict(domain=dom, green=ge, q=q, rp=rp, z_star=z_star, singles=singles)
+    ctx, vs_star = single_equilibrium
+    singles = [solved_case] + [solve_case(ctx, vs_star, eps) for eps in EPS_SWEEP[1:]]
+    return dict(q=ctx.q, rp=ctx.profile, singles=singles)
 
 
 @pytest.fixture(scope="session")
@@ -87,16 +57,7 @@ def pair():
     """Mixed pair, equal strengths, zero background, at the smallest eps
     (criteria 8 and 9).  Kept apart from the singles so that a failure of
     this solve touches only the criteria that read it."""
-    dom = Domain.disk(R0)
-    ge = GreenEvaluator(dom)
-    rp = solve_profile(2.0)
-    q0 = HarmonicBackground.zero()
-    d_pair = R0 * np.sqrt(np.sqrt(5.0) - 2.0)
-    pair_star = find_critical(
-        VortexSystem([1.0], [1.0], [[d_pair, 0.0], [-d_pair, 0.0]]), ge, q0,
-        z0=[[d_pair, 0.0], [-d_pair, 0.0]]).z_star
-    pair0 = VortexSystem([1.0], [1.0], pair_star)
-    return _solve_one(dom, ge, q0, rp, pair0, EPS_SWEEP[-1], 0.02)
+    return solve_case(*equilibrium_stage(PAIR_CONFIG), EPS_SWEEP[-1])
 
 
 # ---------------------------------------------------------------------- #
@@ -226,11 +187,11 @@ def test_criterion_6_ansatz_energy_expansion():
 
 
 def test_criterion_7_newton_convergence_and_correction_law(sweep):
-    convs = [s["solver_report"].converged for s in sweep["singles"]]
+    convs = [s["report"].converged for s in sweep["singles"]]
     assert report("7a", all(convs),
                   f"Newton converged from the composite-field guess at eps "
                   f"{list(EPS_SWEEP)} with h <= s/8 "
-                  f"(iterations: {[s['solver_report'].iterations for s in sweep['singles']]})")
+                  f"(iterations: {[s['report'].iterations for s in sweep['singles']]})")
     ratios = []
     for s in sweep["singles"]:
         d = s["cores"].delta
@@ -254,7 +215,7 @@ def test_pair_deflates_after_a_line_search_stall(pair):
     # Newton creeps along the near-null pair, the line search gives up at its
     # smallest damping, and the deflated restart converges; every iteration,
     # the refused step included, has one residual and one damping entry
-    rep = pair["solver_report"]
+    rep = pair["report"]
     m = re.match(r"deflated from iteration (\d+) \(line search stalled", rep.notes)
     ok = rep.converged and m is not None and int(m.group(1)) <= 3 and rep.iterations <= 10
     assert ok, (rep.notes, rep.iterations)
@@ -309,7 +270,7 @@ def test_criterion_9_support_confinement(sweep, pair):
 
 def test_criterion_10_flow_reconstruction(sweep):
     s = sweep["singles"][-1]
-    flow = reconstruct_flow(s["field"], s["setup"], sweep["q"])
+    flow = s["flow"]
     reg = flow.regular
     vmax = float(np.max(np.abs(flow.velocity)))
     div_rel = float(np.max(np.abs(flow.divergence[reg]))) / vmax

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from vortexpatch.cli import main
 from vortexpatch.config import config_hash, load_config, validate_config
 from vortexpatch.errors import ConfigError, ConvergenceError
-from vortexpatch.pipeline import _CONV_HEADER, run_pipeline, run_sweep
+from vortexpatch.pipeline import (_CONV_HEADER, PipelineContext, run_pipeline,
+                                  run_sweep, stage_equilibrium)
 
 BASE_CONFIG = {
     "domain": {"kind": "disk", "radius": 1.0 / 16.0},
@@ -26,7 +27,7 @@ BASE_CONFIG = {
 
 # config_hash of the validated BASE_CONFIG; it pins the schema's defaults
 # and key set, so a deleted or added key changes it on purpose
-HASH_BASE = "68075f04a9f32deb721eac3bf10458ed8f23e9f49e4168112e613f8fd37d6b20"
+HASH_BASE = "ede5d14a67ecded1c847bf02ad87e88b44a24cd6ce3e2eae21ff4489490406bf"
 
 
 def write_config(tmp_path, overrides=None, name="cfg.json"):
@@ -63,9 +64,17 @@ def test_unknown_keys_rejected():
     # keys of removed options are rejected, not silently ignored
     for section, key, val in (("solver", "method", "newton"),
                               ("solver", "picard_relax", 1.0),
-                              ("grid", "boundary", "shortley-weller")):
+                              ("grid", "boundary", "shortley-weller"),
+                              ("vortices", "refine_centers", True),
+                              ("vortices", "rho", 0.01),
+                              ("vortices", "lbar", 2.0),
+                              ("domain", "quadrature_order", 512),
+                              ("search", "degeneracy_threshold", 1e-8),
+                              ("profile", "tol", 1e-4)):
+        bad = json.loads(json.dumps(BASE_CONFIG))
+        bad.setdefault(section, {})[key] = val
         with pytest.raises(ConfigError, match="unknown key"):
-            validate_config(dict(BASE_CONFIG, **{section: {key: val}}))
+            validate_config(bad)
 
 
 @pytest.mark.parametrize("override", [
@@ -169,6 +178,15 @@ def test_diagnostics_content(pipeline_out):
     assert d["correction_recentered_ratio"] < 5.0
 
 
+def test_pipeline_field_is_the_suites_solved_case(pipeline_out, solved_case):
+    # the solve the suite checks is the one the pipeline writes: 17
+    # significant digits round-trip every value exactly
+    out, _, _ = pipeline_out
+    rows = np.loadtxt(out / "field_eps0.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, :2], solved_case["grid"].points)
+    assert np.array_equal(rows[:, 2], solved_case["field"].values)
+
+
 def test_field_csv_precision(pipeline_out):
     out, _, _ = pipeline_out
     header, first = (out / "field_eps0.csv").read_text().splitlines()[:2]
@@ -176,6 +194,39 @@ def test_field_csv_precision(pipeline_out):
     # 17 significant digits requested: round-trip exactly
     vals = [float(v) for v in first.split(",")]
     assert f"{vals[2]:.17g}" in first
+
+
+# ---------------------------------------------------------------------- #
+#  pipeline stages without a PDE solve
+# ---------------------------------------------------------------------- #
+
+
+def test_context_validates_every_config():
+    # a config without eps is invalid too, not passed on unchecked
+    cfg = {k: v for k, v in BASE_CONFIG.items() if k != "eps"}
+    with pytest.raises(ConfigError, match="eps"):
+        PipelineContext(cfg)
+
+
+def test_configured_positions_skip_the_search():
+    _, rep, _ = stage_equilibrium(PipelineContext(BASE_CONFIG))
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["vortices"].update(positions=rep["z_star"], seeds=None)
+    vs, configured, extra = stage_equilibrium(PipelineContext(cfg))
+    assert configured["from"] == "configured" and extra == []
+    assert configured["positions"] == rep["z_star"]
+    assert np.array_equal(vs.positions, rep["z_star"])
+    assert configured["grad_norm"] <= 1e-10
+
+
+def test_multistart_reports_each_critical_point_once():
+    # one vortex in the disk has one critical point: four random starts
+    # that all reach it leave one extra report
+    cfg = dict(BASE_CONFIG, search={"multistart": 4})
+    _, rep, extra = stage_equilibrium(PipelineContext(cfg))
+    assert len(extra) == 1 and extra[0]["converged"]
+    assert np.allclose(extra[0]["z_star"], rep["z_star"], rtol=0.0, atol=1e-9)
+    assert stage_equilibrium(PipelineContext(cfg))[2] == extra
 
 
 ELLIPSE_CONFIG = {
