@@ -155,14 +155,16 @@ class Domain:
         return self._parity_inside(x) if tol == 0 else self.signed_distance(x) > tol
 
     def boundary_distance(self, x):
-        """Unsigned distance to the boundary (parametric: to the nearest sample)."""
+        """Unsigned distance to the boundary (parametric: to the nearest
+        sample, an overestimate of up to half a sample spacing)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "disk":
             return np.abs(self.signed_distance(x))
         return self._tree.query(x)[0]
 
     def signed_distance(self, x):
-        """Distance to the boundary, positive inside (parametric: sample-based)."""
+        """Distance to the boundary, positive inside (parametric: to the
+        nearest sample, too large by up to half a sample spacing)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "disk":
             r = np.hypot(x[..., 0] - self.center[0], x[..., 1] - self.center[1])

@@ -376,14 +376,17 @@ def find_critical(vs, green, q, z0=None, tol=None, max_iter=200,
     return report
 
 
-def multistart_find_critical(vs, green, q, seeds, tol=None, dedupe_tol=1e-6):
-    """Run find_critical from several seeds, dropping duplicates."""
+def multistart_find_critical(vs, green, q, seeds, tol=None, dedupe_tol=1e-6, known=()):
+    """Run find_critical from several seeds, dropping each critical point
+    within dedupe_tol of an earlier one or of one in `known`."""
+    found = [np.asarray(z) for z in known]
     reports = []
     for z0 in seeds:
         try:
             rep = find_critical(vs, green, q, z0=np.asarray(z0), tol=tol)
         except (ConvergenceError, DomainError, SingularityError):
             continue
-        if not any(np.max(np.abs(rep.z_star - r.z_star)) < dedupe_tol for r in reports):
+        if not any(np.max(np.abs(rep.z_star - z)) < dedupe_tol for z in found):
+            found.append(rep.z_star)
             reports.append(rep)
     return reports

@@ -170,7 +170,8 @@ def stage_equilibrium(ctx):
             cand = lo + (hi - lo) * rng.random((k, 2))
             if np.all(ctx.domain.contains(cand, tol=0.05 * ctx.domain.diameter)):
                 seeds.append(cand)
-        extra = multistart_find_critical(vs, ctx.green, ctx.q, seeds, tol=s["tol"])
+        extra = multistart_find_critical(vs, ctx.green, ctx.q, seeds, tol=s["tol"],
+                                         known=[rep.z_star])
     vs_star = vs.with_positions(rep.z_star)
     return vs_star, rep.to_dict(), [r.to_dict() for r in extra]
 

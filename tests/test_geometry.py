@@ -1,12 +1,13 @@
-"""Sample-based geometry on parametric domains and the Nystrom near/far
-switch, each against an in-file oracle of the straightforward formula."""
+"""Sample-based geometry on parametric domains and the Nystrom regular
+part of the Green function, each against an in-file oracle of the
+straightforward formula or an independent backend."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from vortexpatch import Domain, GreenEvaluator, build_grid, greens
+from vortexpatch import Domain, GreenEvaluator, build_grid
 from vortexpatch.greens import CHUNK
 from vortexpatch.grid import ARM_DIRS
 
@@ -182,7 +183,7 @@ def test_batched_arms_match_scalar_bisection(shape, ellipse, blob):
 
 
 # ---------------------------------------------------------------------- #
-#  Nystrom regular part: near/far switch and the upsampled near rule
+#  Nystrom regular part: the barycentric Cauchy rule up to the wall
 # ---------------------------------------------------------------------- #
 
 
@@ -193,52 +194,75 @@ def _dlp_ref(targets, bpts, bnormals):
     return c / (TWO_PI * r2)
 
 
-def _H_ref(ge, x, y):
-    """H(x, y) with the full signed distance for the near/far switch and a
-    fine curve resampled for every near target."""
+def _upsample(v, m):
+    """Trigonometric interpolant of the periodic samples v at m points."""
+    n = len(v)
+    spec = np.fft.fft(v)
+    pad = np.zeros(m, dtype=complex)
+    pad[:n // 2] = spec[:n // 2]
+    pad[-(n // 2):] = spec[-(n // 2):]
+    return np.fft.ifft(pad) * (m / n)
+
+
+def _fine_trapezoid(ge, x, y, m=2**20):
+    """H(x, y) as the plain double-layer trapezoid sum over the curve and
+    the density both resampled to m points, one target at a time."""
     b = ge._b
-    cur = b.curve
-    mu = b._densities(np.asarray(y, dtype=float), 0)["mu"]
-    dists = _signed_distance_ref(ge.domain, x)
-    near = dists < 6.0 * cur.perimeter / cur.n
-    out = np.empty(len(x))
-    if np.any(~near):
-        out[~near] = _dlp_ref(x[~near], cur.x, cur.normal) @ (mu * b.w)
-    for i in np.nonzero(near)[0]:
-        dist = dists[i]
-        n_f = int(min(2 ** int(np.ceil(np.log2(max(8.0 * cur.perimeter / max(dist, 1e-14), cur.n)))), 2**20))
-        fine = cur.resample(n_f)
-        spec = np.fft.fft(mu)
-        pad = np.zeros(n_f, dtype=complex)
-        pad[:cur.n // 2] = spec[:cur.n // 2]
-        pad[-(cur.n // 2):] = spec[-(cur.n // 2):]
-        mu_f = np.real(np.fft.ifft(pad)) * (n_f / cur.n)
-        j = np.argmin(((fine.x - x[i])**2).sum(-1))
-        w_f = TWO_PI / n_f * fine.speed
-        K = _dlp_ref(x[i][None, :], fine.x, fine.normal)[0]
-        out[i] = ((mu_f - mu_f[j]) * w_f) @ K - mu_f[j]
-    return out
+    mu_f = _upsample(b._densities(y, 0)["mu"], m).real
+    z_f = _upsample(b.curve.x[:, 0] + 1j * b.curve.x[:, 1], m)
+    dz_f = np.fft.ifft(1j * np.fft.fftfreq(m, 1.0 / m) * np.fft.fft(z_f))
+    # (x - b).n |b'| / |x - b|^2 = Im[b' / (z - b)]
+    return np.array([mu_f @ (dz_f / (z - z_f)).imag / m for z in x[:, 0] + 1j * x[:, 1]])
 
 
-def test_H_near_far_matches_per_target_resampling(ellipse):
-    ge = GreenEvaluator(ellipse, order=256)
-    near_dist = 6.0 * ge._b.curve.perimeter / ge._b.n
-    rng = np.random.default_rng(7)
-    t = TWO_PI * rng.random(40)
-    far = np.column_stack((0.7 * np.cos(t), 0.4 * np.sin(t)))
-    bp, nrm = ellipse.boundary_points(64)
-    near = bp[::4] - near_dist * np.linspace(0.02, 0.9, 16)[:, None] * nrm[::4]
-    just_outside = bp[3] + 0.05 * near_dist * nrm[3]
-    y = np.array([0.2, -0.1])
-    mixed = np.vstack((far[:5], near[:5], just_outside, far[5:9], near[5:7]))
-    assert ellipse.signed_distance(just_outside) < 0
-    for x in (far, near):
-        assert np.array_equal(ge.H(x, y), _H_ref(ge, x, y))
-    ref = _H_ref(ge, mixed, y)
-    assert np.array_equal(ge.H(mixed, y), ref)
-    assert ge.H(just_outside, y) == ref[10]
-    # the cached fine curves serve a second call with the same values
-    assert np.array_equal(ge.H(mixed, y), ref)
+def _between_samples(dom, depths):
+    """Targets at the given depths inside the wall along the inward normal,
+    at the curve points half-way between consecutive samples."""
+    n = dom.curve.n
+    z2 = _upsample(dom.curve.x[:, 0] + 1j * dom.curve.x[:, 1], 2 * n)
+    dz2 = np.fft.ifft(1j * np.fft.fftfreq(2 * n, 1.0 / (2 * n)) * np.fft.fft(z2))
+    j = 2 * np.arange(len(depths)) * (n // len(depths)) + 1
+    z = z2[j] + 1j * depths * dz2[j] / np.abs(dz2[j])
+    return np.column_stack((z.real, z.imag))
+
+
+def test_H_matches_images_on_disk():
+    dom = Domain.disk(1.0 / 16.0)
+    images, nystrom = GreenEvaluator(dom), GreenEvaluator(dom, backend="boundary-integral")
+    bp, nrm = dom.boundary_points(96)
+    depth = np.repeat(np.logspace(-7, -2, 6), 16)
+    x = np.vstack((bp - depth[:, None] * nrm, _disk_targets(np.zeros(2), 0.06, 200, 9)))
+    for y in (np.array([0.0, -0.001]), np.array([0.03, 0.02]), 0.045 * nrm[7]):
+        assert np.max(np.abs(nystrom.H(x, y) - images.H(x, y))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("shape", ["thin-ellipse", "nonconvex-blob"])
+def test_H_matches_fine_trapezoid(shape, n):
+    name, params = SERIES_SHAPES[shape]
+    dom = Domain.named(name, n=n, **params)
+    ge = GreenEvaluator(dom, order=n)
+    c, nrm = dom.curve.x, dom.curve.normal
+    x = _between_samples(dom, np.logspace(np.log10(3e-4), -2, 12))
+    wall = c[n // 4] - 0.05 * nrm[n // 4]
+    for y in (np.array([0.1, 0.05]), wall):
+        targets = np.vstack((x, _disk_targets(y, 0.04, 6, n)))
+        assert np.max(np.abs(ge.H(targets, y) - _fine_trapezoid(ge, targets, y))) <= 1e-12
+    # a source 0.05 from the wall takes no series: R/2 is below six spacings
+    assert ge._b._local(wall, ge._b._densities(wall, 0)) == (0.0, None)
+
+
+@pytest.mark.parametrize("shape", ["thin-ellipse", "nonconvex-blob"])
+def test_H_on_boundary_samples_is_the_boundary_data(shape):
+    name, params = SERIES_SHAPES[shape]
+    dom = Domain.named(name, n=512, **params)
+    ge = GreenEvaluator(dom)
+    c, nrm = dom.curve.x, dom.curve.normal
+    for y in (np.array([0.1, 0.05]), c[128] - 0.05 * nrm[128]):
+        data = np.log(np.hypot(*(c - y).T)) / TWO_PI
+        assert np.max(np.abs(ge.H(c, y) - data)) <= 1e-13
+        hugging = np.vstack([c - d * nrm for d in (1e-300, 1e-15, 1e-9)])
+        assert np.all(np.isfinite(ge.H(hugging, y)))
 
 
 def test_H_memory_is_bounded():
@@ -292,58 +316,48 @@ def test_H_series_matches_far_sum(shape, n):
     name, params = SERIES_SHAPES[shape]
     dom = Domain.named(name, n=n, **params)
     ge = GreenEvaluator(dom, order=n)
-    near_dist = ge._b.near_dist
+    min_radius = ge._b.series_min_radius
     c, nrm = dom.curve.x, dom.curve.normal
-    wall = c[n // 4] - 2.1 * near_dist * nrm[n // 4]
+    wall = c[n // 4] - 2.1 * min_radius * nrm[n // 4]
     used = 0
     for y in (np.zeros(2), np.array([0.2, -0.05]), wall):
         ent = ge._b._densities(y, 0)
         rho, _ = ge._b._local(y, ent)
         if rho == 0.0:
-            assert 0.5 * dom.boundary_distance(y) < near_dist
+            assert 0.5 * dom.boundary_distance(y) < min_radius
             continue
-        assert rho >= near_dist
+        assert rho >= min_radius
         used += 1
         x = _disk_targets(y, rho, 4000, n)
-        ref = ge._b._eval(x, ent["mu"])
+        ref = _dlp_ref(x, c, nrm) @ (ent["mu"] * ge._b.w)
         assert np.max(np.abs(ge.H(x, y) - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
     assert used >= 2
 
 
-def test_H_near_wall_source_takes_no_series(ellipse):
-    # R/2 < near_dist: the disk would reach the near rule's band, so every
-    # target keeps the near/far switch
-    ge = GreenEvaluator(ellipse, order=256)
-    near_dist = ge._b.near_dist
-    bp, nrm = ellipse.boundary_points(64)
-    y = bp[10] - 1.5 * near_dist * nrm[10]
-    assert ge._b._local(y, ge._b._densities(y, 0)) == (0.0, None)
-    close = _disk_targets(y, 0.7 * near_dist, 40, 5)
-    x = np.vstack((close, bp[::4] - 0.3 * near_dist * nrm[::4], [[0.0, 0.0], [-0.5, 0.2]]))
-    ref = _H_ref(ge, x, y)
-    assert np.any(_signed_distance_ref(ellipse, close) < near_dist)
-    assert np.array_equal(ge.H(x, y), ref)
-
-
 def test_H_series_targets_skip_kernel_and_distance(ellipse, monkeypatch):
+    # H locates no point: the series disk is a radius test, and every
+    # target outside it takes the barycentric sum
     ge = GreenEvaluator(ellipse, order=256)
     y = np.array([0.1, 0.05])
     rho, _ = ge._b._local(y, ge._b._densities(y, 0))
-    rows = {"kernel": 0, "distance": 0}
-    kernel, distance = greens._dlp_kernel, ellipse.boundary_distance
+    calls = {"rows": 0, "geometry": 0}
+    barycentric = ge._b._eval
 
-    def counted_kernel(targets, bpts, bnormals):
-        rows["kernel"] += len(targets)
-        return kernel(targets, bpts, bnormals)
+    def counted_eval(targets, g):
+        calls["rows"] += len(targets)
+        return barycentric(targets, g)
 
-    def counted_distance(x):
-        rows["distance"] += len(x)
-        return distance(x)
+    def counted(method):
+        def wrapper(*args, **kwargs):
+            calls["geometry"] += 1
+            return method(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(greens, "_dlp_kernel", counted_kernel)
-    monkeypatch.setattr(ellipse, "boundary_distance", counted_distance)
+    monkeypatch.setattr(ge._b, "_eval", counted_eval)
+    for name in ("boundary_distance", "signed_distance", "contains", "_parity_inside"):
+        monkeypatch.setattr(ellipse, name, counted(getattr(ellipse, name)))
     ge.H(_disk_targets(y, rho, 50_000, 2), y)
-    assert rows == {"kernel": 0, "distance": 0}
-    # a target just outside the disk takes the direct sum
-    ge.H(y + np.array([[1.001 * rho, 0.0]]), y)
-    assert rows == {"kernel": 1, "distance": 1}
+    assert calls == {"rows": 0, "geometry": 0}
+    # a target just outside the disk and one on the wall take the sum
+    ge.H(np.vstack((y + [1.001 * rho, 0.0], ellipse.curve.x[:1])), y)
+    assert calls == {"rows": 2, "geometry": 0}
