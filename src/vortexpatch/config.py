@@ -162,6 +162,12 @@ def validate_config(raw):
     seeds = v["positions"] if v["positions"] is not None else v["seeds"]
     if seeds is None or len(seeds) != m + n:
         raise ConfigError("need one seed/position per vortex (plus block first)")
+    rad = v["subdomain_radius"]
+    radii = [] if rad is None else rad if isinstance(rad, list) else [rad]
+    if (isinstance(rad, list) and len(rad) != m + n) or \
+            not all(_type_ok(r, (int, float)) and r > 0 for r in radii):
+        raise ConfigError("vortices.subdomain_radius must be a positive number "
+                          "or a list of m + n positive numbers")
 
     d = cfg["domain"]
     if d["kind"] not in ("disk", "ellipse", "blob", "samples"):

@@ -8,17 +8,17 @@ Two equivalent variable forms share the machinery:
                             - sum_j X_j (q - k_j^- |ln eps|/(2 pi) - u)_+^p
 
 with w = 2 pi u / |ln eps| and delta = eps (2 pi/|ln eps|)^((p-1)/2).  Each
-gate X_i is the indicator of the vortex subdomain.  Newton uses the
-semismooth derivative p(.)_+^(p-1) and a backtracking line search on the
-residual norm.  The Jacobian differs from the fixed operator only on the
-diagonal of the active core nodes, so each solve factors that operator once,
-with the candidate core nodes eliminated last, and every Jacobian is a dense
-LU of their Schur complement shifted by the derivative, and every step is
-the exact Newton step.  A solve whose line search would need a damping
-below MIN_DAMPING (creep along the near-null core translations), or that
-stops making progress, restarts once from its best iterate in a deflated
-mode that splits each step along the near-null subspace, and raises if that
-stalls too.  `picard_gap` applies the bare fixed-point map
+gate X_i is the indicator of the vortex subdomain.  The right side vanishes
+off the candidate core nodes T, so eliminating the other nodes leaves the
+exact system S w_T = f(w_T), S the Schur complement of the operator on T.
+Newton iterates on the core values alone, with the semismooth derivative
+p(.)_+^(p-1), a dense LU of S - diag(f'_T) per step and a backtracking line
+search on the core residual; the field is one sparse solve at the end.  A
+solve whose line search would need a damping below MIN_DAMPING (creep along
+the near-null core translations), or that stops making progress, restarts
+once from its best iterate in a deflated mode that splits each step along
+the near-null eigenvectors of the core Jacobian, and raises if that stalls
+too.  `picard_gap` applies the bare fixed-point map
 w <- (-coef lap)^{-1} rhs(w) once to a given field: a solver-independent
 check of a solution.  Iterating that map does not reach the solution, which
 is an unstable fixed point of it.
@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .ansatz import activation_level, delta_from_eps, eps_log
@@ -38,15 +38,16 @@ from .grid import GridField, discretize
 
 TWO_PI = 2.0 * np.pi
 # Newton restarts in deflated mode (the second time: raises) after this many
-# iterations without a new lowest max-residual.  On the acceptance fixtures
-# and the benchmark workloads the longest such run is 1 iteration (the
-# zero-background pair at eps 3e-4, in deflated mode); the window is for
-# iterates that lower the l2 residual the line search sees but not the max.
+# iterations without a new lowest max-residual of the core system.  On the
+# acceptance fixtures and the benchmark workloads the longest such run is 1
+# iteration (the zero-background pair at eps 3e-4, in deflated mode); the
+# window is for iterates that lower the l2 residual the line search sees
+# but not the max.
 STALL_WINDOW = 8
 # the smallest damping of the plain line search; a step that needs less is a
 # stall.  Steps that make progress accept 2^-3 or more on those runs, while
-# the steps creeping along the near-null pair of the zero-background pair
-# at eps 3e-4 need 2^-11 to 2^-14.
+# the first dozen steps creeping along the near-null pair of the
+# zero-background pair at eps 3e-4 need 2^-11 to 2^-14 (and later ones less).
 MIN_DAMPING = 2.0**-10
 # initial trust radius of the deflated mode along span(Q), a 2-norm in field
 # units; it adapts from there
@@ -160,45 +161,21 @@ class SolveReport:
         }
 
 
-def _res_norms(r):
+def _norms(r, f):
+    """The l2 and max norms of a core residual r, and the max norm of its
+    nonlinearity f, the scale of the tolerance."""
     if len(r) == 0:
-        return 0.0, 0.0
-    return float(np.linalg.norm(r)), float(np.max(np.abs(r)))
-
-
-def _near_null_basis(J, lu, k):
-    """Orthonormal basis of the k eigenvectors of J nearest zero, and their
-    eigenvalues, via shift-invert Arnoldi reusing the existing LU
-    factorization; (None, None) when Arnoldi fails.
-
-    These are the core-translation modes of the linearization, along which
-    the deflated mode steps; the failure message quotes their eigenvalues.
-    """
-    n = J.shape[0]
-    op = spla.LinearOperator((n, n), matvec=lu.solve)
-    # a fixed start vector: ARPACK's default one is drawn from fresh entropy,
-    # which would make every solve that computes Q differ between reruns
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-    try:
-        vals, vecs = spla.eigs(J, k=k, sigma=0.0, OPinv=op, which="LM",
-                               tol=1e-8, maxiter=200, v0=v0)
-    except (spla.ArpackNoConvergence, RuntimeError):
-        return None, None
-    basis = np.real(vecs)
-    return np.linalg.qr(basis)[0], np.real(vals)
-
-
-def _jacobian(Ac, w, setup):
-    """Semismooth Jacobian at w."""
-    return (Ac - sp.diags(rhs_derivative(w, setup), 0, format="csc")).tocsc()
+        return 0.0, 0.0, 1e-300
+    return (float(np.linalg.norm(r)), float(np.max(np.abs(r))),
+            max(float(np.max(np.abs(f))), 1e-300))
 
 
 def _lu(M, ordering="MMD_AT_PLUS_A"):
-    """Sparse LU of a structurally symmetric M (the 5-point stencil, and J,
-    which only shifts its diagonal): by default a minimum-degree ordering of
-    M + M^T with diagonal pivots preferred.  This keeps about half the fill of
-    the default COLAMD column ordering.  M's values are not symmetric (the cut
-    rows), so this stays LU, not Cholesky."""
+    """Sparse LU of a structurally symmetric M (the 5-point stencil): by
+    default a minimum-degree ordering of M + M^T with diagonal pivots
+    preferred.  This keeps about half the fill of the default COLAMD column
+    ordering.  M's values are not symmetric (the cut rows), so this stays
+    LU, not Cholesky."""
     return spla.splu(M, permc_spec=ordering, diag_pivot_thresh=0.1,
                      options={"SymmetricMode": True})
 
@@ -220,12 +197,13 @@ class _CoreLU:
     """One sparse LU of Ac with the candidate core nodes T eliminated last.
 
     The trailing k x k block of that factorization, L22 U22, is the Schur
-    complement S of Ac on T, so a Jacobian J = Ac - diag(d) with d zero off T
-    costs a dense LU of S - diag(d_T) (the capacitance-matrix method, Buzbee,
-    Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971).  The elimination
-    order is Ac's minimum-degree order with T moved last.  When d is
-    nonzero off T, T grows to the union and Ac is factored again.  `report`
-    counts the sparse factorizations and the core size.
+    complement S of Ac on T (the capacitance-matrix method, Buzbee, Dorr,
+    George & Golub, SIAM J. Numer. Anal. 8, 1971).  A field whose residual
+    vanishes off T is fixed by its core values x, its residual on T is
+    S x - f_T(x), and its Jacobian J = Ac - diag(d), with d zero off T, is
+    S - diag(d_T) on the core.  The elimination order is Ac's minimum-degree
+    order with T moved last.  `report` counts the sparse factorizations and
+    the core size.
     """
 
     def __init__(self, Ac, core, report):
@@ -243,14 +221,6 @@ class _CoreLU:
             raise _factorization_failed(exc, report)
         self._factor(core)
 
-    def _splu(self, M):
-        try:
-            lu = _lu(M, "NATURAL")
-        except RuntimeError as exc:
-            raise _factorization_failed(exc, self.report)
-        self.report.factorizations += 1
-        return lu
-
     def _factor(self, core):
         n = self.Ac.shape[0]
         in_core = np.zeros(n, dtype=bool)
@@ -258,7 +228,11 @@ class _CoreLU:
         self.core = np.flatnonzero(in_core)
         m = n - self.core.size
         self.perm = np.concatenate((self.order[~in_core[self.order]], self.core))
-        self.lu = self._splu(self.Ac[self.perm][:, self.perm])
+        try:
+            self.lu = _lu(self.Ac[self.perm][:, self.perm], "NATURAL")
+        except RuntimeError as exc:
+            raise _factorization_failed(exc, self.report)
+        self.report.factorizations += 1
         tail = np.arange(m, n)
         if not (np.array_equal(self.lu.perm_c[m:], tail)
                 and np.array_equal(self.lu.perm_r[m:], tail)):
@@ -268,40 +242,38 @@ class _CoreLU:
         self.S = (self.lu.L[m:, m:] @ self.lu.U[m:, m:]).toarray()
         self.report.core_nodes = self.core.size
 
-    def jacobian(self, d):
-        """The solver of J = Ac - diag(d)."""
-        off = d > 0.0
-        off[self.core] = False
-        if np.any(off):
-            self._factor(np.union1d(self.core, np.flatnonzero(off)))
-        return _JacobianLU(self, d[self.core])
+    def field(self, x):
+        """The field with core values x whose residual vanishes off T: the
+        solution of Ac w = [0; S x], whose forward solve leaves U22 x on
+        the trailing block, so its back solve returns x there."""
+        c = np.zeros(self.perm.size)
+        c[self.perm.size - self.core.size:] = self.S @ x
+        w = np.empty_like(c)
+        w[self.perm] = self.lu.solve(c)
+        w[self.core] = x
+        return w
 
 
-class _JacobianLU:
-    """Solves with J = Ac - diag(d), d zero off the core T of `core_lu`.  With
-    z = Ac^-1 b, the core values y of J^-1 b solve (S - D) y = S z_T, and
-    J^-1 b = Ac^-1 (b + D y): two sparse solves and one dense k x k solve."""
+def _dense_lu(J, report):
+    """Dense LU of a core Jacobian; a singular one fails the solve."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)
+        try:
+            return lu_factor(J)
+        except LinAlgWarning as exc:
+            raise _factorization_failed(f"singular core block: {exc}", report)
 
-    def __init__(self, core_lu, d_core):
-        self.lu, self.perm, self.S = core_lu.lu, core_lu.perm, core_lu.S
-        self.d = d_core
-        self.m = self.perm.size - d_core.size
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LinAlgWarning)
-            try:
-                self.dense = lu_factor(self.S - np.diag(d_core)) if d_core.size else None
-            except LinAlgWarning as exc:
-                raise _factorization_failed(f"singular core block: {exc}", core_lu.report)
 
-    def solve(self, b):
-        c = np.asarray(b, dtype=float)[self.perm]
-        if self.dense is not None:
-            z = self.lu.solve(c)
-            y = lu_solve(self.dense, self.S @ z[self.m:])
-            c[self.m:] += self.d * y
-        x = np.empty_like(c)
-        x[self.perm] = self.lu.solve(c)
-        return x
+def _near_null_basis(J, k):
+    """Orthonormal eigenvectors of the symmetric part of the core Jacobian J
+    for its k eigenvalues nearest zero, and those eigenvalues.
+
+    These are the core-translation modes of the linearization, along which
+    the deflated mode steps; the failure message quotes their eigenvalues.
+    """
+    vals, vecs = np.linalg.eigh(0.5 * (J + J.T))
+    near = np.argsort(np.abs(vals), kind="stable")[:k]
+    return vecs[:, near], vals[near]
 
 
 def _trust_step(g, M, radius):
@@ -328,34 +300,32 @@ def _trust_step(g, M, radius):
     return step(hi), False
 
 
-def _deflated_step(w, r, Ac, setup, J, lu, Q, radius, max_tries=8):
-    """One Newton step split along the near-null subspace span(Q).
+def _deflated_step(x, r, residual, J, lu, Q, radius, max_tries=8):
+    """One Newton step on the core values split along the near-null
+    subspace span(Q).
 
-    On the complement the step is the full Newton step P J^-1 P (-r), with
-    P = I - Q Q^T; there J is well conditioned.  Along span(Q) the residual
-    g = Q^T F is the gradient of the reduced energy of the core positions,
-    and M = Q^T J Q (symmetrized) its Hessian.  The step minimizes the
-    quadratic model within |beta| <= radius, the complement is re-solved at
-    the trial point (chord steps with the same LU), and the trial is
-    accepted when the energy change, integrated from g at both ends, is at
-    least a tenth of the model's; the radius grows after a good prediction
-    at the boundary and shrinks after a poor one.  Minimizing rather than
-    zeroing |g| steps over folds of the reduced problem (a near-zero
-    eigenvalue with g not in range), where Gauss-Newton on |g| stops.
-    Returns the new iterate, its residual and right-hand side, the fraction
-    of the reduced Newton step taken (0 when every trial was refused) and
-    the new radius.
+    `residual(v)` returns the core residual and nonlinearity at v, J is the
+    core Jacobian at x and lu its dense LU.  On the complement the step is
+    the full Newton step P J^-1 P (-r), with P = I - Q Q^T; there J is well
+    conditioned.  Along span(Q) the residual g = Q^T r is the gradient of
+    the reduced energy of the core positions, and M = Q^T J Q (symmetrized)
+    its Hessian.  The step minimizes the quadratic model within
+    |beta| <= radius, the complement is re-solved at the trial point (chord
+    steps with the same LU), and the trial is accepted when the energy
+    change, integrated from g at both ends, is at least a tenth of the
+    model's; the radius grows after a good prediction at the boundary and
+    shrinks after a poor one.  Minimizing rather than zeroing |g| steps over
+    folds of the reduced problem (a near-zero eigenvalue with g not in
+    range), where Gauss-Newton on |g| stops.  Returns the new iterate, its
+    residual and nonlinearity, the fraction of the reduced Newton step taken
+    (0 when every trial was refused) and the new radius.
     """
-    def residual(v):
-        rhs = rhs_eval(v, setup)
-        return Ac @ v - rhs, rhs
-
     def complement(v, res):
-        step = lu.solve(-(res - Q @ (Q.T @ res)))
+        step = lu_solve(lu, -(res - Q @ (Q.T @ res)))
         return v + step - Q @ (Q.T @ step)
 
-    w = complement(w, r)
-    r, rhs = residual(w)
+    x = complement(x, r)
+    r, f = residual(x)
     g = Q.T @ r
     M = Q.T @ (J @ Q)
     M = 0.5 * (M + M.T)
@@ -363,10 +333,10 @@ def _deflated_step(w, r, Ac, setup, J, lu, Q, radius, max_tries=8):
     for _ in range(max_tries):
         beta, interior = _trust_step(g, M, radius)
         predicted = g @ beta + 0.5 * beta @ M @ beta
-        w_try = w + Q @ beta
+        x_try = x + Q @ beta
         for _ in range(3):
-            w_try = complement(w_try, residual(w_try)[0])
-        r_try, rhs_try = residual(w_try)
+            x_try = complement(x_try, residual(x_try)[0])
+        r_try, f_try = residual(x_try)
         actual = 0.5 * (g + Q.T @ r_try) @ beta
         rho = actual / predicted if predicted < 0.0 else 0.0
         if rho > 0.1:
@@ -374,70 +344,109 @@ def _deflated_step(w, r, Ac, setup, J, lu, Q, radius, max_tries=8):
                 radius *= 2.0
             elif rho < 0.25:
                 radius *= 0.5
-            return w_try, r_try, rhs_try, min(1.0, np.linalg.norm(beta) / newton), radius
+            return x_try, r_try, f_try, min(1.0, np.linalg.norm(beta) / newton), radius
         radius *= 0.25
-    return w, r, rhs, 0.0, radius
+    return x, r, f, 0.0, radius
 
 
 def solve_newton(setup, initial, tol=1e-10, max_iter=60):
-    """Damped semismooth Newton from the given initial grid field.
+    """Damped semismooth Newton on the core values from the given initial
+    grid field.
 
-    tol is relative to the max norm of the active nonlinearity.  Every
-    iteration takes an exact Newton step: the operator is factored once
-    (`_CoreLU`, with the candidate core nodes of the start last) and each
-    Jacobian costs a dense LU of its core block.  Steps are capped at a
-    fraction of the field range (crossing the free boundary by many cells in
-    one shot invalidates the local model), and the line search backtracks on
-    the l2 residual down to MIN_DAMPING.
+    tol is relative to the max norm of the active nonlinearity.  The
+    operator is factored once, with the candidate core nodes T of the start
+    last (`_CoreLU`), and Newton iterates on the core values x: the residual
+    is S x - f_T(x), and each step is the exact Newton step, a dense LU of
+    S - diag(f'_T(x)).  Steps are capped at a fraction of the start's range
+    (crossing the free boundary by many cells in one shot invalidates the
+    local model), and the line search backtracks on the l2 residual down to
+    MIN_DAMPING.  A converged x gives the field by one sparse solve; if that
+    field activates a node outside T, T grows to the union and Newton
+    continues from the field's values there.  A start that activates no
+    node has an empty core and the zero field.
 
     The solve stalls when the line search would need a smaller damping, or
     when STALL_WINDOW iterations pass without a new lowest max-residual.
     The first stall restarts once from the best iterate in deflated mode:
-    each iteration computes J's near-null basis Q, two core translations
-    per vortex, and takes `_deflated_step`, starting from TRUST_RADIUS along
-    span(Q).  This is the regime of degenerate equilibria (a pair on a
-    rotation orbit), where the near-null eigenvalues come within the grid's
-    own pinning of the cores and plain Newton steps creep along span(Q).  A
-    second stall raises ConvergenceError carrying the lowest-residual
-    iterate and quoting the near-null eigenvalues.
+    each iteration takes `_deflated_step` along the near-null basis Q of
+    the core Jacobian, two core translations per vortex, starting from
+    TRUST_RADIUS along span(Q).  This is the regime of degenerate equilibria
+    (a pair on a rotation orbit), where the near-null eigenvalues come
+    within the grid's own pinning of the cores and plain Newton steps creep
+    along span(Q).  A second stall raises ConvergenceError carrying the
+    lowest-residual iterate and quoting the near-null eigenvalues.
     """
-    w = initial.values.copy() if isinstance(initial, GridField) else np.asarray(initial, dtype=float).copy()
+    start = initial.values if isinstance(initial, GridField) else np.asarray(initial, dtype=float)
     var = initial.variable if isinstance(initial, GridField) else setup.variable
     Ac = setup.operator()
     report = SolveReport()
     n_null = setup.near_null_dim
-    eigvals = None
+    field_range = max(float(np.max(start) - np.min(start)), 1e-12)
+    core_lu = gates = eigvals = None
 
-    rhs = rhs_eval(w, setup)
-    r = Ac @ w - rhs
-    scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    rn = float(np.max(np.abs(r)))
-    rl2 = float(np.linalg.norm(r))
-    report.residual_history.append(_res_norms(r))
+    def residual(v):
+        f = rhs_eval(v, gates)
+        return core_lu.S @ v - f, f
+
+    def jacobian(v):
+        return core_lu.S - np.diag(rhs_derivative(v, gates))
+
+    def field_of(v):
+        return core_lu.field(v) if core_lu is not None else np.zeros_like(start)
+
+    def enter(core, w):
+        """Factor Ac with `core` last; the values of w there and their
+        residual and nonlinearity."""
+        nonlocal core_lu, gates
+        if core_lu is None:
+            core_lu = _CoreLU(Ac, core, report)
+        else:
+            core_lu._factor(core)
+        T = core_lu.core
+        # the gate map of the core nodes alone
+        gates = replace(setup, vortex=setup.vortex[T], sign=setup.sign[T], level=setup.level[T])
+        return (w[T],) + residual(w[T])
+
+    core = _core_candidates(setup, start)
+    x, r, f = enter(core, start) if core.size else (np.empty(0),) * 3
+    rl2, rn, scale = _norms(r, f)
+    report.residual_history.append((rl2, rn))
     # iterates are never modified in place, so the best one is kept by reference
-    best_w, best_rn, best_it = w, rn, 0
+    best_x, best_rn, best_it = x, rn, 0
     idle = 0                 # iterations since the last new best (or restart)
-    core_lu = None           # the operator's LU, built at the first Jacobian
-    lu = lu_w = None         # the last Jacobian's solver and its iterate
-    field_range = max(float(np.max(w) - np.min(w)), 1e-12)
     radius = None            # trust radius along span(Q) once deflated
     stalled = None
+    it = 0
 
     def fail(message):
         nonlocal eigvals
-        if eigvals is None and lu is not None:
-            eigvals = _near_null_basis(_jacobian(Ac, lu_w, setup), lu, n_null or 2)[1]
-        near_null = ("unavailable" if eigvals is None
-                     else ", ".join(f"{v:.2e}" for v in sorted(eigvals, key=abs)))
+        if eigvals is None:
+            eigvals = _near_null_basis(jacobian(x), n_null or 2)[1]
+        near_null = ", ".join(f"{v:.2e}" for v in sorted(eigvals, key=abs))
         raise ConvergenceError(
             f"{message}; best residual {best_rn:.3e} at iteration {best_it}; "
-            f"near-null eigenvalues of J: {near_null}",
-            best=GridField(setup.spec, best_w, var), report=report)
+            f"near-null eigenvalues of the core Jacobian: {near_null}",
+            best=GridField(setup.spec, field_of(best_x), var), report=report)
 
-    for it in range(1, max_iter + 1):
+    while True:
         if rn <= tol * scale:
-            report.converged = True
-            break
+            w = field_of(x)
+            core = core_lu.core if core_lu is not None else np.empty(0, dtype=int)
+            grown = np.union1d(core, np.flatnonzero(setup.excess(w) > 0.0))
+            if grown.size == core.size:
+                report.converged = True
+                break
+            # the field activates nodes outside T: the iterate's residual on
+            # the grown core replaces the one on T, and Newton goes on there
+            x, r, f = enter(grown, w)
+            rl2, rn, scale = _norms(r, f)
+            report.residual_history[-1] = (rl2, rn)
+            best_x, best_rn, best_it = x, rn, it
+            idle = 0
+            continue
+        if it == max_iter:
+            fail(f"Newton did not converge in {max_iter} iterations (residual {rn:.3e})")
+        it += 1
         if stalled is None and idle >= STALL_WINDOW:
             stalled = f"no new best residual in {STALL_WINDOW} iterations"
         if stalled is not None:
@@ -448,32 +457,23 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
             stalled = None
             radius = TRUST_RADIUS
             idle = 0
-            w = best_w
-            rhs = rhs_eval(w, setup)
-            r = Ac @ w - rhs
-        if core_lu is None:
-            core_lu = _CoreLU(Ac, _core_candidates(setup, w), report)
-        lu, lu_w = core_lu.jacobian(rhs_derivative(w, setup)), w
+            x = best_x
+            r, f = residual(x)
+        J = jacobian(x)
+        lu = _dense_lu(J, report)
         if radius is not None:
-            J = _jacobian(Ac, w, setup)
-            Q, eigvals = _near_null_basis(J, lu, n_null)
-            if Q is None:
-                fail(f"Newton stalled (near-null basis unavailable, iteration {it})")
-            w_try, r_try, rhs_try, lam, radius = _deflated_step(
-                w, r, Ac, setup, J, lu, Q, radius)
-            rl2_try = float(np.linalg.norm(r_try))
+            Q, eigvals = _near_null_basis(J, n_null)
+            x_try, r_try, f_try, lam, radius = _deflated_step(x, r, residual, J, lu, Q, radius)
         else:
-            step = lu.solve(-r)
+            step = lu_solve(lu, -r)
             sn = float(np.max(np.abs(step)))
             if sn > 0.3 * field_range:
                 step *= 0.3 * field_range / sn
             lam = 1.0
             while lam >= MIN_DAMPING:
-                w_try = w + lam * step
-                rhs_try = rhs_eval(w_try, setup)
-                r_try = Ac @ w_try - rhs_try
-                rl2_try = float(np.linalg.norm(r_try))
-                if rl2_try <= (1.0 - 1e-4 * lam) * rl2 or \
+                x_try = x + lam * step
+                r_try, f_try = residual(x_try)
+                if np.linalg.norm(r_try) <= (1.0 - 1e-4 * lam) * rl2 or \
                    np.max(np.abs(r_try)) <= tol * scale:
                     break
                 lam *= 0.5
@@ -481,24 +481,17 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
                 # the step is refused and recorded with damping 0; the next
                 # iteration restarts in deflated mode
                 stalled = f"line search stalled below damping {MIN_DAMPING:.1e} at iteration {it}"
-                w_try, rhs_try, r_try, rl2_try, lam = w, rhs, r, rl2, 0.0
-        w, rhs, r = w_try, rhs_try, r_try
-        rn = float(np.max(np.abs(r)))
-        rl2 = rl2_try
-        scale = max(float(np.max(np.abs(rhs))), 1e-300)
+                x_try, r_try, f_try, lam = x, r, f, 0.0
+        x, r, f = x_try, r_try, f_try
+        rl2, rn, scale = _norms(r, f)
         report.iterations = it
-        report.residual_history.append(_res_norms(r))
+        report.residual_history.append((rl2, rn))
         report.damping_history.append(lam)
         idle += 1
         if rn < best_rn:
-            best_w, best_rn, best_it = w, rn, it
+            best_x, best_rn, best_it = x, rn, it
             idle = 0
-    else:
-        fail(f"Newton did not converge in {max_iter} iterations (residual {rn:.3e})")
-    if rn <= tol * scale:
-        report.converged = True
-    init_vals = initial.values if isinstance(initial, GridField) else np.asarray(initial)
-    report.correction_max_norm = float(np.max(np.abs(w - init_vals)))
+    report.correction_max_norm = float(np.max(np.abs(w - start)))
     out = GridField(setup.spec, w, var, {"eps": setup.eps, "p": setup.p})
     return out, report
 

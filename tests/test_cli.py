@@ -315,6 +315,17 @@ def test_invalid_config_no_artifacts(tmp_path):
     with pytest.raises(ConfigError):
         run_pipeline(cfg, str(out))
     assert not (out / "diagnostics.jsonl").exists()
+    # a radius short (one vortex, no radius), one too many and a negative
+    # one fail the config validation, before any stage runs
+    for i, rad in enumerate([[], [0.02, 0.02], -0.02]):
+        cfg["vortices"]["subdomain_radius"] = rad
+        out = tmp_path / f"bad{i}"
+        with pytest.raises(ConfigError, match="subdomain_radius"):
+            run_pipeline(cfg, str(out))
+        assert not (out / "equilibrium.jsonl").exists()
+    cfg_path = write_config(tmp_path, {"vortices.subdomain_radius": -0.02})
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "cli")]) == 2
+    assert not (tmp_path / "cli" / "equilibrium.jsonl").exists()
 
 
 def test_sweep_requires_two_eps(tmp_path):

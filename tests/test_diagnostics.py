@@ -151,9 +151,9 @@ def test_ansatz_energy_bracket_errors(disk_images, profiles, q_zero):
 
 def test_traced_scipy_entry_points_resolve(monkeypatch):
     # perfbench/tracer.py patches these attributes by name to time and count
-    # them; the solver must reach splu/spilu/eigs through the module to be
-    # counted (the tracer does not patch spilu yet, so the ordering pass
-    # shows in the solver's own time)
+    # them (eigs too, which the solver does not call); the solver must
+    # reach splu/spilu through the module to be counted (the tracer does not
+    # patch spilu yet, so the ordering pass shows in the solver's own time)
     for name in ("vortexpatch.diagnostics.brentq", "scipy.sparse.linalg.splu",
                  "scipy.sparse.linalg.spilu", "scipy.sparse.linalg.eigs"):
         module, attr = name.rsplit(".", 1)
@@ -179,8 +179,8 @@ def test_traced_scipy_entry_points_resolve(monkeypatch):
     monkeypatch.setattr(solver.spla, "spilu", recording("spilu"))
     Ac = sp.diags([2.0, 3.0, 4.0], 0, format="csc")
     report = solver.SolveReport()
-    lu = solver._CoreLU(Ac, [1], report).jacobian(np.array([0.0, 1.0, 0.0]))
-    assert np.allclose(lu.solve(np.ones(3)), [0.5, 0.5, 0.25])
+    core_lu = solver._CoreLU(Ac, [1], report)
+    assert np.allclose(core_lu.field(np.array([2.0])), [0.0, 2.0, 0.0])
     assert calls == [("spilu", "MMD_AT_PLUS_A"), ("splu", "NATURAL")]
     assert report.factorizations == 1
 

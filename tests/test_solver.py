@@ -5,10 +5,13 @@ the machinery at eps = 3e-3 on a 1/16-radius disk (cheap grids) plus the
 trivial and manufactured cases.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lu_solve
 
 from vortexpatch import (Domain, GreenEvaluator, HarmonicBackground,
                          background_from_flux, build_grid, solve_profile)
@@ -19,9 +22,9 @@ from vortexpatch.errors import ConfigError, ConvergenceError
 from vortexpatch.grid import GridField, cell_weights, gradient, interpolate
 from vortexpatch.kirchhoff import VortexSystem, find_critical
 from vortexpatch import solver
-from vortexpatch.solver import (STALL_WINDOW, TRUST_RADIUS, SolveReport,
+from vortexpatch.solver import (MIN_DAMPING, STALL_WINDOW, TRUST_RADIUS, SolveReport,
                                 _core_candidates, _CoreLU, _deflated_step,
-                                _jacobian, _lu, _near_null_basis, _trust_step,
+                                _dense_lu, _lu, _near_null_basis, _trust_step,
                                 picard_gap,
                                 rhs_derivative, rhs_eval, setup_problem,
                                 solve_newton, u_from_w, w_from_u)
@@ -198,14 +201,63 @@ def test_overlapping_subdomains_rejected(small_disk, profiles):
 # ---------------------------------------------------------------------- #
 
 
-def test_zero_data_returns_zero(solved_case):
+@pytest.mark.parametrize("fraction", [0.0, 0.1], ids=["zero", "tenth-ansatz"])
+def test_zero_data_returns_zero(solved_case, fraction):
+    # a start below every activation level (the zero field, or a tenth of
+    # the ansatz, whose largest gate argument is -0.84) has an empty core:
+    # the zero field is the solution, returned without an iteration
     setup = solved_case["setup"]
-    zero = GridField(setup.spec, np.zeros(setup.spec.n_interior), "w",
-                     {"eps": solved_case["eps"], "p": 2.0})
-    fld, rep = solve_newton(setup, zero)
-    assert rep.iterations <= 1
+    start = GridField(setup.spec, fraction * solved_case["init"].values, "w",
+                      {"eps": solved_case["eps"], "p": 2.0})
+    assert np.max(setup.gate_argument(start.values)) < -0.8
+    fld, rep = solve_newton(setup, start)
+    assert rep.iterations == 0
     assert np.all(fld.values == 0.0)
     assert rep.converged
+
+
+def _full_grid_newton(setup, start, tol=1e-10, max_iter=60):
+    """An independent reference for the core reduction: semismooth Newton on
+    every node, a sparse LU of Ac - diag(f') at each iteration, with
+    solve_newton's step cap and line search.  Returns the field and the
+    damping history."""
+    Ac = setup.operator().tocsc()
+    w = start.copy()
+    field_range = max(float(np.max(w) - np.min(w)), 1e-12)
+    rhs = rhs_eval(w, setup)
+    r = Ac @ w - rhs
+    damping = []
+    while np.max(np.abs(r)) > tol * max(np.max(np.abs(rhs)), 1e-300):
+        assert len(damping) < max_iter
+        J = (Ac - sp.diags(rhs_derivative(w, setup))).tocsc()
+        step = spla.splu(J).solve(-r)
+        sn = np.max(np.abs(step))
+        if sn > 0.3 * field_range:
+            step *= 0.3 * field_range / sn
+        lam, rl2 = 1.0, np.linalg.norm(r)
+        while True:
+            assert lam >= MIN_DAMPING
+            w_try = w + lam * step
+            rhs_try = rhs_eval(w_try, setup)
+            r_try = Ac @ w_try - rhs_try
+            if np.linalg.norm(r_try) <= (1.0 - 1e-4 * lam) * rl2 or \
+               np.max(np.abs(r_try)) <= tol * max(np.max(np.abs(rhs)), 1e-300):
+                break
+            lam *= 0.5
+        w, rhs, r = w_try, rhs_try, r_try
+        damping.append(lam)
+    return w, damping
+
+
+def test_core_newton_matches_full_grid_newton(solved_case):
+    # Newton on the core values takes the full-grid Newton steps restricted
+    # to the core: the same iterations and dampings, and the same field
+    c = solved_case
+    fld, rep = solve_newton(c["setup"], c["init"])
+    w_ref, damping = _full_grid_newton(c["setup"], c["init"].values)
+    assert rep.converged and rep.iterations == len(damping) >= 2
+    assert rep.damping_history == damping
+    assert np.max(np.abs(fld.values - w_ref)) <= 1e-10 * np.max(np.abs(w_ref))
 
 
 def test_newton_converges_and_residual_monotone_tail(solved_case):
@@ -274,31 +326,40 @@ def test_newton_stall_raises_with_best_iterate(solved_case, variable):
     assert exc.report.iterations < max_iter
     assert exc.report.iterations - best_it <= 2 * STALL_WINDOW
     assert exc.best.variable == variable
-    r = setup.operator() @ exc.best.values - rhs_eval(exc.best.values, setup)
+    # the history holds core residuals S x - f_T(x), x the values on the core
+    core_lu = _CoreLU(setup.operator(), _core_candidates(setup, init.values), SolveReport())
+    T = core_lu.core
+    r = core_lu.S @ exc.best.values[T] - rhs_eval(exc.best.values, setup)[T]
     assert float(np.max(np.abs(r))) == min(hist)
 
 
 def test_deflated_steps_reach_newton_solution(solved_case):
     # the deflated mode on its own, from the cold start: complement Newton
-    # steps plus trust-region steps along the near-null pair land on the
-    # plain Newton solution
+    # steps plus trust-region steps along the near-null pair of the core
+    # Jacobian land on the plain Newton solution
     c = solved_case
     setup = c["setup"]
-    Ac = setup.operator()
-    w = c["init"].values.copy()
-    rhs = rhs_eval(w, setup)
-    r = Ac @ w - rhs
+    core_lu = _CoreLU(setup.operator(), _core_candidates(setup, c["init"].values),
+                      SolveReport())
+    T = core_lu.core
+    gates = replace(setup, vortex=setup.vortex[T], sign=setup.sign[T], level=setup.level[T])
+
+    def residual(v):
+        f = rhs_eval(v, gates)
+        return core_lu.S @ v - f, f
+
+    x = c["init"].values[T]
+    r, f = residual(x)
     radius = TRUST_RADIUS
-    core_lu = _CoreLU(Ac, _core_candidates(setup, w), SolveReport())
     for _ in range(10):
-        if np.max(np.abs(r)) <= 1e-10 * np.max(np.abs(rhs)):
+        if np.max(np.abs(r)) <= 1e-10 * np.max(np.abs(f)):
             break
-        J = _jacobian(Ac, w, setup)
-        lu = core_lu.jacobian(rhs_derivative(w, setup))
-        Q, _ = _near_null_basis(J, lu, 2)
-        w, r, rhs, _, radius = _deflated_step(w, r, Ac, setup, J, lu, Q, radius)
-    assert np.max(np.abs(r)) <= 1e-10 * np.max(np.abs(rhs))
-    assert np.max(np.abs(w - c["field"].values)) < 1e-8
+        J = core_lu.S - np.diag(rhs_derivative(x, gates))
+        Q, _ = _near_null_basis(J, 2)
+        x, r, f, _, radius = _deflated_step(x, r, residual, J, _dense_lu(J, SolveReport()),
+                                            Q, radius)
+    assert np.max(np.abs(r)) <= 1e-10 * np.max(np.abs(f))
+    assert np.max(np.abs(core_lu.field(x) - c["field"].values)) < 1e-8
 
 
 def test_lu_ordering_matches_colamd_with_less_fill(solved_case):
@@ -310,7 +371,7 @@ def test_lu_ordering_matches_colamd_with_less_fill(solved_case):
     setup = c["setup"]
     w = c["field"].values
     assert np.any(rhs_derivative(w, setup) > 0.0)
-    J = _jacobian(setup.operator(), w, setup)
+    J = (setup.operator() - sp.diags(rhs_derivative(w, setup))).tocsc()
     lu, ref = _lu(J), spla.splu(J)
     b = np.random.default_rng(5).standard_normal(J.shape[0])
     x, x_ref = lu.solve(b), ref.solve(b)
@@ -326,11 +387,10 @@ def test_factorize_singular_raises():
         _CoreLU(sp.diags([1.0, 0.0, 2.0], 0, format="csc"), [], SolveReport())
     Ac = sp.diags([1.0, 2.0, 3.0], 0, format="csc")
     core_lu = _CoreLU(Ac, [1, 2], SolveReport())
-    assert np.allclose(core_lu.jacobian(np.array([0.0, 1.0, 0.0])).solve(np.ones(3)),
-                       [1.0, 1.0, 1.0 / 3.0])
-    d = np.array([0.0, 2.0, 0.0])
+    J = core_lu.S - np.diag([1.0, 0.0])
+    assert np.allclose(lu_solve(_dense_lu(J, SolveReport()), np.ones(2)), [1.0, 1.0 / 3.0])
     with pytest.raises(ConvergenceError, match="factorization failed.*core block"):
-        core_lu.jacobian(d)
+        _dense_lu(core_lu.S - np.diag([2.0, 0.0]), SolveReport())
 
 
 def test_core_row_pivot_raises():
@@ -347,31 +407,38 @@ def test_core_row_pivot_raises():
 
 
 # ---------------------------------------------------------------------- #
-#  the Jacobian solves on the core Schur complement
+#  the core Schur complement
 # ---------------------------------------------------------------------- #
-
-
-def _relative_gap(lu, J, seed=5):
-    b = np.random.default_rng(seed).standard_normal(J.shape[0])
-    ref = spla.splu(J).solve(b)
-    return np.linalg.norm(lu.solve(b) - ref) / np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("variable", ["w", "u"])
 def test_core_jacobian_solve_matches_splu(solved_case, variable):
+    # S is the Schur complement A_TT - A_TO A_OO^-1 A_OT of the operator on
+    # the core T, and a solve with the core Jacobian S - diag(f'_T) is the
+    # core block of the full Jacobian's solve of a load on T
     c = solved_case
     conv = 1.0 if variable == "w" else abs(np.log(c["eps"])) / (2 * np.pi)
     setup = setup_problem(c["grid"], c["vs"], c["q"], c["eps"], 2.0, variable=variable)
-    Ac = setup.operator()
+    Ac = setup.operator().tocsc()
     start = c["init"].values * conv
     report = SolveReport()
     core_lu = _CoreLU(Ac, _core_candidates(setup, start), report)
+    T = core_lu.core
+    O = np.setdiff1d(np.arange(Ac.shape[0]), T)
+    A_OO_inv_A_OT = spla.splu(Ac[O][:, O].tocsc()).solve(Ac[O][:, T].toarray())
+    schur = Ac[T][:, T].toarray() - Ac[T][:, O] @ A_OO_inv_A_OT
+    assert np.max(np.abs(core_lu.S - schur)) <= 1e-10 * np.max(np.abs(schur))
+    b = np.random.default_rng(5).standard_normal(T.size)
+    load = np.zeros(Ac.shape[0])
+    load[T] = b
     for w in (start, c["field"].values * conv):
         d = rhs_derivative(w, setup)
-        assert 100 < np.sum(d > 0.0) < core_lu.core.size
-        assert _relative_gap(core_lu.jacobian(d), _jacobian(Ac, w, setup)) <= 1e-10
+        assert 100 < np.sum(d[T] > 0.0) == np.sum(d > 0.0) < T.size
+        y = lu_solve(_dense_lu(core_lu.S - np.diag(d[T]), report), b)
+        ref = spla.splu((Ac - sp.diags(d)).tocsc()).solve(load)[T]
+        assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(ref)
     # one factorization with the core last, no rebuild
-    assert report.factorizations == 1 and report.core_nodes == core_lu.core.size
+    assert report.factorizations == 1 and report.core_nodes == T.size
 
 
 @pytest.mark.parametrize("variable", ["w", "u"])
@@ -386,67 +453,72 @@ def test_ordering_pass_matches_full_lu_order(solved_case, variable):
     assert np.array_equal(core_lu.order, np.argsort(_lu(Ac).perm_c))
 
 
-def test_core_grows_when_the_active_set_leaves_it(solved_case):
+def test_core_grows_when_the_active_set_leaves_it(solved_case, monkeypatch):
+    # a core of only the nodes above half the start's largest gate argument:
+    # the field of the first converged core values activates nodes outside
+    # it, so the core grows to the union and Newton continues there, until
+    # a field activates no node outside its core
     c = solved_case
     setup = c["setup"]
-    Ac = setup.operator()
-    report = SolveReport()
-    core_lu = _CoreLU(Ac, _core_candidates(setup, c["init"].values), report)
-    first = core_lu.core
-    # a raised field opens the gate on a wider disc than the candidate core
-    w = c["field"].values + 0.5
-    d = rhs_derivative(w, setup)
-    assert np.any(d[np.setdiff1d(np.arange(d.size), first)] > 0.0)
-    lu = core_lu.jacobian(d)
-    assert report.factorizations == 2
-    assert np.all(np.isin(first, core_lu.core))
-    assert np.array_equal(core_lu.core, np.union1d(first, np.flatnonzero(d > 0.0)))
-    assert report.core_nodes == core_lu.core.size
-    assert _relative_gap(lu, _jacobian(Ac, w, setup)) <= 1e-10
-    # the grown core serves the old active set without another rebuild
-    core_lu.jacobian(rhs_derivative(c["field"].values, setup))
-    assert report.factorizations == 2
+    monkeypatch.setattr(solver, "CORE_MARGIN", -0.5)
+    first = _core_candidates(setup, c["init"].values)
+    fld, rep = solve_newton(setup, c["init"])
+    active = np.flatnonzero(setup.excess(fld.values) > 0.0)
+    assert not np.all(np.isin(active, first))
+    assert rep.converged and rep.factorizations >= 2
+    assert rep.core_nodes >= active.size
+    assert len(rep.residual_history) == len(rep.damping_history) + 1 == rep.iterations + 1
+    ref = c["field"].values
+    assert np.max(np.abs(fld.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_empty_core(solved_case):
-    # no candidate node (k = 0): J = Ac, solved by the sparse LU alone; the
-    # first Jacobian with an active node grows the core from nothing
+    # a start that activates no node has an empty core (k = 0) and the zero
+    # field; where the zero field itself activates nodes (here: levels
+    # lowered below zero on a few nodes), the core grows from nothing to
+    # them, with the first factorization, and Newton solves from there
     c = solved_case
     setup = c["setup"]
-    Ac = setup.operator()
-    zero = np.zeros(setup.spec.n_interior)
-    assert _core_candidates(setup, zero).size == 0
-    report = SolveReport()
-    core_lu = _CoreLU(Ac, _core_candidates(setup, zero), report)
-    assert report.core_nodes == 0
-    assert _relative_gap(core_lu.jacobian(rhs_derivative(zero, setup)), Ac.tocsc()) <= 1e-10
-    w = c["field"].values
-    lu = core_lu.jacobian(rhs_derivative(w, setup))
-    assert report.factorizations == 2 and report.core_nodes == np.sum(rhs_derivative(w, setup) > 0)
-    assert _relative_gap(lu, _jacobian(Ac, w, setup)) <= 1e-10
+    gated = setup.vortex >= 0
+    low = setup.level - (np.min(setup.level[gated]) + 1e-3)
+    lowered = replace(setup, level=np.where(gated, low, 0.0))
+    start = -0.1 * c["init"].values
+    assert _core_candidates(lowered, start).size == 0
+    assert np.any(lowered.excess(np.zeros_like(start)) > 0.0)
+    fld, rep = solve_newton(lowered, start)
+    assert rep.converged and rep.iterations >= 1 and rep.notes == ""
+    assert rep.factorizations == 1 and rep.core_nodes > 0
+    r = lowered.operator() @ fld.values - rhs_eval(fld.values, lowered)
+    assert np.max(np.abs(r)) <= 1e-10 * np.max(np.abs(rhs_eval(fld.values, lowered)))
 
 
 def test_newton_factors_the_operator_once(solved_case, monkeypatch):
     # one factorization with the core last, after an ordering pass that
-    # factors nothing; every Newton step after that is a dense LU of the core block, and the sparse
-    # Jacobian, read only by the deflated mode and the failure message, is
-    # never built on the plain path
+    # factors nothing, and one sparse solve, for the field of the converged
+    # core values; every Newton step is a dense LU of the core Jacobian
     c = solved_case
     calls = []
     real = solver.spla.splu
 
+    class Recorded:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+        def solve(self, b):
+            calls.append("solve")
+            return self._lu.solve(b)
+
     def recording(*args, **kwargs):
         calls.append(kwargs.get("permc_spec"))
-        return real(*args, **kwargs)
-
-    def no_jacobian(*args):
-        raise AssertionError("sparse Jacobian built on the plain path")
+        return Recorded(real(*args, **kwargs))
 
     monkeypatch.setattr(solver.spla, "splu", recording)
-    monkeypatch.setattr(solver, "_jacobian", no_jacobian)
     fld, rep = solve_newton(c["setup"], c["init"])
     assert rep.converged and rep.iterations >= 2
-    assert calls == ["NATURAL"]
+    assert calls == ["NATURAL", "solve"]
     assert rep.factorizations == 1
     assert rep.core_nodes == _core_candidates(c["setup"], c["init"].values).size
     assert np.max(np.abs(fld.values - c["field"].values)) < 1e-12
@@ -455,7 +527,7 @@ def test_newton_factors_the_operator_once(solved_case, monkeypatch):
 def test_pair_converges_on_the_plain_path(small_disk, profiles, monkeypatch):
     # the +/- pair at eps 3e-3 in 0.02 subdomains, a saddle of the reduced
     # energy: exact Newton steps converge with no deflated restart and no
-    # near-null basis (shift-invert Arnoldi) at all
+    # near-null basis at all
     rp, eps = profiles[2.0], 3e-3
     ge = GreenEvaluator(small_disk)
     q = HarmonicBackground.zero()
@@ -469,18 +541,14 @@ def test_pair_converges_on_the_plain_path(small_disk, profiles, monkeypatch):
     setup = setup_problem(gs, vs, q, eps, rp.p)
     init = GridField(gs, AnsatzField(cores, vs, rp, ge, q).evaluate(gs.points), "w",
                      {"eps": eps, "p": rp.p})
-    calls = []
-    real = solver.spla.eigs
 
-    def recording(*args, **kwargs):
-        calls.append(kwargs.get("k"))
-        return real(*args, **kwargs)
+    def no_basis(*args):
+        raise AssertionError("near-null basis computed on the plain path")
 
-    monkeypatch.setattr(solver.spla, "eigs", recording)
+    monkeypatch.setattr(solver, "_near_null_basis", no_basis)
     _, rep = solve_newton(setup, init)
     assert setup.near_null_dim == 4
     assert rep.converged and rep.notes == ""
-    assert calls == []
 
 
 def test_trust_step_model_minimizer():
