@@ -35,11 +35,11 @@ alternates 1D gluing-root solves with a linear update until both residual
 families sit at rounding level.
 """
 
+import math
 import warnings
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.optimize import brentq
 
 from .errors import DomainError, SolvabilityError, ConvergenceError
 from .kirchhoff import interaction_table
@@ -88,12 +88,37 @@ def glue_residual(delta, a, s, rp, big_r):
     return lhs - a / np.log(s / big_r)
 
 
+def _glue_root(delta, a, big_r, al, c, lo, hi):
+    """The root in log s of f(ls) = (delta/s)^al c ln(bigR/s) - a, s = e^ls,
+    inside [lo, hi] with f(lo) > 0 > f(hi): Newton on Python floats, with a
+    bisection of the shrinking bracket whenever a step would leave it."""
+    ls = 0.5 * (lo + hi)
+    for _ in range(200):
+        s = math.exp(ls)
+        u = (delta / s)**al * c
+        big_l = math.log(big_r / s)
+        f = u * big_l - a
+        if f > 0.0:
+            lo = ls
+        else:
+            hi = ls
+        new = ls + f / (u * (al * big_l + 1.0))       # f' = -u (al ln(bigR/s) + 1)
+        if new == ls:
+            break
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+            if new in (lo, hi):                       # bracket at adjacent floats
+                break
+        ls = new
+    return ls
+
+
 def solve_s(delta, a, big_r, rp):
     """Unique core radius in (0, bigR) solving the gluing equation.
 
     Brackets the root on a log grid (the rescaled residual
     (delta/s)^(2/(p-1)) |phi'(1)| ln(bigR/s) - a decreases in s), then
-    refines with Brent plus a Newton polish in log s.
+    refines by safeguarded Newton in log s.
     """
     if delta <= 0 or a <= 0:
         raise SolvabilityError("solve_s needs delta > 0 and a > 0")
@@ -114,15 +139,8 @@ def solve_s(delta, a, big_r, rp):
         raise SolvabilityError(
             "no admissible core radius: the gluing equation has no sign change "
             f"in (0, bigR) for delta={delta:.3e}; use a smaller delta")
-    ls = brentq(f, grid[idx[0]], grid[idx[0] + 1], xtol=1e-15, rtol=8.9e-16)
-    # Newton polish in log s: d/dls f = -(al (delta/s)^al c ln(bigR/s) + (delta/s)^al c)
-    for _ in range(3):
-        s = np.exp(ls)
-        df = -(al * (delta / s)**al * c * np.log(big_r / s) + (delta / s)**al * c)
-        if df == 0:
-            break
-        ls -= f(ls) / df
-    s = float(np.exp(ls))
+    s = math.exp(_glue_root(float(delta), float(a), float(big_r), al, c,
+                            float(grid[idx[0]]), float(grid[idx[0] + 1])))
     res = abs(glue_residual(delta, a, s, rp, big_r))
     if res > 1e-12 * max(1.0, a / abs(np.log(s / big_r))):
         raise SolvabilityError(f"gluing root refinement stalled at residual {res:.2e}")

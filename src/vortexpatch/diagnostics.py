@@ -7,8 +7,6 @@ import warnings
 
 import numpy as np
 from dataclasses import dataclass, field
-# unused here; perfbench/tracer.py patches this name to count root solves
-from scipy.optimize import brentq  # noqa: F401
 
 from .ansatz import eps_log
 from .errors import ConfigError
@@ -17,6 +15,16 @@ from .kirchhoff import interaction_table
 from .solver import rhs_eval, u_from_w, w_from_u
 
 TWO_PI = 2.0 * np.pi
+
+
+def __getattr__(name):
+    """``brentq`` is unused here, but perfbench/tracer.py patches this name
+    to count root solves: it is imported on first access, so only a traced
+    run loads scipy.optimize."""
+    if name == "brentq":
+        from scipy.optimize import brentq
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------- #

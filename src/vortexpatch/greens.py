@@ -23,13 +23,9 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import CompatibilityError, ConfigError, DomainError, SingularityError
-from .geometry import Domain, _fft_derivative
+from .geometry import CHUNK, Domain, _fft_derivative
 
 TWO_PI = 2.0 * np.pi
-# Targets per block in the barycentric sum: each (block x boundary samples)
-# complex temporary is 2 MB at 512 samples and stays in a core's L2 cache
-# (1,024-target blocks took twice as long on a 2 MB-L2 Xeon).
-CHUNK = 256
 # Far-field series about y on |x - y| < SERIES_THETA min_j |b_j - y|: each
 # pole's tail after SERIES_TERMS terms is below 2 * 2^-56 = 2.8e-17 of it.
 SERIES_THETA = 0.5

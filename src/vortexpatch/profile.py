@@ -2,16 +2,23 @@
 
 One shooting integration per exponent: start the radial ODE
 
-    phi'' + phi'/r + phi^p = 0,   phi(0) = 1, phi'(0) = 0
+    psi'' + psi'/r + psi^p = 0,   psi(0) = 1, psi'(0) = 0
 
-off the coordinate singularity with a two-term Taylor step, integrate to the
-first zero r0, then rescale by the exact similarity
+off the coordinate singularity at r = 1e-3 from its Taylor series, integrate
+to the first zero r0 with the embedded Runge-Kutta pair of Dormand & Prince
+(J. Comput. Appl. Math. 6, 1980; order 5 with a 4th-order error estimate,
+rtol 1e-13, atol 1e-15, on plain floats), then rescale by the exact
+similarity
 
     phi(r) = r0^(2/(p-1)) * psi(r0 * r)
 
-to place the zero at r = 1.  The boundary slope and the two disk integrals
-int phi^p, int phi^(p+1) are accumulated along the integration and rescaled
-exactly, so the Pohozaev identities
+to place the zero at r = 1.  The last step is cut at the zero by Newton on
+its length.  The table is read off the steps by quintic Hermite
+interpolation of (psi, psi', psi'') at the step ends, and phi between table
+nodes by a cubic Hermite of (phi, phi') in the angle of the Chebyshev
+nodes, on which they are uniform.  The boundary slope and the two
+disk integrals int phi^p, int phi^(p+1) are accumulated along the
+integration and rescaled exactly, so the Pohozaev identities
 
     int_B1 phi^p     = 2 pi |phi'(1)|
     int_B1 phi^(p+1) = pi (p+1)/2 |phi'(1)|^2
@@ -19,14 +26,30 @@ exactly, so the Pohozaev identities
 act as end-to-end accuracy checks rather than inputs.
 """
 
-import numpy as np
+import math
 from dataclasses import dataclass, field
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
+from operator import mul
+
+import numpy as np
 
 from .errors import SolvabilityError, VortexPatchError
 
 N_TABLE = 4096
+R_START = 1e-3
+TWO_PI = 2.0 * math.pi
+
+# Dormand-Prince 5(4): nodes c2..c7 and rows a_i of the stages; the last row
+# is the 5th-order solution, so its stage is the next step's first, and _E
+# weighs the error estimate (5th- minus 4th-order solution)
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+      (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_B = _A[-1]                            # the 7th stage has weight 0
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
 @dataclass
@@ -39,12 +62,31 @@ class RadialProfile:
     int_phi_p: float                   # int_{B1} phi^p
     int_phi_p1: float                  # int_{B1} phi^(p+1)
     phi0: float                        # phi(0)
-    _phi_ip: PchipInterpolator = field(default=None, repr=False)
+    _scale: float = field(init=False, repr=False)
+    _coef: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # phi as a cubic Hermite in x = n - 1 - (n-1) theta/pi, with
+        # r = (1 + cos theta)/2 (theta runs from the rim): the table nodes sit
+        # at the integers x = k, so a radius lies in the interval floor(x),
+        # and r = 0 and r = 1 land on x = 0 and the last node exactly
+        n = len(self.r)
+        self._scale = (n - 1) / np.pi
+        # dphi/dx = phi'(r) dr/dx, with dr/dtheta = sqrt(r (1 - r)): zero at both ends
+        dx = self.dphi * np.sqrt(self.r * (1.0 - self.r)) / self._scale
+        step = np.diff(self.phi)
+        d0, d1 = dx[:-1], dx[1:]
+        # the last piece is the constant phi(1) = 0 at x = n - 1
+        self._coef = (self.phi, dx, np.append(3.0 * step - 2.0 * d0 - d1, 0.0),
+                      np.append(d0 + d1 - 2.0 * step, 0.0))
 
     def phi_at(self, r):
         """phi(|r|) for r in [0, 1]; clamps tiny overshoots at the ends."""
-        rr = np.clip(np.asarray(r, dtype=float), 0.0, 1.0)
-        return np.maximum(self._phi_ip(rr), 0.0)
+        x = (len(self.r) - 1) - np.arccos(2.0 * np.clip(r, 0.0, 1.0) - 1.0) * self._scale
+        k = x.astype(np.intp)
+        d = x - k
+        c0, c1, c2, c3 = self._coef
+        return np.maximum(c0.take(k) + d * (c1.take(k) + d * (c2.take(k) + d * c3.take(k))), 0.0)
 
     def pohozaev_residuals(self):
         s = abs(self.slope_at_one)
@@ -53,33 +95,91 @@ class RadialProfile:
         return r1, r2
 
 
-def _integrate(p, rtol=1e-13, atol=1e-14):
-    """Shoot from psi(0) = 1; returns (r0, psi'(r0), Ip(r0), Ip1(r0), dense sol)."""
-    r_start = 1e-6
-    # series psi = 1 - r^2/4 + p r^4/64 near the singular origin
-    y0 = [1.0 - r_start**2 / 4.0 + p * r_start**4 / 64.0,
-          -r_start / 2.0 + p * r_start**3 / 16.0,
-          np.pi * r_start**2,            # int 2 pi t psi^p dt ~ pi r^2
-          np.pi * r_start**2]
+def _series(p, t):
+    """psi, psi' = 1 - t^2/4 + p t^4/64, -t/2 + p t^3/16 near the origin."""
+    t2 = t * t
+    return 1.0 - t2 / 4.0 + p * t2 * t2 / 64.0, t * (-0.5 + p * t2 / 16.0)
 
-    def rhs(r, y):
-        psi = max(y[0], 0.0)
-        return [y[1], -y[1] / r - psi**p,
-                2.0 * np.pi * r * psi**p,
-                2.0 * np.pi * r * psi**(p + 1)]
 
-    def hit_zero(r, y):
-        return y[0]
-    hit_zero.terminal = True
-    hit_zero.direction = -1
+def _integrate(p, rtol=1e-13, atol=1e-15):
+    """Shoot from psi(0) = 1 to the first zero r0.
 
-    sol = solve_ivp(rhs, [r_start, 100.0], y0, method="DOP853",
-                    rtol=rtol, atol=atol, events=hit_zero, dense_output=True)
-    if sol.status != 1 or len(sol.t_events[0]) == 0:
-        raise VortexPatchError(f"radial shoot failed for p={p}: {sol.message}")
-    r0 = float(sol.t_events[0][0])
-    ye = sol.y_events[0][0]
-    return r0, float(ye[1]), float(ye[2]), float(ye[3]), sol
+    Returns (r0, psi'(r0), Ip(r0), Ip1(r0), ends), with Ip, Ip1 the disk
+    integrals of psi^p, psi^(p+1) and ends = (r, psi, psi', psi'') at every
+    step end from R_START to r0.
+    """
+    def stage(r, u, v):
+        # (psi', psi'', Ip', Ip1') at (r, psi = u, psi' = v)
+        up = u if u > 0.0 else 0.0
+        w = up**p
+        return v, -v / r - w, TWO_PI * r * w, TWO_PI * r * w * up
+
+    def step(h):
+        # one Dormand-Prince step of length h from (r, u, v, ip, ip1)
+        ks = [k]
+        for c, a in zip(_C, _A):
+            ks.append(stage(r + c * h, u + h * sum(map(mul, a, [s[0] for s in ks])),
+                            v + h * sum(map(mul, a, [s[1] for s in ks]))))
+        dv, dg, dw, dx = zip(*ks)
+        new = (u + h * sum(map(mul, _B, dv)), v + h * sum(map(mul, _B, dg)),
+               ip + h * sum(map(mul, _B, dw)), ip1 + h * sum(map(mul, _B, dx)))
+        err = math.sqrt(0.25 * sum(
+            (h * sum(map(mul, _E, dk)) / (atol + rtol * max(abs(y0), abs(y1))))**2
+            for dk, y0, y1 in zip((dv, dg, dw, dx), (u, v, ip, ip1), new)))
+        return new, ks[-1], err
+
+    r = R_START
+    u, v = _series(p, r)
+    # int_0^r 2 pi t psi^q dt = pi r^2 (1 - q r^2/8) + O(r^6) for q = p, p+1
+    ip, ip1 = math.pi * r * r * (1.0 - p * r * r / 8.0), math.pi * r * r * (1.0 - (p + 1.0) * r * r / 8.0)
+    k = stage(r, u, v)
+    ends = [(r, u, v, k[1])]
+    h = 1e-2
+    while True:
+        if r > 100.0 or h < 1e-12 * r:
+            raise VortexPatchError(f"radial shoot failed for p={p}: no zero found at r={r:.3g}")
+        new, k_new, err = step(h)
+        if new[0] <= 0.0:
+            # the zero lies inside this step: Newton on the step length
+            h *= u / (u - new[0])
+            for _ in range(50):
+                new, k_new, err = step(h)
+                dh = new[0] / new[1]
+                if abs(dh) <= 1e-16 * (r + h):
+                    break
+                h -= dh
+            else:
+                raise VortexPatchError(f"radial shoot failed for p={p}: no zero in the last step")
+            if err <= 1.0:
+                r += h
+                ends.append((r, new[0], new[1], k_new[1]))
+                return r, new[1], new[2], new[3], ends
+            h *= 0.5
+            continue
+        if err <= 1.0:
+            r += h
+            (u, v, ip, ip1), k = new, k_new
+            ends.append((r, u, v, k[1]))
+        h *= min(10.0, max(0.2, 0.9 * err**-0.2)) if err > 0.0 else 10.0
+
+
+def _hermite5(ends, t):
+    """psi(t) and psi'(t) from the quintic Hermite of (psi, psi', psi'') on
+    the step holding each t (R_START <= t <= r0)."""
+    re, y, dy, ddy = np.array(ends).T
+    i = np.clip(np.searchsorted(re, t, side="right") - 1, 0, len(re) - 2)
+    h = re[i + 1] - re[i]
+    x = (t - re[i]) / h
+    y0, y1 = y[i], y[i + 1]
+    d0, d1 = h * dy[i], h * dy[i + 1]
+    e0, e1 = h * h * ddy[i], h * h * ddy[i + 1]
+    # the quintic in powers of x matching value, slope and curvature at 0, 1
+    a3 = 10.0 * (y1 - y0) - 6.0 * d0 - 4.0 * d1 - 1.5 * e0 + 0.5 * e1
+    a4 = -15.0 * (y1 - y0) + 8.0 * d0 + 7.0 * d1 + 1.5 * e0 - e1
+    a5 = 6.0 * (y1 - y0) - 3.0 * (d0 + d1) - 0.5 * (e0 - e1)
+    psi = y0 + x * (d0 + x * (0.5 * e0 + x * (a3 + x * (a4 + x * a5))))
+    dpsi = (d0 + x * (e0 + x * (3.0 * a3 + x * (4.0 * a4 + x * 5.0 * a5)))) / h
+    return psi, dpsi
 
 
 def solve_profile(p, tol=1e-4):
@@ -87,13 +187,13 @@ def solve_profile(p, tol=1e-4):
 
     tol bounds the finite-difference ODE residual of the tabulated profile
     (a sanity check on the table, the integration itself runs much tighter;
-    the Pohozaev invariants hold at the integrator's 1e-8 level).
+    the Pohozaev invariants hold to about 1e-12).
     """
     if p <= 1.0:
         raise SolvabilityError("profile exponent must satisfy p > 1")
     if tol <= 0:
         raise SolvabilityError("tol must be positive")
-    r0, dpsi_r0, ip_r0, ip1_r0, sol = _integrate(p)
+    r0, dpsi_r0, ip_r0, ip1_r0, ends = _integrate(p)
 
     alpha = 2.0 / (p - 1.0)
     phi0 = r0**alpha
@@ -105,12 +205,10 @@ def solve_profile(p, tol=1e-4):
     k = np.arange(N_TABLE)
     r = 0.5 * (1.0 - np.cos(np.pi * k / (N_TABLE - 1)))
     t = np.minimum(r * r0, r0)
+    series = t < R_START
     vals = np.empty((2, N_TABLE))
-    series = t < sol.t[0]
-    vals[:, ~series] = sol.sol(t[~series])[:2]
-    ts = t[series]
-    vals[0, series] = 1.0 - ts**2 / 4.0 + p * ts**4 / 64.0
-    vals[1, series] = -ts / 2.0 + p * ts**3 / 16.0
+    vals[:, series] = _series(p, t[series])
+    vals[:, ~series] = _hermite5(ends, t[~series])
     phi = phi0 * vals[0]
     dphi = r0**(alpha + 1.0) * vals[1]
     phi[-1] = 0.0
@@ -118,8 +216,6 @@ def solve_profile(p, tol=1e-4):
     prof = RadialProfile(p=float(p), r=r, phi=phi, dphi=dphi,
                          slope_at_one=slope, int_phi_p=int_phi_p,
                          int_phi_p1=int_phi_p1, phi0=phi0)
-    prof._phi_ip = PchipInterpolator(r, phi, extrapolate=False)
-
     res = _ode_residual(prof)
     if res > tol:
         raise VortexPatchError(

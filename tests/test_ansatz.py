@@ -1,5 +1,6 @@
 """Core radii, plateau levels, the coupled system and the composite field."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.optimize import brentq
 from vortexpatch import (Domain, GreenEvaluator, HarmonicBackground,
                          background_from_flux, solve_core_system, solve_s,
                          w_delta_eval)
-from vortexpatch.ansatz import (AnsatzField, ansatz_tilt, core_residuals,
+from vortexpatch.ansatz import (AnsatzField, _glue_root, ansatz_tilt, core_residuals,
                                 delta_from_eps, glue_residual, refine_positions,
                                 support_predict)
 from vortexpatch.diagnostics import ansatz_energy_expansion
@@ -104,36 +105,59 @@ def test_solve_s_errors(profiles):
         solve_s(1e-5, -1.0, 4.0, rp)
 
 
-def _solve_s_scalar_scan(delta, a, big_r, rp):
-    """solve_s with its bracket scan written as one scalar call per grid
-    point."""
+def _scan_bracket(delta, big_r, f):
+    """solve_s's bracket scan written as one scalar call per grid point."""
+    grid = np.linspace(np.log(delta) - 60.0, np.log(big_r) - 1e-12, 200)
+    vals = np.array([f(g) for g in grid])
+    idx = np.nonzero(np.diff(np.sign(vals)) < 0)[0]
+    return float(grid[idx[0]]), float(grid[idx[0] + 1])
+
+
+def _glue_f(delta, a, big_r, rp):
     al = 2.0 / (rp.p - 1.0)
     c = abs(rp.slope_at_one)
 
     def f(ls):
         s = np.exp(ls)
         return (delta / s)**al * c * np.log(big_r / s) - a
+    return al, c, f
 
-    grid = np.linspace(np.log(delta) - 60.0, np.log(big_r) - 1e-12, 200)
-    vals = np.array([f(g) for g in grid])
-    idx = np.nonzero(np.diff(np.sign(vals)) < 0)[0]
-    ls = brentq(f, grid[idx[0]], grid[idx[0] + 1], xtol=1e-15, rtol=8.9e-16)
-    for _ in range(3):
-        s = np.exp(ls)
-        df = -(al * (delta / s)**al * c * np.log(big_r / s) + (delta / s)**al * c)
-        if df == 0:
-            break
-        ls -= f(ls) / df
-    return float(np.exp(ls))
+
+def _solve_s_scalar_scan(delta, a, big_r, rp):
+    """solve_s with its bracket scan written as one scalar call per grid
+    point, refined by the same root finder."""
+    al, c, f = _glue_f(delta, a, big_r, rp)
+    lo, hi = _scan_bracket(delta, big_r, f)
+    return math.exp(_glue_root(delta, a, big_r, al, c, lo, hi))
+
+
+GLUE_GRID = [(p, delta, a, big_r) for p in (1.5, 2.0, 3.0) for delta in (1e-2, 1e-4, 1e-6, 1e-8)
+             for a in (0.3, 1.0, 3.0) for big_r in (1.0, 4.0)]
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_solve_s_vector_scan_matches_scalar_scan(profiles, p):
     rp = profiles[p]
-    for delta in (1e-2, 1e-4, 1e-6, 1e-8):
-        for a in (0.3, 1.0, 3.0):
-            for big_r in (1.0, 4.0):
-                assert solve_s(delta, a, big_r, rp) == _solve_s_scalar_scan(delta, a, big_r, rp)
+    for _, delta, a, big_r in (g for g in GLUE_GRID if g[0] == p):
+        assert solve_s(delta, a, big_r, rp) == _solve_s_scalar_scan(delta, a, big_r, rp)
+
+
+def test_glue_root_matches_brentq(profiles):
+    # the root in log s against scipy's Brent plus three Newton steps; one
+    # ulp of log s is up to ~30 ulp of s at the smallest cores
+    worst = 0.0
+    for p, delta, a, big_r in GLUE_GRID:
+        rp = profiles[p]
+        al, c, f = _glue_f(delta, a, big_r, rp)
+        lo, hi = _scan_bracket(delta, big_r, f)
+        ref = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        for _ in range(3):
+            s = np.exp(ref)
+            ref -= f(ref) / -(al * (delta / s)**al * c * np.log(big_r / s) + (delta / s)**al * c)
+        ls = _glue_root(delta, a, big_r, al, c, lo, hi)
+        assert lo < ls < hi
+        worst = max(worst, abs(ls - ref) / np.spacing(abs(ref)))
+    assert worst <= 4.0
 
 
 # ---------------------------------------------------------------------- #

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -259,6 +262,28 @@ def test_ellipse_pipeline_end_to_end(tmp_path, monkeypatch):
     for key in ("circulations", "energy", "total_circulation"):
         assert np.allclose(diag[key], direct[key], rtol=1e-12, atol=0.0), key
     assert json.loads((out / "manifest.json").read_text())["converged"]
+
+
+def test_start_up_loads_only_the_linear_algebra_of_scipy():
+    # the radial profile, the gluing root and the boundary distance are
+    # computed in the package: importing the CLI and building a run's shared
+    # objects, on a disk and on an ellipse, loads none of scipy's optimize,
+    # integrate, interpolate or spatial
+    code = textwrap.dedent("""
+        import json, sys
+        import vortexpatch.cli
+        from vortexpatch.pipeline import PipelineContext
+        for cfg in json.loads(sys.argv[1]):
+            PipelineContext(cfg)
+        unused = ("optimize", "integrate", "interpolate", "spatial")
+        print(json.dumps(sorted(name for name in sys.modules
+                                if name.startswith("scipy.") and name.split(".")[1] in unused)))
+    """)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps([BASE_CONFIG, ELLIPSE_CONFIG])],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         check=True)
+    assert json.loads(out.stdout) == []
 
 
 @pytest.mark.parametrize("precision", [17, 9])

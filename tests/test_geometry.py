@@ -94,6 +94,21 @@ def test_contains_memory_is_bounded():
     assert peak < 40e6
 
 
+def test_distance_memory_is_bounded():
+    # the nearest-sample scan runs over blocks of CHUNK targets: at once,
+    # 50,000 points against 512 samples would take 205 MB per temporary
+    dom = Domain.named("ellipse", n=512)
+    x = np.random.default_rng(1).uniform(-1.1, 1.1, (50_000, 2))
+    tracemalloc.start()
+    try:
+        dist = dom.boundary_distance(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.shape == (len(x),) and np.all(dist >= 0)
+    assert peak < 40e6
+
+
 @pytest.fixture(scope="module")
 def nonconvex():
     return Domain.named("blob", n=256, radius=1.0, wobble=0.3, mode=5)

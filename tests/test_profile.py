@@ -1,12 +1,14 @@
 """Radial ground-state profile: Pohozaev identities, independent integrator
-oracle, scaling consistency, glued whole-plane profile."""
+oracles, scaling consistency, glued whole-plane profile."""
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.interpolate import PchipInterpolator
 
 from vortexpatch import limit_profile_eval, solve_profile
-from vortexpatch.errors import SolvabilityError
-from vortexpatch.profile import _ode_residual
+from vortexpatch.errors import SolvabilityError, VortexPatchError
+from vortexpatch.profile import _integrate, _ode_residual
 
 
 def rk4_shoot(p, h=2e-4, alpha=1.0):
@@ -35,6 +37,72 @@ def rk4_shoot(p, h=2e-4, alpha=1.0):
     r0 = prev_r + t * (h / 256.0)
     dpsi0 = prev_y[1] + t * (y[1] - prev_y[1])
     return r0, dpsi0
+
+
+def dop853_profile(p):
+    """The shoot by scipy's DOP853 (rtol 1e-13) from r = 1e-6, its zero found
+    by an event and the table read off its dense output."""
+    r_start = 1e-6
+    y0 = [1.0 - r_start**2 / 4.0 + p * r_start**4 / 64.0,
+          -r_start / 2.0 + p * r_start**3 / 16.0, np.pi * r_start**2, np.pi * r_start**2]
+
+    def rhs(r, y):
+        psi = max(y[0], 0.0)
+        return [y[1], -y[1] / r - psi**p, 2.0 * np.pi * r * psi**p, 2.0 * np.pi * r * psi**(p + 1)]
+
+    def hit_zero(r, y):
+        return y[0]
+    hit_zero.terminal = True
+    hit_zero.direction = -1
+
+    sol = solve_ivp(rhs, [r_start, 100.0], y0, method="DOP853", rtol=1e-13, atol=1e-14,
+                    events=hit_zero, dense_output=True)
+    r0 = float(sol.t_events[0][0])
+    _, dpsi, ip, ip1 = sol.y_events[0][0]
+    alpha = 2.0 / (p - 1.0)
+    n = 4096
+    t = 0.5 * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1))) * r0
+    psi, dpsi_t = sol.sol(np.maximum(t, r_start))[:2]
+    series = t < r_start
+    psi[series] = 1.0 - t[series]**2 / 4.0
+    dpsi_t[series] = -t[series] / 2.0
+    return dict(r0=r0, slope_at_one=r0**(alpha + 1.0) * dpsi, phi0=r0**alpha,
+                int_phi_p=r0**(alpha * p - 2.0) * ip, int_phi_p1=r0**(alpha * (p + 1.0) - 2.0) * ip1,
+                phi=r0**alpha * psi, dphi=r0**(alpha + 1.0) * dpsi_t)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_profile_matches_dop853(profiles, p):
+    rp = profiles[p]
+    ref = dop853_profile(p)
+    assert abs(_integrate(p)[0] - ref["r0"]) <= 1e-10 * ref["r0"]
+    for key in ("slope_at_one", "phi0", "int_phi_p", "int_phi_p1"):
+        assert abs(getattr(rp, key) - ref[key]) <= 1e-10 * abs(ref[key]), key
+    for key in ("phi", "dphi"):
+        assert np.max(np.abs(getattr(rp, key) - ref[key])) <= 1e-10 * np.max(np.abs(ref[key])), key
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_phi_at_matches_pchip(profiles, p):
+    rp = profiles[p]
+    pchip = PchipInterpolator(rp.r, rp.phi)
+    x = np.concatenate([np.random.default_rng(5).random(10_000), rp.r])
+    assert np.max(np.abs(rp.phi_at(x) - pchip(x))) <= 1e-9 * rp.phi0
+    assert rp.phi_at(0.0) == rp.phi0 and rp.phi_at(1.0) == 0.0
+
+
+@pytest.mark.parametrize("p", [1.38, 1.5, 2.0, 3.0, 4.0, 6.0, 6.5])
+def test_accepted_exponents(p):
+    rp = solve_profile(p)
+    assert _ode_residual(rp) <= 1e-4
+    assert max(rp.pohozaev_residuals()) < 1e-8
+
+
+@pytest.mark.parametrize("p", [1.37, 7.0])
+def test_exponents_outside_the_range_raise(p):
+    # the table residual crosses its 1e-4 tol just outside 1.38 <= p <= 6.5
+    with pytest.raises(VortexPatchError, match="table residual"):
+        solve_profile(p)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
