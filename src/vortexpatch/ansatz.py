@@ -29,9 +29,10 @@ signed table S_ij = sigma_i sigma_j of kirchhoff.interaction_table,
 
     a = kappa + sigma 2 pi q(z)/|ln eps| + g(z, z) c - (S o barG) c;
 
-the same table gives the first-order tilt of ansatz_tilt.  For fixed core
-radii these equations are linear in the plateau levels, so the solver
-alternates 1D gluing-root solves with a linear update until both residual
+the same table gives the first-order tilt of ansatz_tilt.  The gluing
+equation fixes each core radius as a function s(a) of its plateau level, so
+the solver runs Newton on the plateau levels alone, with the derivative of
+L = ln(bigR/s(a)) from the implicit function theorem, until both residual
 families sit at rounding level.
 """
 
@@ -201,28 +202,34 @@ def solve_core_system(vs, green, q, eps, rp, big_r=None, max_iter=200,
                       tol=1e-12, check_multiplicity=True):
     """Solve the coupled (s_i, a_i) system at parameter eps.
 
-    Alternates the 1D gluing solves (given plateau levels) with the linear
-    plateau balance (given core radii), damping the plateau update by 0.5
-    when it starts oscillating.  All four residual families must land below
-    tol; divergence and negative plateau values raise with diagnostics.
+    Newton on the plateau levels, seeded at a = kappa, with each core radius
+    the gluing root s(a) of solve_s; a step is halved only to keep every
+    plateau level positive.  All four residual families must land below
+    tol; divergence and non-positive plateau levels raise with diagnostics.
+    With check_multiplicity a second solve seeded at a = 1.5 kappa warns when
+    it lands on another root.
     """
     big_r = green.big_r if big_r is None else big_r
-    delta = delta_from_eps(eps, rp.p)
     table = interaction_table(vs, green)
-    a = _iterate_cores(vs, table, q, eps, delta, rp, big_r, vs.kappas.copy(),
-                       max_iter, tol)
+    cores = _solve_cores(vs, table, q, eps, rp, big_r, vs.kappas, max_iter, tol)
     if check_multiplicity:
         try:
-            a_alt = _iterate_cores(vs, table, q, eps, delta, rp, big_r,
-                                   1.5 * vs.kappas, max_iter, tol)
-            if np.max(np.abs(a_alt[0] - a[0])) > 1e-9 * np.max(np.abs(a[0])):
+            a_alt = _iterate_cores(vs, table, q, eps, cores.delta, rp, big_r,
+                                   1.5 * vs.kappas, max_iter)[0]
+            if np.max(np.abs(a_alt - cores.a_all)) > 1e-9 * np.max(np.abs(cores.a_all)):
                 warnings.warn(
                     "core system admits multiple fixed points at this eps; "
                     "reporting the branch seeded at a = kappa", stacklevel=2)
         except (SolvabilityError, ConvergenceError):
             pass
+    return cores
 
-    a_vec, s_vec, iters = a
+
+def _solve_cores(vs, table, q, eps, rp, big_r, a_init, max_iter=200, tol=1e-12):
+    """The core system on a given interaction table, seeded at a_init."""
+    delta = delta_from_eps(eps, rp.p)
+    a_vec, s_vec, iters = _iterate_cores(vs, table, q, eps, delta, rp, big_r,
+                                         a_init, max_iter)
     m = vs.m
     cores = CoreParameters(eps=float(eps), delta=float(delta), p=rp.p,
                            big_r=float(big_r),
@@ -239,37 +246,48 @@ def solve_core_system(vs, green, q, eps, rp, big_r=None, max_iter=200,
     return cores
 
 
-def _iterate_cores(vs, table, q, eps, delta, rp, big_r, a_init, max_iter, tol):
-    k = vs.m + vs.n
+def _iterate_cores(vs, table, q, eps, delta, rp, big_r, a_init, max_iter):
+    """Newton on F(a) = a - rhs - g_diag c + (S o barG) c, c = a/L(a).
+
+    L = ln(bigR/s) with s(a) the gluing root, so u L = a for
+    u = (delta/s)^al |phi'(1)|, al = 2/(p-1), and L' = 1/(u (al L + 1)) (the
+    f' of _glue_root); hence c' = 1/L - a L'/L^2 = al/(al L + 1) and
+    J = I - diag(g_diag c') + (S o barG) diag(c').  A step that would leave
+    a plateau level non-positive is halved until all stay positive; when two
+    steps in a row need that, Newton is driving a level through zero and
+    SolvabilityError is raised.
+    """
     rhs = activation_level(vs.kappas, vs.signs, q.value(vs.positions), eps)
     coupling = table.S * table.bar
+    al = 2.0 / (rp.p - 1.0)
 
-    a = a_init.astype(float).copy()
-    prev_step = None
-    damping = 1.0
+    a = np.array(a_init, dtype=float)
+    halved = False
     kappa_scale = float(np.max(vs.kappas))
     for it in range(1, max_iter + 1):
-        s = np.array([solve_s(delta, a[i], big_r, rp) for i in range(k)])
+        s = np.array([solve_s(delta, ai, big_r, rp) for ai in a])
         L = np.log(big_r / s)
-        # linear balance for the plateau levels at frozen radii
-        A = np.eye(k) - np.diag(table.g_diag / L) + coupling / L[None, :]
-        a_new = np.linalg.solve(A, rhs)
-        step = a_new - a
-        if prev_step is not None and np.dot(step, prev_step) < 0:
-            damping = 0.5
-        a_next = a + damping * step
-        if np.any(a_next <= 0):
+        c = a / L
+        F = a - rhs - table.g_diag * c + coupling @ c
+        dc = al / (al * L + 1.0)
+        J = np.eye(len(a)) - np.diag(table.g_diag * dc) + coupling * dc[None, :]
+        step = -np.linalg.solve(J, F)
+        lam = 1.0
+        while np.any(a + lam * step <= 0):
+            lam *= 0.5
+        if lam < 1.0 and halved:
             raise SolvabilityError(
                 f"negative plateau level encountered at eps={eps:.3e}; "
                 "the vortex interactions are too strong at this scale")
+        halved = lam < 1.0
+        a_next = a + lam * step
         if not np.all(np.isfinite(a_next)) or np.max(a_next) > 1e6 * kappa_scale:
             raise ConvergenceError(
                 f"core-system iteration diverged at eps={eps:.3e}")
         delta_a = float(np.max(np.abs(a_next - a)))
         a = a_next
-        prev_step = step
         if delta_a <= 1e-15 * max(1.0, float(np.max(a))):
-            s = np.array([solve_s(delta, a[i], big_r, rp) for i in range(k)])
+            s = np.array([solve_s(delta, ai, big_r, rp) for ai in a])
             return a, s, it
     raise ConvergenceError(
         f"core system did not settle in {max_iter} iterations at eps={eps:.3e}")
@@ -294,7 +312,10 @@ def ansatz_tilt(cores, vs, green, q):
     the reduced energy; at that point the near-solution has no first-order
     defect and the vorticity supports stay concentric with their vortices.
     """
-    t = interaction_table(vs, green)
+    return _tilt(cores, vs, interaction_table(vs, green), q)
+
+
+def _tilt(cores, vs, t, q):
     c = cores.a_all / np.log(cores.big_r / cores.s_all)
     return ((TWO_PI / eps_log(cores.eps)) * vs.signs[:, None] * q.grad(vs.positions)
             + c[:, None] * t.dg_diag - np.einsum("ij,j,ijh->ih", t.S, c, t.dbar))
@@ -304,9 +325,11 @@ def refine_positions(vs, green, q, eps, rp, big_r=None, tol=None, max_iter=40):
     """Move the vortex positions to the finite-eps reduced equilibrium.
 
     Newton (finite-difference Jacobian) on the tilt balance of ansatz_tilt,
-    re-solving the core system at every evaluation.  Seeded at a critical
-    point of the interaction energy this converges in a few steps and shifts
-    each center by O(1/|ln eps|); the shift vanishes in the limit.
+    re-solving the core system at every evaluation on the one interaction
+    table that the tilt reads; the perturbed and trial positions seed it at
+    the current plateau levels.  Seeded at a critical point of the
+    interaction energy this converges in a few steps and shifts each center
+    by O(1/|ln eps|); the shift vanishes in the limit.
     """
     big_r = green.big_r if big_r is None else big_r
     if tol is None:
@@ -314,14 +337,14 @@ def refine_positions(vs, green, q, eps, rp, big_r=None, tol=None, max_iter=40):
     Z = vs.positions.copy()
     k = vs.m + vs.n
 
-    def tilt_of(Zflat):
+    def tilt_of(Zflat, a_init):
         work = vs.with_positions(Zflat.reshape(k, 2))
-        cores = solve_core_system(work, green, q, eps, rp, big_r=big_r,
-                                  check_multiplicity=False)
-        return ansatz_tilt(cores, work, green, q).ravel(), cores
+        table = interaction_table(work, green)
+        cores = _solve_cores(work, table, q, eps, rp, big_r, a_init)
+        return _tilt(cores, work, table, q).ravel(), cores
 
     zf = Z.ravel()
-    f, cores = tilt_of(zf)
+    f, cores = tilt_of(zf, vs.kappas)
     step_fd = 1e-7 * green.domain.diameter
     for _ in range(max_iter):
         if np.max(np.abs(f)) <= tol:
@@ -330,7 +353,7 @@ def refine_positions(vs, green, q, eps, rp, big_r=None, tol=None, max_iter=40):
         for c in range(2 * k):
             zp = zf.copy()
             zp[c] += step_fd
-            J[:, c] = (tilt_of(zp)[0] - f) / step_fd
+            J[:, c] = (tilt_of(zp, cores.a_all)[0] - f) / step_fd
         try:
             d = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:
@@ -338,7 +361,7 @@ def refine_positions(vs, green, q, eps, rp, big_r=None, tol=None, max_iter=40):
         lam = 1.0
         while lam > 1e-6:
             try:
-                f_new, cores_new = tilt_of(zf + lam * d)
+                f_new, cores_new = tilt_of(zf + lam * d, cores.a_all)
             except (SolvabilityError, ConvergenceError, DomainError):
                 lam *= 0.5
                 continue

@@ -70,12 +70,20 @@ def write_jsonl(path, records, precision=17):
 
 
 def write_csv(path, header, rows, precision=17):
-    """A 2-D float array (no rows: the header alone), formatted with one row
-    format: the text of `_fmt` per value, and of str(int) for an integer
-    of at most `precision` digits."""
+    """A 2-D float array (no rows: the header alone): the text of `_fmt` per
+    value, and of str(int) for an integer of at most `precision` digits.
+
+    Each column formats its distinct values once (distinct float64 bit
+    patterns, so -0.0 and 0.0 keep their own text) and gathers them.
+    """
     rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    fmt = ",".join([f"%.{precision}g"] * len(header))
-    lines = [",".join(header)] + [fmt % tuple(row) for row in rows.tolist()]
+    fmt = f"%.{precision}g"
+    cols = []
+    for bits in rows.view(np.uint64).T:
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        text = [fmt % v for v in distinct.view(np.float64).tolist()]
+        cols.append(np.array(text, dtype=object)[inverse].tolist())
+    lines = [",".join(header)] + list(map(",".join, zip(*cols)))
     atomic_write(path, "\n".join(lines) + "\n")
 
 

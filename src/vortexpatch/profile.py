@@ -32,7 +32,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import SolvabilityError, VortexPatchError
+from .errors import ConfigError, SolvabilityError, VortexPatchError
 
 N_TABLE = 4096
 R_START = 1e-3
@@ -187,7 +187,9 @@ def solve_profile(p, tol=1e-4):
 
     tol bounds the finite-difference ODE residual of the tabulated profile
     (a sanity check on the table, the integration itself runs much tighter;
-    the Pohozaev invariants hold to about 1e-12).
+    the Pohozaev invariants hold to about 1e-12).  The default tol holds for
+    1.38 <= p <= 6.5; outside it the check raises ConfigError, so a run
+    configured with such a p exits with the configuration-error code.
     """
     if p <= 1.0:
         raise SolvabilityError("profile exponent must satisfy p > 1")
@@ -218,8 +220,9 @@ def solve_profile(p, tol=1e-4):
                          int_phi_p1=int_phi_p1, phi0=phi0)
     res = _ode_residual(prof)
     if res > tol:
-        raise VortexPatchError(
-            f"profile table residual {res:.2e} exceeds tol {tol:.2e} for p={p}")
+        raise ConfigError(
+            f"profile table residual {res:.2e} exceeds tol {tol:.2e} for p={p}; "
+            "the table meets it for 1.38 <= p <= 6.5")
     return prof
 
 

@@ -10,11 +10,13 @@ from scipy.optimize import brentq
 from vortexpatch import (Domain, GreenEvaluator, HarmonicBackground,
                          background_from_flux, solve_core_system, solve_s,
                          w_delta_eval)
-from vortexpatch.ansatz import (AnsatzField, _glue_root, ansatz_tilt, core_residuals,
-                                delta_from_eps, glue_residual, refine_positions,
-                                support_predict)
+import vortexpatch.ansatz as ansatz
+from vortexpatch.ansatz import (AnsatzField, _glue_root, activation_level, ansatz_tilt,
+                                core_residuals, delta_from_eps, glue_residual,
+                                refine_positions, support_predict)
 from vortexpatch.diagnostics import ansatz_energy_expansion
-from vortexpatch.errors import DomainError, SingularityError, SolvabilityError
+from vortexpatch.errors import (ConvergenceError, DomainError, SingularityError,
+                                SolvabilityError)
 from vortexpatch.kirchhoff import VortexSystem, interaction_table, phi_value
 
 
@@ -172,6 +174,94 @@ def test_core_system_residuals(disk_images, profiles):
     assert max(cores.residuals.values()) < 1e-12
     assert np.all(cores.a_all > 0)
     assert np.all((cores.s_all > 0) & (cores.s_all < 4.0))
+
+
+def _fixed_point_cores(vs, table, q, eps, rp, big_r, max_iter=200):
+    """Reference: the damped fixed-point map that solved the core system
+    before Newton.  Gluing roots at frozen plateau levels alternate with the
+    linear balance at frozen radii; the update is halved once it oscillates."""
+    delta = delta_from_eps(eps, rp.p)
+    k = vs.m + vs.n
+    rhs = activation_level(vs.kappas, vs.signs, q.value(vs.positions), eps)
+    coupling = table.S * table.bar
+    a = vs.kappas.astype(float).copy()
+    prev_step, damping = None, 1.0
+    for _ in range(max_iter):
+        L = np.log(big_r / np.array([solve_s(delta, a[i], big_r, rp) for i in range(k)]))
+        A = np.eye(k) - np.diag(table.g_diag / L) + coupling / L[None, :]
+        step = np.linalg.solve(A, rhs) - a
+        if prev_step is not None and np.dot(step, prev_step) < 0:
+            damping = 0.5
+        a_next = a + damping * step
+        settled = np.max(np.abs(a_next - a)) <= 1e-15 * max(1.0, np.max(a_next))
+        a, prev_step = a_next, step
+        if settled:
+            return a, np.array([solve_s(delta, a[i], big_r, rp) for i in range(k)])
+    raise ConvergenceError("reference fixed-point map did not settle")
+
+
+def test_newton_core_system_matches_fixed_point_map(disk_images, profiles):
+    q = background_from_flux(disk_images.domain, lambda t: np.cos(t))
+    vs = VortexSystem([1.0, 0.8], [1.2], [[0.35, 0.1], [-0.4, 0.25], [0.05, -0.45]])
+    cores = solve_core_system(vs, disk_images, q, 1e-3, profiles[2.0])
+    a_ref, s_ref = _fixed_point_cores(vs, interaction_table(vs, disk_images), q, 1e-3,
+                                      profiles[2.0], 4.0)
+    assert np.max(np.abs(cores.a_all / a_ref - 1.0)) <= 1e-13
+    assert np.max(np.abs(cores.s_all / s_ref - 1.0)) <= 1e-13
+    assert cores.iterations <= 8
+
+
+def test_core_system_close_same_sign_pair(disk_images, q_zero, profiles):
+    # two same-sign vortices 0.01 apart: the fixed-point map does not settle
+    # in 200 iterations, Newton converges in a few
+    rp = profiles[2.0]
+    vs = VortexSystem([1.0, 1.0], [], [[0.1, 0.0], [0.11, 0.0]])
+    with pytest.raises(ConvergenceError):
+        _fixed_point_cores(vs, interaction_table(vs, disk_images), q_zero, 1e-3, rp, 4.0)
+    cores = solve_core_system(vs, disk_images, q_zero, 1e-3, rp)
+    assert max(cores.residuals.values()) <= 1e-12
+    assert cores.iterations <= 8
+
+
+def test_core_system_max_iter_raises(disk_images, q_zero, profiles):
+    vs = VortexSystem([1.0], [1.0], [[0.3, 0.0], [-0.3, 0.0]])
+    with pytest.raises(ConvergenceError, match="did not settle in 1 iterations"):
+        solve_core_system(vs, disk_images, q_zero, 1e-3, profiles[2.0], max_iter=1)
+
+
+def test_core_system_non_positive_plateau_raises(disk_images, q_zero, profiles):
+    # a weak vortex 0.01 from a strong one of the same sign: its balance asks
+    # for a plateau level near 0.3 - 4 < 0
+    vs = VortexSystem([0.3, 3.0], [], [[0.1, 0.0], [0.11, 0.0]])
+    with pytest.raises(SolvabilityError, match="negative plateau level"):
+        solve_core_system(vs, disk_images, q_zero, 1e-2, profiles[2.0])
+
+
+def test_refine_positions_builds_one_table_per_tilt(monkeypatch, disk_images, profiles):
+    # each tilt evaluation solves the core system once, on the table the tilt
+    # reads; the finite-difference columns start at the base plateau levels
+    tables, iterations = [], []
+    table_fn, iterate_fn = ansatz.interaction_table, ansatz._iterate_cores
+
+    def counted_table(*args):
+        out = table_fn(*args)      # line-search trials outside the disk raise here
+        tables.append(1)
+        return out
+
+    def counted_iterate(*args):
+        out = iterate_fn(*args)
+        iterations.append(out[2])
+        return out
+
+    monkeypatch.setattr(ansatz, "interaction_table", counted_table)
+    monkeypatch.setattr(ansatz, "_iterate_cores", counted_iterate)
+    q = background_from_flux(disk_images.domain, lambda t: 0.5 * np.cos(t))
+    refine_positions(VortexSystem([1.0], [], [[0.0, -0.05]]), disk_images, q, 1e-3,
+                     profiles[2.0])
+    assert len(iterations) > 3
+    assert len(tables) == len(iterations)
+    assert max(iterations[1:3]) < iterations[0]
+    assert max(iterations) <= 8
 
 
 def test_core_system_symmetric_pair(disk_images, q_zero, profiles):

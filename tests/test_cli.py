@@ -322,6 +322,31 @@ def test_csv_integer_column_matches_per_value_format(tmp_path, precision):
     assert path.read_bytes() == expected.encode()
 
 
+def _row_format_csv(header, rows, precision):
+    """Reference: the writer that formatted each row with one % format."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    fmt = ",".join([f"%.{precision}g"] * len(header))
+    return "\n".join([",".join(header)] + [fmt % tuple(row) for row in rows.tolist()]) + "\n"
+
+
+@pytest.mark.parametrize("precision", [17, 6])
+def test_csv_matches_row_formatter(tmp_path, precision):
+    # repeated values, both zeros, nan, +/-inf, integer-valued floats
+    # (short and past `precision` digits), and the empty table
+    from vortexpatch.pipeline import write_csv
+    rng = np.random.default_rng(7)
+    special = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 3.0, -12.0, 104123.0,
+               1234567.0, 1e16, 0.1, 1.0 / 3.0, 2.5e-300, -5e-324]
+    rows = np.column_stack((rng.choice(special, 400), rng.choice(np.linspace(-1, 1, 9), 400),
+                            rng.standard_normal(400)))
+    rows[:len(special), 2] = special
+    header = ["x1", "x2", "w"]
+    for case in (rows, rows[::2], rows.tolist(), np.empty((0, 3))):   # [::2]: strided
+        path = tmp_path / "rows.csv"
+        write_csv(str(path), header, case, precision)
+        assert path.read_text() == _row_format_csv(header, case, precision)
+
+
 def test_all_failed_sweep_writes_header_only_table(tmp_path):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["solver"]["max_iter"] = 1
@@ -385,6 +410,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     cfg_path = write_config(tmp_path, {"unknown_key": 1})
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_unsupported_profile_exponent_exits_2(tmp_path, capsys):
+    # the config accepts any p > 1; the profile table check rejects p = 7
+    cfg_path = write_config(tmp_path, {"profile.p": 7.0})
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "1.38 <= p <= 6.5" in err
 
 
 def test_cli_ansatz(tmp_path, capsys):
