@@ -46,6 +46,15 @@ from .errors import DomainError, SolvabilityError, ConvergenceError
 from .kirchhoff import interaction_table
 
 TWO_PI = 2.0 * np.pi
+# every residual family of the core system must land below this
+CORE_TOL = 1e-12
+# Newton steps of refine_positions before it reports a stall
+REFINE_MAX_ITER = 40
+# support_predict's bracket s(1 - T s) < r < s(1 + s^sigma), checked on
+# SUPPORT_ANGLES rays
+SUPPORT_T = 10.0
+SUPPORT_SIGMA = 0.1
+SUPPORT_ANGLES = 32
 
 
 def delta_from_eps(eps, p):
@@ -198,34 +207,32 @@ def core_residuals(cores, vs, table, q, rp):
             "balance_plus": np.abs(bal[:m]), "balance_minus": np.abs(bal[m:])}
 
 
-def solve_core_system(vs, green, q, eps, rp, big_r=None, max_iter=200,
-                      tol=1e-12, check_multiplicity=True):
+def solve_core_system(vs, green, q, eps, rp, max_iter=200):
     """Solve the coupled (s_i, a_i) system at parameter eps.
 
     Newton on the plateau levels, seeded at a = kappa, with each core radius
     the gluing root s(a) of solve_s; a step is halved only to keep every
     plateau level positive.  All four residual families must land below
-    tol; divergence and non-positive plateau levels raise with diagnostics.
-    With check_multiplicity a second solve seeded at a = 1.5 kappa warns when
-    it lands on another root.
+    CORE_TOL; divergence and non-positive plateau levels raise with
+    diagnostics.  A second solve seeded at a = 1.5 kappa warns when it lands
+    on another root.
     """
-    big_r = green.big_r if big_r is None else big_r
+    big_r = green.big_r
     table = interaction_table(vs, green)
-    cores = _solve_cores(vs, table, q, eps, rp, big_r, vs.kappas, max_iter, tol)
-    if check_multiplicity:
-        try:
-            a_alt = _iterate_cores(vs, table, q, eps, cores.delta, rp, big_r,
-                                   1.5 * vs.kappas, max_iter)[0]
-            if np.max(np.abs(a_alt - cores.a_all)) > 1e-9 * np.max(np.abs(cores.a_all)):
-                warnings.warn(
-                    "core system admits multiple fixed points at this eps; "
-                    "reporting the branch seeded at a = kappa", stacklevel=2)
-        except (SolvabilityError, ConvergenceError):
-            pass
+    cores = _solve_cores(vs, table, q, eps, rp, big_r, vs.kappas, max_iter)
+    try:
+        a_alt = _iterate_cores(vs, table, q, eps, cores.delta, rp, big_r,
+                               1.5 * vs.kappas, max_iter)[0]
+        if np.max(np.abs(a_alt - cores.a_all)) > 1e-9 * np.max(np.abs(cores.a_all)):
+            warnings.warn(
+                "core system admits multiple fixed points at this eps; "
+                "reporting the branch seeded at a = kappa", stacklevel=2)
+    except (SolvabilityError, ConvergenceError):
+        pass
     return cores
 
 
-def _solve_cores(vs, table, q, eps, rp, big_r, a_init, max_iter=200, tol=1e-12):
+def _solve_cores(vs, table, q, eps, rp, big_r, a_init, max_iter=200):
     """The core system on a given interaction table, seeded at a_init."""
     delta = delta_from_eps(eps, rp.p)
     a_vec, s_vec, iters = _iterate_cores(vs, table, q, eps, delta, rp, big_r,
@@ -239,9 +246,9 @@ def _solve_cores(vs, table, q, eps, rp, big_r, a_init, max_iter=200, tol=1e-12):
     res = core_residuals(cores, vs, table, q, rp)
     cores.residuals = {k: float(np.max(v)) if len(v) else 0.0 for k, v in res.items()}
     worst = max(cores.residuals.values())
-    if worst > tol:
+    if worst > CORE_TOL:
         raise ConvergenceError(
-            f"core system residual {worst:.2e} above tol {tol:.1e} at eps={eps:.3e}",
+            f"core system residual {worst:.2e} above tol {CORE_TOL:.1e} at eps={eps:.3e}",
             best=cores)
     return cores
 
@@ -321,19 +328,19 @@ def _tilt(cores, vs, t, q):
             + c[:, None] * t.dg_diag - np.einsum("ij,j,ijh->ih", t.S, c, t.dbar))
 
 
-def refine_positions(vs, green, q, eps, rp, big_r=None, tol=None, max_iter=40):
+def refine_positions(vs, green, q, eps, rp):
     """Move the vortex positions to the finite-eps reduced equilibrium.
 
     Newton (finite-difference Jacobian) on the tilt balance of ansatz_tilt,
+    to a max tilt of 1e-12 max(1, max kappa) within REFINE_MAX_ITER steps,
     re-solving the core system at every evaluation on the one interaction
     table that the tilt reads; the perturbed and trial positions seed it at
     the current plateau levels.  Seeded at a critical point of the
     interaction energy this converges in a few steps and shifts each center
     by O(1/|ln eps|); the shift vanishes in the limit.
     """
-    big_r = green.big_r if big_r is None else big_r
-    if tol is None:
-        tol = 1e-12 * max(1.0, float(np.max(vs.kappas)))
+    big_r = green.big_r
+    tol = 1e-12 * max(1.0, float(np.max(vs.kappas)))
     Z = vs.positions.copy()
     k = vs.m + vs.n
 
@@ -346,7 +353,7 @@ def refine_positions(vs, green, q, eps, rp, big_r=None, tol=None, max_iter=40):
     zf = Z.ravel()
     f, cores = tilt_of(zf, vs.kappas)
     step_fd = 1e-7 * green.domain.diameter
-    for _ in range(max_iter):
+    for _ in range(REFINE_MAX_ITER):
         if np.max(np.abs(f)) <= tol:
             break
         J = np.zeros((2 * k, 2 * k))
@@ -425,12 +432,14 @@ class AnsatzField:
                 - self.threshold(idx, x))
 
 
-def support_predict(af, T=10.0, sigma=0.1, check=True, n_angles=32):
-    """Bracketing radii s(1 - T s) and s(1 + s^sigma) for each vortex.
+def support_predict(af, check=True):
+    """Bracketing radii s(1 - T s) and s(1 + s^sigma) for each vortex
+    (T = SUPPORT_T, sigma = SUPPORT_SIGMA).
 
-    With check=True the ansatz is sampled on circles strictly inside/outside
-    the bracket and the predicted sign of (field - activation level) is
-    verified; failures raise with the measured bracket.
+    With check=True the ansatz is sampled on SUPPORT_ANGLES rays on circles
+    strictly inside/outside the bracket and the predicted sign of
+    (field - activation level) is verified; failures raise with the measured
+    bracket.
     """
     cores = af.cores
     k = af.vs.m + af.vs.n
@@ -439,11 +448,11 @@ def support_predict(af, T=10.0, sigma=0.1, check=True, n_angles=32):
     for idx in range(k):
         s = cores.s_all[idx]
         z = af.vs.positions[idx]
-        inner[idx] = s * (1.0 - T * s)
-        outer[idx] = s * (1.0 + s**sigma)
+        inner[idx] = s * (1.0 - SUPPORT_T * s)
+        outer[idx] = s * (1.0 + s**SUPPORT_SIGMA)
         if inner[idx] <= 0:
             raise SolvabilityError(
-                f"support bracket degenerate for vortex {idx}: T*s = {T * s:.3e} >= 1")
+                f"support bracket degenerate for vortex {idx}: T*s = {SUPPORT_T * s:.3e} >= 1")
         if not check:
             continue
         r_sub = _subdomain_radius(af, idx)
@@ -452,7 +461,7 @@ def support_predict(af, T=10.0, sigma=0.1, check=True, n_angles=32):
             raise SolvabilityError(
                 f"support bracket for vortex {idx} exceeds its subdomain "
                 f"(outer {outer[idx]:.3e} vs subdomain radius {r_sub:.3e})")
-        th = TWO_PI * np.arange(n_angles) / n_angles
+        th = TWO_PI * np.arange(SUPPORT_ANGLES) / SUPPORT_ANGLES
         ex_in = af.excess(idx, _ring(z, 0.5 * s, th))
         ex_out = af.excess(idx, _ring(z, r_check, th))
         if not np.all(ex_in > 0):

@@ -15,6 +15,8 @@ from .kirchhoff import interaction_table
 from .solver import rhs_eval, u_from_w, w_from_u
 
 TWO_PI = 2.0 * np.pi
+# samples of the ring-flux circulation check
+RING_ANGLES = 720
 
 
 def __getattr__(name):
@@ -73,16 +75,16 @@ def _omega_nodes(fld, setup):
     return rhs / setup.eps**2
 
 
-def _ring_flux(u_field, center, radius, n_theta=720):
+def _ring_flux(u_field, center, radius):
     """-oint d(u)/dr ds on a circle (the enclosed vorticity integral)."""
     spec = u_field.spec
     h = spec.h
-    th = TWO_PI * np.arange(n_theta) / n_theta
+    th = TWO_PI * np.arange(RING_ANGLES) / RING_ANGLES
     ring = np.column_stack((np.cos(th), np.sin(th)))
     up = interpolate(u_field, center + (radius + h) * ring)
     um = interpolate(u_field, center + (radius - h) * ring)
     dudr = (up - um) / (2.0 * h)
-    return float(-np.sum(dudr) * radius * TWO_PI / n_theta)
+    return float(-np.sum(dudr) * radius * TWO_PI / RING_ANGLES)
 
 
 def vorticity_extract(fld, setup, vs, subdomains=None):
@@ -341,17 +343,11 @@ class FlowField:
     regular: np.ndarray           # (N,) nodes with depth-2 uncut stencils
 
 
-def _deep_mask(spec, depth=2):
+def _deep_mask(spec):
+    """Nodes whose stencil and its four neighbors' stencils are all uncut."""
     ok = ~spec.is_adjacent
-    out = ok.copy()
-    for _ in range(depth - 1):
-        nxt = out.copy()
-        for d in range(4):
-            nbr = spec.neighbors[:, d]
-            good = (nbr >= 0)
-            nxt &= good & out[np.maximum(nbr, 0)]
-        out = nxt
-    return out
+    nbr = spec.neighbors
+    return ok & np.all((nbr >= 0) & ok[np.maximum(nbr, 0)], axis=1)
 
 
 def reconstruct_flow(fld, setup, q):

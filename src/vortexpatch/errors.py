@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code contract: ConfigError -> 2,
-ConvergenceError -> 3, I/O errors -> 4.
+The CLI maps these onto its exit-code contract: ConfigError -> 2 (a grid
+spacing too coarse for the cores, ResolutionError, included), ConvergenceError
+-> 3, I/O errors -> 4.
 """
 
 
@@ -34,9 +35,10 @@ class ConvergenceError(VortexPatchError):
         self.report = report
 
 
-class ResolutionError(VortexPatchError):
-    """Grid spacing too coarse for the requested core size."""
-
-
 class ConfigError(VortexPatchError):
     """Invalid run configuration."""
+
+
+class ResolutionError(ConfigError):
+    """Grid spacing too coarse for the requested core size: with
+    points_per_core >= 4 only an explicit grid.h sets such a spacing."""

@@ -7,23 +7,26 @@ Conventions (fixed once for the whole package):
     g(x, z) = ln(bigR) + 2 pi h(x, z)          (harmonic in x, g = ln(bigR/|x-z|) on the boundary),
     barG(x, y) = ln(bigR/|x-y|) - g(x, y)      (equals 2 pi G identically).
 
-Two backends: the method of images on disks (closed forms, machine accurate)
-and a second-kind boundary integral equation on smooth parametric boundaries
-(double-layer representation, Nystrom/trapezoid, spectrally accurate).  The
-regular part H is always evaluated directly from the smooth representation,
-never as a difference of two nearly equal logarithms.  On parametric
-boundaries H(., y) is a Taylor series about y on a disk around the source
-and, everywhere else up to the wall, the barycentric form of the interior
-Cauchy integral of the density (Helsing & Ojala, J. Comput. Phys. 227,
-2008); H_grad_x and H_hess_* are plain trapezoid sums, accurate only some
-sample spacings away from the wall.
+Two backends with one interface (H, H_grad_x, H_hess_xx and H_hess_xy of
+a batch of targets and one source): the method of images on disks (closed
+forms, machine accurate) and a second-kind boundary integral equation on the
+boundary samples of any smooth domain, a disk included (double-layer
+representation, Nystrom/trapezoid, spectrally accurate).  GreenEvaluator
+picks the backend once, from the domain kind unless one is named, and
+delegates the regular part to it.  H is always evaluated directly from the
+smooth representation, never as a difference of two nearly equal
+logarithms.  In the boundary integral backend H(., y) is a Taylor series
+about y on a disk around the source and, everywhere else up to the wall,
+the barycentric form of the interior Cauchy integral of the density
+(Helsing & Ojala, J. Comput. Phys. 227, 2008); H_grad_x and H_hess_* are
+plain trapezoid sums, accurate only some sample spacings away from the wall.
 """
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import CompatibilityError, ConfigError, DomainError, SingularityError
-from .geometry import CHUNK, Domain, _fft_derivative
+from .geometry import CHUNK, BoundaryCurve, _fft_derivative
 
 TWO_PI = 2.0 * np.pi
 # Far-field series about y on |x - y| < SERIES_THETA min_j |b_j - y|: each
@@ -134,8 +137,7 @@ class _BoundaryIntegralBackend:
     and the interior boundary values of the Cauchy integral of the density.
     """
 
-    def __init__(self, domain, order=512):
-        curve = domain.curve.resample(order) if domain.curve.n != order else domain.curve
+    def __init__(self, curve):
         self.curve = curve
         self.n = curve.n
         self.w = TWO_PI / self.n * curve.speed
@@ -204,6 +206,37 @@ class _BoundaryIntegralBackend:
             entry["trace"] = mu + (s + _fft_derivative(mu) * dt) / (1j * TWO_PI)
         return entry["trace"]
 
+    # -- regular part ---------------------------------------------------- #
+
+    def H(self, x, y):
+        ent = self._densities(y, 0)
+        rho, L = self._local(y, ent)
+        out = np.empty(x.shape[0])
+        t = (x[:, 0] - y[0]) + 1j * (x[:, 1] - y[1])
+        inner = np.abs(t) < rho
+        if np.any(inner):
+            # targets in the series disk lie at least rho >= series_min_radius
+            # from every sample, so the series stands in for the far sum (Horner)
+            ti = t[inner]
+            acc = np.full(ti.shape, L[-1])
+            for lk in L[-2::-1]:
+                acc *= ti
+                acc += lk
+            out[inner] = acc.real
+        if not np.all(inner):
+            out[~inner] = self._eval(x[~inner], self._trace(ent))
+        return out
+
+    def H_grad_x(self, x, y):
+        return self._eval_grad(x, self._densities(y, 0)["mu"])
+
+    def H_hess_xx(self, x, y):
+        return self._eval_hess(x, self._densities(y, 0)["mu"])
+
+    def H_hess_xy(self, x, y):
+        mu_y = self._densities(y, 1)["mu_y"]
+        return np.stack([self._eval_grad(x, mu_y[:, h]) for h in range(2)], axis=-1)
+
     # -- interior evaluation ---------------------------------------------- #
 
     def _eval(self, targets, g):
@@ -269,14 +302,7 @@ class GreenEvaluator:
                 raise ConfigError("images backend requires a disk domain")
             self._b = _ImagesBackend(domain)
         elif backend == "boundary-integral":
-            if domain.kind == "disk":
-                # build the circle curve for the disk so disks can cross-check
-                t = TWO_PI * np.arange(order) / order
-                pts = domain.center + domain.radius * np.column_stack((np.cos(t), np.sin(t)))
-                circle_domain = Domain.from_samples(pts, big_r=domain.big_r)
-                self._b = _BoundaryIntegralBackend(circle_domain, order)
-            else:
-                self._b = _BoundaryIntegralBackend(domain, order)
+            self._b = _BoundaryIntegralBackend(BoundaryCurve(domain.boundary_points(order)[0]))
         else:
             raise ConfigError(f"unknown Green backend {backend!r}")
         self.backend = backend
@@ -285,51 +311,19 @@ class GreenEvaluator:
 
     def H(self, x, y):
         x, single = _as_points(x)
-        y = np.asarray(y, dtype=float)
-        if isinstance(self._b, _ImagesBackend):
-            return _ret(self._b.H(x, y), single)
-        ent = self._b._densities(y, 0)
-        rho, L = self._b._local(y, ent)
-        out = np.empty(x.shape[0])
-        t = (x[:, 0] - y[0]) + 1j * (x[:, 1] - y[1])
-        inner = np.abs(t) < rho
-        if np.any(inner):
-            # targets in the series disk lie at least rho >= series_min_radius
-            # from every sample, so the series stands in for the far sum (Horner)
-            ti = t[inner]
-            acc = np.full(ti.shape, L[-1])
-            for lk in L[-2::-1]:
-                acc *= ti
-                acc += lk
-            out[inner] = acc.real
-        if not np.all(inner):
-            out[~inner] = self._b._eval(x[~inner], self._b._trace(ent))
-        return _ret(out, single)
+        return _ret(self._b.H(x, np.asarray(y, dtype=float)), single)
 
     def H_grad_x(self, x, y):
         x, single = _as_points(x)
-        y = np.asarray(y, dtype=float)
-        if isinstance(self._b, _ImagesBackend):
-            return _ret(self._b.H_grad_x(x, y), single)
-        ent = self._b._densities(y, 0)
-        return _ret(self._b._eval_grad(x, ent["mu"]), single)
+        return _ret(self._b.H_grad_x(x, np.asarray(y, dtype=float)), single)
 
     def H_hess_xx(self, x, y):
         x, single = _as_points(x)
-        y = np.asarray(y, dtype=float)
-        if isinstance(self._b, _ImagesBackend):
-            return _ret(self._b.H_hess_xx(x, y), single)
-        ent = self._b._densities(y, 0)
-        return _ret(self._b._eval_hess(x, ent["mu"]), single)
+        return _ret(self._b.H_hess_xx(x, np.asarray(y, dtype=float)), single)
 
     def H_hess_xy(self, x, y):
         x, single = _as_points(x)
-        y = np.asarray(y, dtype=float)
-        if isinstance(self._b, _ImagesBackend):
-            return _ret(self._b.H_hess_xy(x, y), single)
-        ent = self._b._densities(y, 1)
-        cols = [self._b._eval_grad(x, ent["mu_y"][:, h]) for h in range(2)]
-        return _ret(np.stack([cols[0], cols[1]], axis=-1), single)
+        return _ret(self._b.H_hess_xy(x, np.asarray(y, dtype=float)), single)
 
     # -- Green function and friends --------------------------------------- #
 
@@ -434,11 +428,10 @@ class HarmonicBackground:
         """q = Re(sum c_k zeta^k) + offset with zeta = (z - center)/scale."""
         return cls("harmonic-polynomial", coeffs, center, scale, offset)
 
-    def _zeta(self, x):
+    def _poly(self, x, deriv=0):
+        """The deriv-th derivative of f at zeta(x); zeros, with no zeta
+        computed, when no coefficients remain (the zero background)."""
         x = np.asarray(x, dtype=float)
-        return ((x[..., 0] - self.center[0]) + 1j * (x[..., 1] - self.center[1])) / self.scale
-
-    def _poly(self, z, deriv=0):
         c = self.coeffs
         if deriv:
             k = np.arange(len(c))
@@ -447,32 +440,24 @@ class HarmonicBackground:
                 c = c[1:]
                 k = np.arange(len(c))
         if len(c) == 0:
-            return np.zeros(np.shape(z), dtype=complex)
+            return np.zeros(x.shape[:-1], dtype=complex)
+        z = ((x[..., 0] - self.center[0]) + 1j * (x[..., 1] - self.center[1])) / self.scale
         return np.polynomial.polynomial.polyval(z, c)
 
     def value(self, x):
-        if self.representation == "zero":
-            return np.full(np.shape(np.asarray(x))[:-1], self.offset) if np.ndim(x) > 1 else self.offset
-        f = self._poly(self._zeta(x))
-        return np.real(f) + self.offset
+        return np.real(self._poly(x)) + self.offset
 
     def grad(self, x):
-        shape = np.shape(np.asarray(x))[:-1] + (2,)
-        if self.representation == "zero":
-            return np.zeros(shape)
-        fp = self._poly(self._zeta(x), 1) / self.scale
+        fp = self._poly(x, 1) / self.scale
         return np.stack([np.real(fp), -np.imag(fp)], axis=-1)
 
     def hessian(self, x):
-        shape = np.shape(np.asarray(x))[:-1] + (2, 2)
-        if self.representation == "zero":
-            return np.zeros(shape)
-        fpp = self._poly(self._zeta(x), 2) / self.scale**2
+        fpp = self._poly(x, 2) / self.scale**2
         a, b = np.real(fpp), -np.imag(fpp)
         return np.stack([np.stack([a, b], -1), np.stack([b, -a], -1)], -2)
 
 
-def background_from_flux(domain, vn, offset=0.0, n_modes=None):
+def background_from_flux(domain, vn, offset=0.0):
     """Build q = -psi0 from the outward boundary flux v_n.
 
     vn is either a callable of the boundary parameter t in [0, 2pi) or an
@@ -516,7 +501,7 @@ def background_from_flux(domain, vn, offset=0.0, n_modes=None):
         k = np.fft.fftfreq(n, d=1.0 / n)
         with np.errstate(divide="ignore", invalid="ignore"):
             psi_spec = np.where(k == 0, 0.0, domain.radius * spec / (1j * k))
-        kmax = n_modes or n // 2 - 1
+        kmax = n // 2 - 1
         # boundary trace psi0 = sum_k psi_spec[k] e^{ikt}; for real data the
         # harmonic extension is psi0 = Re(sum_{k>=1} 2 psi_spec[k] zeta^k),
         # zeta = (z - center)/radius.  Dropping k = 0 makes q mean-zero.
@@ -540,7 +525,7 @@ def background_from_flux(domain, vn, offset=0.0, n_modes=None):
     psi_b -= psi_b.mean()
     pts = domain.curve.x
     zeta = ((pts[:, 0] - domain.center[0]) + 1j * (pts[:, 1] - domain.center[1])) / (domain.diameter / 2.0)
-    kmax = n_modes or min(48, n // 4)
+    kmax = min(48, n // 4)
     cols = [np.ones(n)]
     for kk in range(1, kmax + 1):
         cols.append(np.real(zeta**kk))

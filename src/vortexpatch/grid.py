@@ -53,26 +53,10 @@ class GridField:
                          self.variable, dict(self.params))
 
 
-def _disk_crossing(domain, p, direction, h):
-    """Distance in (0, h] from inside node p to the disk boundary along direction."""
-    c = domain.center
-    r0 = domain.radius
-    if direction[0] != 0:
-        dy = p[1] - c[1]
-        half = np.sqrt(max(r0**2 - dy**2, 0.0))
-        x_cross = c[0] + direction[0] * half
-        t = (x_cross - p[0]) * direction[0]
-    else:
-        dx = p[0] - c[0]
-        half = np.sqrt(max(r0**2 - dx**2, 0.0))
-        y_cross = c[1] + direction[1] * half
-        t = (y_cross - p[1]) * direction[1]
-    return float(np.clip(t, 1e-12 * h, h))
-
-
-def _curve_crossings(domain, p, directions, h):
+def _arm_crossings(domain, p, directions, h):
     """Distances in (0, h] from inside nodes p (m, 2) to the boundary along
-    directions (m, 2): 60 bisection steps on all arms at once."""
+    directions (m, 2): 60 bisection steps of Domain.contains on all arms at
+    once, on disks and parametric curves alike."""
     lo = np.zeros(p.shape[0])
     hi = np.full(p.shape[0], float(h))
     for _ in range(60):
@@ -112,11 +96,7 @@ def build_grid(domain, h):
 
     direction = ARM_DIRS.astype(float)
     kk, dd = np.nonzero(neighbors < 0)
-    if domain.kind == "disk":
-        for k, d in zip(kk, dd):
-            arms[k, d] = _disk_crossing(domain, points[k], direction[d], h)
-    else:
-        arms[kk, dd] = _curve_crossings(domain, points[kk], direction[dd], h)
+    arms[kk, dd] = _arm_crossings(domain, points[kk], direction[dd], h)
 
     return GridSpec(domain=domain, h=float(h), origin=np.array([lo[0], lo[1]]),
                     shape=(nx, ny), index=index,

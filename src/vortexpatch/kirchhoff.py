@@ -26,10 +26,19 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, ConvergenceError, DomainError, SingularityError
 
+# admissible positions keep a boundary clearance rho = CLEARANCE * diameter
+# and a pairwise separation rho^SEPARATION_EXPONENT
+CLEARANCE = 0.05
+SEPARATION_EXPONENT = 2.0
+# a Hessian eigenvalue at most this fraction of the largest one is zero
+DEGENERACY_THRESHOLD = 1e-8
+# critical points closer than this in every coordinate are the same one
+DEDUPE_TOL = 1e-6
+
 
 @dataclass
 class VortexSystem:
-    """Strengths, positions and admissibility constants of the vortex system.
+    """Strengths and positions of the vortex system.
 
     positions holds the m plus-vortices first, then the n minus-vortices.
     subdomains, when set, is a list of (center, radius) disks, one per vortex,
@@ -39,8 +48,6 @@ class VortexSystem:
     kappa_minus: np.ndarray
     positions: np.ndarray
     subdomains: list = None
-    rho: float = None          # boundary clearance (defaults to 0.05 * diameter)
-    lbar: float = 2.0          # pairwise separation exponent: |z - z'| >= rho^lbar
 
     def __post_init__(self):
         self.kappa_plus = np.atleast_1d(np.asarray(self.kappa_plus, dtype=float))
@@ -71,37 +78,28 @@ class VortexSystem:
     def with_positions(self, Z):
         return VortexSystem(self.kappa_plus, self.kappa_minus,
                             np.asarray(Z, dtype=float).reshape(self.m + self.n, 2),
-                            subdomains=self.subdomains, rho=self.rho, lbar=self.lbar)
+                            subdomains=self.subdomains)
 
-    def separation_constants(self, domain):
-        rho = self.rho if self.rho is not None else 0.05 * domain.diameter
-        return rho, self.lbar
-
-    def check_admissible(self, domain, raise_on_fail=True):
-        """Boundary clearance >= rho and pairwise separation >= rho^lbar."""
-        rho, lbar = self.separation_constants(domain)
-        ok = bool(np.all(domain.signed_distance(self.positions) >= rho))
+    def check_admissible(self, domain):
+        """Raise DomainError unless every vortex clears the boundary by
+        rho = CLEARANCE * diameter and every pair by rho^SEPARATION_EXPONENT."""
+        rho = CLEARANCE * domain.diameter
         k = self.m + self.n
-        for i in range(k):
-            for j in range(i + 1, k):
-                d = np.hypot(*(self.positions[i] - self.positions[j]))
-                if d < rho**lbar:
-                    ok = False
-        if not ok and raise_on_fail:
+        close = any(np.hypot(*(self.positions[i] - self.positions[j])) < rho**SEPARATION_EXPONENT
+                    for i in range(k) for j in range(i + 1, k))
+        if close or not np.all(domain.signed_distance(self.positions) >= rho):
             raise DomainError("vortex positions violate the separation constraints")
-        return ok
 
     def default_subdomains(self, domain):
         """Disks around each vortex: radius min(rho, half min pairwise distance)."""
         if self.subdomains is not None:
             return self.subdomains
-        rho, _ = self.separation_constants(domain)
         k = self.m + self.n
-        radius = rho
+        radius = CLEARANCE * domain.diameter
         if k > 1:
             dmin = min(np.hypot(*(self.positions[i] - self.positions[j]))
                        for i in range(k) for j in range(i + 1, k))
-            radius = min(rho, 0.5 * dmin)
+            radius = min(radius, 0.5 * dmin)
         return [(self.positions[i].copy(), radius) for i in range(k)]
 
 
@@ -266,10 +264,11 @@ class CriticalPointReport:
         }
 
 
-def classify_hessian(eigs, threshold_scale=1e-8):
-    """Nondegenerate min/max/saddle when min |eig| clears the relative cutoff."""
+def classify_hessian(eigs):
+    """Nondegenerate min/max/saddle when min |eig| clears the relative cutoff
+    DEGENERACY_THRESHOLD."""
     eigs = np.asarray(eigs)
-    cutoff = threshold_scale * np.max(np.abs(eigs)) if np.max(np.abs(eigs)) > 0 else 0.0
+    cutoff = DEGENERACY_THRESHOLD * np.max(np.abs(eigs)) if np.max(np.abs(eigs)) > 0 else 0.0
     if np.min(np.abs(eigs)) <= cutoff:
         return "degenerate"
     if np.all(eigs > 0):
@@ -279,9 +278,10 @@ def classify_hessian(eigs, threshold_scale=1e-8):
     return "nondegenerate-saddle"
 
 
-def _project_admissible(Z, domain, rho, lbar):
+def _project_admissible(Z, domain):
     """Pull positions back inside the admissible set (boundary clearance and
     pairwise separation margins)."""
+    rho = CLEARANCE * domain.diameter
     Z = Z.copy()
     k = Z.shape[0]
     for i in range(k):
@@ -294,7 +294,7 @@ def _project_admissible(Z, domain, rho, lbar):
                 continue
             step = (rho - d) * 1.25
             Z[i] = Z[i] + direction / nl * min(step, nl)
-    sep = rho**lbar
+    sep = rho**SEPARATION_EXPONENT
     for i in range(k):
         for j in range(i + 1, k):
             diff = Z[i] - Z[j]
@@ -306,8 +306,7 @@ def _project_admissible(Z, domain, rho, lbar):
     return Z
 
 
-def find_critical(vs, green, q, z0=None, tol=None, max_iter=200,
-                  degeneracy_threshold=1e-8):
+def find_critical(vs, green, q, z0=None, tol=None, max_iter=200):
     """Trust-region Newton search for a critical point of W.
 
     Solves the gradient system (so saddles are reachable), with Levenberg
@@ -315,7 +314,6 @@ def find_critical(vs, green, q, z0=None, tol=None, max_iter=200,
     and projection back into the admissible set after every step.
     """
     domain = green.domain
-    rho, lbar = vs.separation_constants(domain)
     Z = np.asarray(z0, dtype=float).reshape(-1, 2).copy() if z0 is not None \
         else vs.positions.copy()
     scale = float(np.max(vs.kappas)**2)
@@ -342,7 +340,7 @@ def find_critical(vs, green, q, z0=None, tol=None, max_iter=200,
             sn = float(np.max(np.abs(step)))
             if sn > radius:
                 step *= radius / sn
-            Znew = _project_admissible(Z + step.reshape(-1, 2), domain, rho, lbar)
+            Znew = _project_admissible(Z + step.reshape(-1, 2), domain)
             cand = vs.with_positions(Znew)
             try:
                 gnew = kr_grad(cand, green, q)
@@ -366,7 +364,7 @@ def find_critical(vs, green, q, z0=None, tol=None, max_iter=200,
     eigs = np.linalg.eigvalsh(0.5 * (Hm + Hm.T))
     report = CriticalPointReport(
         z_star=Z, grad_norm=gnorm, hessian_eigenvalues=eigs,
-        classification=classify_hessian(eigs, degeneracy_threshold),
+        classification=classify_hessian(eigs),
         iterations=it, converged=converged,
         value=kr_value(work, green, q), history=history)
     if not converged:
@@ -376,9 +374,9 @@ def find_critical(vs, green, q, z0=None, tol=None, max_iter=200,
     return report
 
 
-def multistart_find_critical(vs, green, q, seeds, tol=None, dedupe_tol=1e-6, known=()):
+def multistart_find_critical(vs, green, q, seeds, tol=None, known=()):
     """Run find_critical from several seeds, dropping each critical point
-    within dedupe_tol of an earlier one or of one in `known`."""
+    within DEDUPE_TOL of an earlier one or of one in `known`."""
     found = [np.asarray(z) for z in known]
     reports = []
     for z0 in seeds:
@@ -386,7 +384,7 @@ def multistart_find_critical(vs, green, q, seeds, tol=None, dedupe_tol=1e-6, kno
             rep = find_critical(vs, green, q, z0=np.asarray(z0), tol=tol)
         except (ConvergenceError, DomainError, SingularityError):
             continue
-        if not any(np.max(np.abs(rep.z_star - z)) < dedupe_tol for z in found):
+        if not any(np.max(np.abs(rep.z_star - z)) < DEDUPE_TOL for z in found):
             found.append(rep.z_star)
             reports.append(rep)
     return reports

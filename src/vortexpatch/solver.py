@@ -52,6 +52,9 @@ MIN_DAMPING = 2.0**-10
 # initial trust radius of the deflated mode along span(Q), a 2-norm in field
 # units; it adapts from there
 TRUST_RADIUS = 0.05
+# trial steps of one deflated iteration, the radius shrinking by 4 after
+# each refused one, before the iteration counts as refused
+DEFLATED_TRIES = 8
 # the candidate core nodes of a Newton solve: the gated nodes whose gate
 # argument at the start exceeds -CORE_MARGIN times its maximum
 CORE_MARGIN = 0.15
@@ -300,7 +303,7 @@ def _trust_step(g, M, radius):
     return step(hi), False
 
 
-def _deflated_step(x, r, residual, J, lu, Q, radius, max_tries=8):
+def _deflated_step(x, r, residual, J, lu, Q, radius):
     """One Newton step on the core values split along the near-null
     subspace span(Q).
 
@@ -330,7 +333,7 @@ def _deflated_step(x, r, residual, J, lu, Q, radius, max_tries=8):
     M = Q.T @ (J @ Q)
     M = 0.5 * (M + M.T)
     newton = max(float(np.linalg.norm(np.linalg.lstsq(M, g, rcond=None)[0])), 1e-300)
-    for _ in range(max_tries):
+    for _ in range(DEFLATED_TRIES):
         beta, interior = _trust_step(g, M, radius)
         predicted = g @ beta + 0.5 * beta @ M @ beta
         x_try = x + Q @ beta
@@ -357,13 +360,14 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
     operator is factored once, with the candidate core nodes T of the start
     last (`_CoreLU`), and Newton iterates on the core values x: the residual
     is S x - f_T(x), and each step is the exact Newton step, a dense LU of
-    S - diag(f'_T(x)).  Steps are capped at a fraction of the start's range
-    (crossing the free boundary by many cells in one shot invalidates the
-    local model), and the line search backtracks on the l2 residual down to
-    MIN_DAMPING.  A converged x gives the field by one sparse solve; if that
-    field activates a node outside T, T grows to the union and Newton
-    continues from the field's values there.  A start that activates no
-    node has an empty core and the zero field.
+    S - diag(f'_T(x)).  Steps are capped at 0.3 times the larger of the
+    start's range and the largest activation level (crossing the free
+    boundary by many cells in one shot invalidates the local model; a flat
+    start still moves by up to its levels), and the line search backtracks
+    on the l2 residual down to MIN_DAMPING.  A converged x gives the field
+    by one sparse solve; if that field activates a node outside T, T grows
+    to the union and Newton continues from the field's values there.  A
+    start that activates no node has an empty core and the zero field.
 
     The solve stalls when the line search would need a smaller damping, or
     when STALL_WINDOW iterations pass without a new lowest max-residual.
@@ -381,7 +385,8 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
     Ac = setup.operator()
     report = SolveReport()
     n_null = setup.near_null_dim
-    field_range = max(float(np.max(start) - np.min(start)), 1e-12)
+    step_cap = 0.3 * max(float(np.max(start) - np.min(start)),
+                         float(np.max(np.abs(setup.level))), 1e-12)
     core_lu = gates = eigvals = None
 
     def residual(v):
@@ -467,8 +472,8 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
         else:
             step = lu_solve(lu, -r)
             sn = float(np.max(np.abs(step)))
-            if sn > 0.3 * field_range:
-                step *= 0.3 * field_range / sn
+            if sn > step_cap:
+                step *= step_cap / sn
             lam = 1.0
             while lam >= MIN_DAMPING:
                 x_try = x + lam * step

@@ -475,7 +475,7 @@ def test_ansatz_r_independence(disk_images, profiles, q_zero):
     rp = profiles[2.0]
     c4 = solve_core_system(vs, disk_images, q_zero, 1e-3, rp)
     ge8 = GreenEvaluator(Domain.disk(1.0, big_r=8.0))
-    c8 = solve_core_system(vs, ge8, q_zero, 1e-3, rp, big_r=8.0)
+    c8 = solve_core_system(vs, ge8, q_zero, 1e-3, rp)
     af4 = AnsatzField(c4, vs, rp, disk_images, q_zero)
     af8 = AnsatzField(c8, vs, rp, ge8, q_zero)
     probes = np.array([[0.25, 0.12], [0.5, -0.3], [0.0, 0.0], [0.21, 0.1], [0.2, 0.1]])

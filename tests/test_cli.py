@@ -412,6 +412,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_too_coarse_grid_exits_2(tmp_path, capsys):
+    # an explicit grid spacing above s/4 is an invalid configuration
+    cfg_path = write_config(tmp_path)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                 "--grid-h", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "too coarse" in err
+
+
 def test_cli_unsupported_profile_exponent_exits_2(tmp_path, capsys):
     # the config accepts any p > 1; the profile table check rejects p = 7
     cfg_path = write_config(tmp_path, {"profile.p": 7.0})

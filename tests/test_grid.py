@@ -32,13 +32,18 @@ def test_mask_and_arms(disk_grid):
 
 
 def test_arm_crossing_on_disk(disk_grid):
-    # the Shortley-Weller crossing lies on the circle to high accuracy
+    # every cut arm ends on the unit circle: its length is the chord
+    # sqrt(1 - across^2) - along, with along/across the node's coordinates
+    # along and across the arm, clipped to (0, h] as build_grid clips it
     spec = disk_grid
-    k = np.nonzero(spec.is_adjacent)[0][0]
-    d = np.nonzero(spec.neighbors[k] < 0)[0][0]
+    k, d = np.nonzero(spec.neighbors < 0)
+    assert len(k) > 0
     direction = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], float)[d]
-    crossing = spec.points[k] + spec.arms[k, d] * direction
-    assert abs(np.hypot(*crossing) - 1.0) < 1e-10
+    p = spec.points[k]
+    along = (p * direction).sum(axis=1)
+    across = p[:, 0] * direction[:, 1] - p[:, 1] * direction[:, 0]
+    chord = np.clip(np.sqrt(1.0 - across**2) - along, 1e-12 * spec.h, spec.h)
+    assert np.max(np.abs(spec.arms[k, d] - chord)) <= 1e-12 * spec.h
 
 
 def test_operator_polynomial_exactness(disk_grid):
