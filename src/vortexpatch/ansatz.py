@@ -29,11 +29,12 @@ signed table S_ij = sigma_i sigma_j of kirchhoff.interaction_table,
 
     a = kappa + sigma 2 pi q(z)/|ln eps| + g(z, z) c - (S o barG) c;
 
-the same table gives the first-order tilt of ansatz_tilt.  The gluing
-equation fixes each core radius as a function s(a) of its plateau level, so
-the solver runs Newton on the plateau levels alone, with the derivative of
-L = ln(bigR/s(a)) from the implicit function theorem, until both residual
-families sit at rounding level.
+the same table gives the first-order tilt of ansatz_tilt (the gradient of
+the Kirchhoff-Routh energy with kappa replaced by c, kirchhoff.signed_tilt).
+The gluing equation fixes each core radius as a function s(a) of its
+plateau level, so the solver runs Newton on the plateau levels alone, with
+the derivative of L = ln(bigR/s(a)) from the implicit function theorem,
+until both residual families sit at rounding level.
 """
 
 import math
@@ -43,7 +44,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .errors import DomainError, SolvabilityError, ConvergenceError
-from .kirchhoff import interaction_table
+from .kirchhoff import interaction_table, signed_tilt
 
 TWO_PI = 2.0 * np.pi
 # every residual family of the core system must land below this
@@ -220,16 +221,22 @@ def solve_core_system(vs, green, q, eps, rp, max_iter=200):
     big_r = green.big_r
     table = interaction_table(vs, green)
     cores = _solve_cores(vs, table, q, eps, rp, big_r, vs.kappas, max_iter)
-    try:
-        a_alt = _iterate_cores(vs, table, q, eps, cores.delta, rp, big_r,
-                               1.5 * vs.kappas, max_iter)[0]
-        if np.max(np.abs(a_alt - cores.a_all)) > 1e-9 * np.max(np.abs(cores.a_all)):
-            warnings.warn(
-                "core system admits multiple fixed points at this eps; "
-                "reporting the branch seeded at a = kappa", stacklevel=2)
-    except (SolvabilityError, ConvergenceError):
-        pass
+    _warn_if_multiple(cores, vs, table, q, rp, max_iter)
     return cores
+
+
+def _warn_if_multiple(cores, vs, table, q, rp, max_iter=200):
+    """Solve the core system again from a = 1.5 kappa and warn when it lands
+    on another root than `cores`."""
+    try:
+        a_alt = _iterate_cores(vs, table, q, cores.eps, cores.delta, rp, cores.big_r,
+                               1.5 * vs.kappas, max_iter)[0]
+    except (SolvabilityError, ConvergenceError):
+        return
+    if np.max(np.abs(a_alt - cores.a_all)) > 1e-9 * np.max(np.abs(cores.a_all)):
+        warnings.warn(
+            "core system admits multiple fixed points at this eps; "
+            "reporting the branch seeded at a = kappa", stacklevel=3)
 
 
 def _solve_cores(vs, table, q, eps, rp, big_r, a_init, max_iter=200):
@@ -313,19 +320,15 @@ def ansatz_tilt(cores, vs, green, q):
 
         t_i = sign_i (2 pi/|ln eps|) grad q(z_i) + (a_i/L_i) grad_x g(z_i, z_i)
               - sum_{same sign, k != i} (a_k/L_k) grad_x barG(z_i, z_k)
-              + sum_{opposite l} (a_l/L_l) grad_x barG(z_i, z_l).
+              + sum_{opposite l} (a_l/L_l) grad_x barG(z_i, z_l),
 
-    Zeroing all t_i places the configuration at the finite-eps equilibrium of
-    the reduced energy; at that point the near-solution has no first-order
-    defect and the vorticity supports stay concentric with their vortices.
+    kirchhoff.signed_tilt with weights c = a/L.  Zeroing all t_i places the
+    configuration at the finite-eps equilibrium of the reduced energy; at
+    that point the near-solution has no first-order defect and the vorticity
+    supports stay concentric with their vortices.
     """
-    return _tilt(cores, vs, interaction_table(vs, green), q)
-
-
-def _tilt(cores, vs, t, q):
     c = cores.a_all / np.log(cores.big_r / cores.s_all)
-    return ((TWO_PI / eps_log(cores.eps)) * vs.signs[:, None] * q.grad(vs.positions)
-            + c[:, None] * t.dg_diag - np.einsum("ij,j,ijh->ih", t.S, c, t.dbar))
+    return signed_tilt(vs, interaction_table(vs, green), q, c, TWO_PI / eps_log(cores.eps))
 
 
 def refine_positions(vs, green, q, eps, rp):
@@ -335,23 +338,27 @@ def refine_positions(vs, green, q, eps, rp):
     to a max tilt of 1e-12 max(1, max kappa) within REFINE_MAX_ITER steps,
     re-solving the core system at every evaluation on the one interaction
     table that the tilt reads; the perturbed and trial positions seed it at
-    the current plateau levels.  Seeded at a critical point of the
-    interaction energy this converges in a few steps and shifts each center
-    by O(1/|ln eps|); the shift vanishes in the limit.
+    the current plateau levels; at the final position a second core solve
+    from a = 1.5 kappa warns when the core system has another root.  Seeded
+    at a critical point of the interaction energy this converges in a few
+    steps and shifts each center by O(1/|ln eps|); the shift vanishes in the
+    limit.
     """
     big_r = green.big_r
     tol = 1e-12 * max(1.0, float(np.max(vs.kappas)))
     Z = vs.positions.copy()
     k = vs.m + vs.n
+    q_weight = TWO_PI / eps_log(eps)
 
     def tilt_of(Zflat, a_init):
         work = vs.with_positions(Zflat.reshape(k, 2))
         table = interaction_table(work, green)
         cores = _solve_cores(work, table, q, eps, rp, big_r, a_init)
-        return _tilt(cores, work, table, q).ravel(), cores
+        c = cores.a_all / np.log(big_r / cores.s_all)
+        return signed_tilt(work, table, q, c, q_weight).ravel(), cores, table
 
     zf = Z.ravel()
-    f, cores = tilt_of(zf, vs.kappas)
+    f, cores, table = tilt_of(zf, vs.kappas)
     step_fd = 1e-7 * green.domain.diameter
     for _ in range(REFINE_MAX_ITER):
         if np.max(np.abs(f)) <= tol:
@@ -368,13 +375,13 @@ def refine_positions(vs, green, q, eps, rp):
         lam = 1.0
         while lam > 1e-6:
             try:
-                f_new, cores_new = tilt_of(zf + lam * d, cores.a_all)
+                trial = tilt_of(zf + lam * d, cores.a_all)
             except (SolvabilityError, ConvergenceError, DomainError):
                 lam *= 0.5
                 continue
-            if np.max(np.abs(f_new)) < np.max(np.abs(f)):
+            if np.max(np.abs(trial[0])) < np.max(np.abs(f)):
                 zf = zf + lam * d
-                f, cores = f_new, cores_new
+                f, cores, table = trial
                 break
             lam *= 0.5
         else:
@@ -382,7 +389,9 @@ def refine_positions(vs, green, q, eps, rp):
     else:
         raise ConvergenceError(
             f"position refinement stalled at tilt {np.max(np.abs(f)):.3e}")
-    return vs.with_positions(zf.reshape(k, 2)), cores
+    vs_eps = vs.with_positions(zf.reshape(k, 2))
+    _warn_if_multiple(cores, vs_eps, table, q, rp)
+    return vs_eps, cores
 
 
 class AnsatzField:

@@ -1,30 +1,35 @@
 """Kirchhoff-Routh interaction energy of a +/- point-vortex system.
 
-For strengths kappa_i^+ > 0 (i = 1..m) and kappa_j^- > 0 (j = 1..n) at
-positions z_i^+, z_j^- the interaction energy is
+For strengths kappa_i > 0 with signs sigma_i (the m plus-vortices first,
+then the n minus-vortices) at positions z_i the interaction energy is
 
-    W = 1/2 sum_{i != k} k_i^+ k_k^+ G(z_i^+, z_k^+)
-      + 1/2 sum_{j != l} k_j^- k_l^- G(z_j^-, z_l^-)
-      + 1/2 sum_i (k_i^+)^2 H(z_i^+, z_i^+) + 1/2 sum_j (k_j^-)^2 H(z_j^-, z_j^-)
-      - sum_{i,j} k_i^+ k_j^- G(z_i^+, z_j^-)
-      + sum_i k_i^+ psi0(z_i^+) - sum_j k_j^- psi0(z_j^-),     psi0 = -q.
+    W = 1/2 sum_{i != j} sigma_i sigma_j kappa_i kappa_j G(z_i, z_j)
+      + 1/2 sum_i kappa_i^2 H(z_i, z_i) + sum_i sigma_i kappa_i psi0(z_i),   psi0 = -q.
 
 Its critical points are the stationary point-vortex configurations that the
-desingularization targets.  The companion functional
+desingularization targets.  With barG = 2 pi G, H(z, z) = (ln bigR -
+g(z, z))/2 pi and the signed table S_ij = sigma_i sigma_j of
+interaction_table (zero on the diagonal),
 
-    Phi = 4 pi^2 [sum k^+ q(z^+) - sum k^- q(z^-)]
-        + pi sum (k^+)^2 g(z^+, z^+) + pi sum (k^-)^2 g(z^-, z^-)
-        - pi sum_{i != k} k_i^+ k_k^+ barG - pi sum_{j != l} k_j^- k_l^- barG
-        + 2 pi sum_{i,j} k_i^+ k_j^- barG(z_i^+, z_j^-)
+    W = [kappa^T (S o barG) kappa + sum kappa_i^2 (ln bigR - g(z_i, z_i))]/4 pi
+        - sum sigma_i kappa_i q(z_i),
 
-satisfies Phi = -4 pi^2 W + pi ln(bigR) sum kappa^2 exactly, so the two share
-critical points; the identity is a standing cross-check.
+so W, its gradient, its Hessian and the companion functional
+
+    Phi = 4 pi^2 sum sigma_i kappa_i q(z_i) + pi sum kappa_i^2 g(z_i, z_i)
+        - pi kappa^T (S o barG) kappa  =  pi ln(bigR) sum kappa^2 - 4 pi^2 W,
+
+which has the same critical points, are all read off that one table.
+grad_i W = -kappa_i t_i/2 pi for t = signed_tilt with weights c = kappa;
+with the plateau weights c = a/L the same formula is the composite field's
+tilt.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ConvergenceError, DomainError, SingularityError
+from .greens import TWO_PI, _log_hess
 
 # admissible positions keep a boundary clearance rho = CLEARANCE * diameter
 # and a pairwise separation rho^SEPARATION_EXPONENT
@@ -84,23 +89,22 @@ class VortexSystem:
         """Raise DomainError unless every vortex clears the boundary by
         rho = CLEARANCE * diameter and every pair by rho^SEPARATION_EXPONENT."""
         rho = CLEARANCE * domain.diameter
-        k = self.m + self.n
-        close = any(np.hypot(*(self.positions[i] - self.positions[j])) < rho**SEPARATION_EXPONENT
-                    for i in range(k) for j in range(i + 1, k))
-        if close or not np.all(domain.signed_distance(self.positions) >= rho):
+        if (self._min_separation() < rho**SEPARATION_EXPONENT
+                or not np.all(domain.signed_distance(self.positions) >= rho)):
             raise DomainError("vortex positions violate the separation constraints")
 
     def default_subdomains(self, domain):
         """Disks around each vortex: radius min(rho, half min pairwise distance)."""
         if self.subdomains is not None:
             return self.subdomains
-        k = self.m + self.n
-        radius = CLEARANCE * domain.diameter
-        if k > 1:
-            dmin = min(np.hypot(*(self.positions[i] - self.positions[j]))
-                       for i in range(k) for j in range(i + 1, k))
-            radius = min(radius, 0.5 * dmin)
-        return [(self.positions[i].copy(), radius) for i in range(k)]
+        radius = min(CLEARANCE * domain.diameter, 0.5 * self._min_separation())
+        return [(z.copy(), radius) for z in self.positions]
+
+    def _min_separation(self):
+        """Smallest distance between two vortices (inf for a single one)."""
+        i, j = np.triu_indices(self.m + self.n, 1)
+        d = self.positions[i] - self.positions[j]
+        return float(np.min(np.hypot(d[:, 0], d[:, 1]), initial=np.inf))
 
 
 @dataclass
@@ -162,78 +166,63 @@ def check_subdomains(vs, domain):
 # ---------------------------------------------------------------------- #
 
 
-def _pair_iter(vs):
-    k = vs.m + vs.n
-    for i in range(k):
-        for j in range(i + 1, k):
-            yield i, j
+def signed_tilt(vs, table, q, c, q_weight):
+    """t_i = q_weight sigma_i grad q(z_i) + c_i grad_x g(z_i, z_i)
+    - sum_j S_ij c_j grad_x barG(z_i, z_j) for weights c on a table.
+
+    With c = kappa and q_weight = 2 pi this is -2 pi grad_i W / kappa_i;
+    with the plateau weights c = a/L and q_weight = 2 pi/|ln eps| it is the
+    first-order tilt of the composite field (ansatz.ansatz_tilt).
+    """
+    return (q_weight * vs.signs[:, None] * q.grad(vs.positions)
+            + c[:, None] * table.dg_diag - np.einsum("ij,j,ijh->ih", table.S, c, table.dbar))
 
 
 def kr_value(vs, green, q):
     """Kirchhoff-Routh energy W at the system's positions."""
-    Z = vs.positions
+    t = interaction_table(vs, green)
     kap = vs.kappas
-    sgn = vs.signs
-    if not np.all(green.domain.contains(Z)):
-        raise DomainError("vortex position outside the domain")
-    total = 0.0
-    for i, j in _pair_iter(vs):
-        d = np.hypot(*(Z[i] - Z[j]))
-        if d == 0.0:
-            raise SingularityError(f"coincident vortices {i} and {j}")
-        total += sgn[i] * sgn[j] * kap[i] * kap[j] * green.green(Z[i], Z[j])
-    for i in range(vs.m + vs.n):
-        total += 0.5 * kap[i]**2 * green.robin(Z[i])
-        total -= sgn[i] * kap[i] * q.value(Z[i])   # + kappa * psi0, psi0 = -q
+    total = ((kap @ (t.S * t.bar) @ kap + np.sum(kap**2 * (np.log(green.big_r) - t.g_diag)))
+             / (2.0 * TWO_PI) - np.sum(vs.signs * kap * q.value(vs.positions)))
     return float(total)
 
 
 def kr_grad(vs, green, q):
     """Gradient of W in all 2(m+n) coordinates (plus block first)."""
-    Z = vs.positions
     kap = vs.kappas
-    sgn = vs.signs
-    k = vs.m + vs.n
-    grad = np.zeros((k, 2))
-    for i in range(k):
-        for j in range(k):
-            if j == i:
-                continue
-            grad[i] += sgn[i] * sgn[j] * kap[i] * kap[j] * green.green_grad_x(Z[i], Z[j])
-        grad[i] += 0.5 * kap[i]**2 * green.robin_grad(Z[i])
-        grad[i] -= sgn[i] * kap[i] * q.grad(Z[i])
-    return grad.ravel()
+    tilt = signed_tilt(vs, interaction_table(vs, green), q, kap, TWO_PI)
+    return (-kap[:, None] / TWO_PI * tilt).ravel()
 
 
 def kr_hessian(vs, green, q):
-    """Hessian of W; assembled from one mixed block per unordered pair so the
-    result is symmetric to rounding."""
-    Z = vs.positions
-    kap = vs.kappas
-    sgn = vs.signs
-    k = vs.m + vs.n
-    hess = np.zeros((2 * k, 2 * k))
-    for i in range(k):
-        blk = 0.5 * kap[i]**2 * green.robin_hess(Z[i])
-        blk -= sgn[i] * kap[i] * q.hessian(Z[i])
-        for j in range(k):
-            if j != i:
-                blk += sgn[i] * sgn[j] * kap[i] * kap[j] * green.green_hess_xx(Z[i], Z[j])
-        hess[2 * i:2 * i + 2, 2 * i:2 * i + 2] = 0.5 * (blk + blk.T)
-    for i, j in _pair_iter(vs):
-        mixed = sgn[i] * sgn[j] * kap[i] * kap[j] * green.green_hess_xy(Z[i], Z[j])
-        hess[2 * i:2 * i + 2, 2 * j:2 * j + 2] = mixed
-        hess[2 * j:2 * j + 2, 2 * i:2 * i + 2] = mixed.T
-    return hess
+    """Hessian of W, exactly symmetric: pair weights S_ij kappa_i kappa_j
+    from the interaction table, one batched H_hess_xx and H_hess_xy call per
+    source and the Hessian of the log kernel in closed form."""
+    t = interaction_table(vs, green)
+    Z, kap = vs.positions, vs.kappas
+    k = len(Z)
+    w = t.S * np.outer(kap, kap)
+    hxx = np.stack([green.H_hess_xx(Z, z) for z in Z], axis=1)    # [i, j]: at (z_i, z_j)
+    hxy = np.stack([green.H_hess_xy(Z, z) for z in Z], axis=1)
+    off = ~np.eye(k, dtype=bool)
+    # any nonzero offset on the diagonal, where every pair weight is zero
+    d = np.where(off[..., None], Z[:, None, :] - Z[None, :, :], 1.0)
+    lh = _log_hess(d.reshape(-1, 2), np.zeros(2)).reshape(k, k, 2, 2) / TWO_PI
+    # G_xx = -lh + H_xx and G_xy = lh + H_xy off the diagonal; the Robin
+    # Hessian is 2 (H_xx + H_xy) at (z_i, z_i)
+    diag = np.arange(k)
+    blocks = w[..., None, None] * (lh + hxy)
+    blocks[diag, diag] = (np.einsum("ij,ijab->iab", w, hxx - lh)
+                          + kap[:, None, None]**2 * (hxx + hxy)[diag, diag]
+                          - (vs.signs * kap)[:, None, None] * q.hessian(Z))
+    hess = blocks.transpose(0, 2, 1, 3).reshape(2 * k, 2 * k)
+    return 0.5 * (hess + hess.T)
 
 
 def phi_value(vs, green, q):
     """The reduced-energy companion of W (same critical points)."""
-    t = interaction_table(vs, green)
-    kap = vs.kappas
-    total = (4.0 * np.pi**2 * np.sum(vs.signs * kap * q.value(vs.positions))
-             + np.pi * np.sum(kap**2 * t.g_diag) - np.pi * kap @ (t.S * t.bar) @ kap)
-    return float(total)
+    return float(np.pi * np.sum(vs.kappas**2) * np.log(green.big_r)
+                 - 4.0 * np.pi**2 * kr_value(vs, green, q))
 
 
 # ---------------------------------------------------------------------- #

@@ -239,18 +239,22 @@ def test_core_system_non_positive_plateau_raises(disk_images, q_zero, profiles):
 
 def test_refine_positions_builds_one_table_per_tilt(monkeypatch, disk_images, profiles):
     # each tilt evaluation solves the core system once, on the table the tilt
-    # reads; the finite-difference columns start at the base plateau levels
-    tables, iterations = [], []
+    # reads; the finite-difference columns start at the base plateau levels.
+    # The final position gets one more solve, from a = 1.5 kappa on its last
+    # table: the multiple-fixed-point check
+    tables, iterations, seeds, used = [], [], [], []
     table_fn, iterate_fn = ansatz.interaction_table, ansatz._iterate_cores
 
     def counted_table(*args):
         out = table_fn(*args)      # line-search trials outside the disk raise here
-        tables.append(1)
+        tables.append(out)
         return out
 
     def counted_iterate(*args):
         out = iterate_fn(*args)
         iterations.append(out[2])
+        seeds.append(float(args[7][0]))
+        used.append(args[1])
         return out
 
     monkeypatch.setattr(ansatz, "interaction_table", counted_table)
@@ -258,10 +262,27 @@ def test_refine_positions_builds_one_table_per_tilt(monkeypatch, disk_images, pr
     q = background_from_flux(disk_images.domain, lambda t: 0.5 * np.cos(t))
     refine_positions(VortexSystem([1.0], [], [[0.0, -0.05]]), disk_images, q, 1e-3,
                      profiles[2.0])
-    assert len(iterations) > 3
-    assert len(tables) == len(iterations)
+    assert len(iterations) > 4
+    assert len(tables) == len(iterations) - 1
+    assert seeds[-1] == 1.5 and 1.5 not in seeds[:-1]
+    assert used[-1] is tables[-1]
     assert max(iterations[1:3]) < iterations[0]
     assert max(iterations) <= 8
+
+
+def test_refine_positions_warns_on_a_second_core_root(monkeypatch, disk_images, profiles):
+    # a core solve from a = 1.5 kappa that lands on another root warns
+    iterate_fn = ansatz._iterate_cores
+
+    def second_root(vs, table, q, eps, delta, rp, big_r, a_init, max_iter):
+        a, s, it = iterate_fn(vs, table, q, eps, delta, rp, big_r, a_init, max_iter)
+        return (2.0 * a if np.array_equal(a_init, 1.5 * vs.kappas) else a), s, it
+
+    monkeypatch.setattr(ansatz, "_iterate_cores", second_root)
+    q = background_from_flux(disk_images.domain, lambda t: 0.5 * np.cos(t))
+    with pytest.warns(UserWarning, match="multiple fixed points"):
+        refine_positions(VortexSystem([1.0], [], [[0.0, -0.05]]), disk_images, q, 1e-3,
+                         profiles[2.0])
 
 
 def test_core_system_symmetric_pair(disk_images, q_zero, profiles):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from vortexpatch.cli import main
 from vortexpatch.config import config_hash, load_config, validate_config
 from vortexpatch.errors import ConfigError, ConvergenceError
+from vortexpatch.kirchhoff import VortexSystem, kr_value
 from vortexpatch.pipeline import (_CONV_HEADER, PipelineContext, run_pipeline,
                                   run_sweep, stage_equilibrium)
 
@@ -402,6 +403,25 @@ def test_cli_find_equilibrium(tmp_path, capsys):
                "--out", str(tmp_path / "eq")])
     assert rc == 0
     assert (tmp_path / "eq" / "equilibrium.jsonl").exists()
+
+
+def test_cli_landscape_rows_are_kr_values(tmp_path, capsys):
+    # each W row of landscape.csv is kr_value with the first vortex at the
+    # probe and the others at the critical point
+    cfg_path = write_config(tmp_path, {"vortices.kappa_minus": [1.0],
+                                       "vortices.seeds": [[0.0, 0.02], [0.0, -0.02]]})
+    out = tmp_path / "eq"
+    assert main(["find-equilibrium", "--config", cfg_path, "--out", str(out),
+                 "--landscape-grid", "6"]) == 0
+    z_star = np.array(json.loads((out / "equilibrium.jsonl").read_text().splitlines()[0])
+                      ["z_star"])
+    ctx = PipelineContext(load_config(cfg_path))
+    vs = VortexSystem([1.0], [1.0], z_star)
+    rows = np.loadtxt(out / "landscape.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) >= 20
+    for x1, x2, w in rows:
+        probe = vs.with_positions(np.vstack([[x1, x2], z_star[1:]]))
+        assert w == kr_value(probe, ctx.green, ctx.q)
 
 
 def test_cli_exit_codes(tmp_path, capsys):

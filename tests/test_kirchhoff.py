@@ -19,9 +19,75 @@ def mixed_system(rng=None):
     return VortexSystem([1.0, 0.7], [1.3], pos)
 
 
+def vn_cos(t):
+    return 0.3 * np.cos(t) + 0.1 * np.sin(2 * t)
+
+
 @pytest.fixture(scope="module")
 def q_cos(unit_disk):
-    return background_from_flux(unit_disk, lambda t: 0.3 * np.cos(t) + 0.1 * np.sin(2 * t))
+    return background_from_flux(unit_disk, vn_cos)
+
+
+@pytest.fixture(scope="module")
+def ellipse_green():
+    # semi-axes 1 and 0.8: the test points (|z| <= 0.6) stay about 18
+    # sample spacings from the wall, where the trapezoid derivatives of H
+    # are at rounding
+    return GreenEvaluator(Domain.named("ellipse", n=512, a=1.0, b=0.8))
+
+
+@pytest.fixture(scope="module", params=["disk_images", "disk_bie", "ellipse_green"],
+                ids=["images", "bie", "ellipse"])
+def green_q(request):
+    """A Green evaluator and the vn-fourier background of vn_cos on its domain."""
+    green = request.getfixturevalue(request.param)
+    return green, background_from_flux(green.domain, vn_cos)
+
+
+# ---------------------------------------------------------------------- #
+#  termwise oracle: one Green call per vortex pair, the sign of each pair
+#  term the product of the two vortices' signs
+# ---------------------------------------------------------------------- #
+
+
+def _oracle_value(vs, green, q):
+    Z, kap, sgn = vs.positions, vs.kappas, vs.signs
+    k = len(Z)
+    total = 0.0
+    for i in range(k):
+        for j in range(i + 1, k):
+            total += sgn[i] * sgn[j] * kap[i] * kap[j] * green.green(Z[i], Z[j])
+        total += 0.5 * kap[i]**2 * green.robin(Z[i])
+        total -= sgn[i] * kap[i] * q.value(Z[i])   # + kappa * psi0, psi0 = -q
+    return float(total)
+
+
+def _oracle_grad(vs, green, q):
+    Z, kap, sgn = vs.positions, vs.kappas, vs.signs
+    k = len(Z)
+    grad = np.zeros((k, 2))
+    for i in range(k):
+        for j in range(k):
+            if j != i:
+                grad[i] += sgn[i] * sgn[j] * kap[i] * kap[j] * green.green_grad_x(Z[i], Z[j])
+        grad[i] += 0.5 * kap[i]**2 * green.robin_grad(Z[i])
+        grad[i] -= sgn[i] * kap[i] * q.grad(Z[i])
+    return grad.ravel()
+
+
+def _oracle_hessian(vs, green, q):
+    Z, kap, sgn = vs.positions, vs.kappas, vs.signs
+    k = len(Z)
+    hess = np.zeros((2 * k, 2 * k))
+    for i in range(k):
+        blk = 0.5 * kap[i]**2 * green.robin_hess(Z[i]) - sgn[i] * kap[i] * q.hessian(Z[i])
+        for j in range(k):
+            if j != i:
+                blk += sgn[i] * sgn[j] * kap[i] * kap[j] * green.green_hess_xx(Z[i], Z[j])
+                hess[2 * i:2 * i + 2, 2 * j:2 * j + 2] = (
+                    sgn[i] * sgn[j] * kap[i] * kap[j] * green.green_hess_xy(Z[i], Z[j]))
+        hess[2 * i:2 * i + 2, 2 * i:2 * i + 2] = blk
+    return 0.5 * (hess + hess.T)
 
 
 # ---------------------------------------------------------------------- #
@@ -69,12 +135,13 @@ def test_gradient_zero_at_center(disk_images, q_zero):
     assert np.max(np.abs(kr_grad(vs, disk_images, q_zero))) < 1e-14
 
 
-def test_gradient_matches_finite_differences(disk_images, q_cos):
+def test_gradient_matches_finite_differences(green_q):
+    green, q = green_q
     rng = np.random.default_rng(2)
     for _ in range(3):
         pts = random_disk_points(rng, 3, rmax=0.6, min_sep=0.25)
         vs = VortexSystem([1.0, 0.7], [1.3], pts)
-        g = kr_grad(vs, disk_images, q_cos)
+        g = kr_grad(vs, green, q)
         z0 = vs.positions.ravel()
         h = 1e-6
         fd = np.zeros_like(g)
@@ -82,14 +149,15 @@ def test_gradient_matches_finite_differences(disk_images, q_cos):
             zp, zm = z0.copy(), z0.copy()
             zp[i] += h
             zm[i] -= h
-            fd[i] = (kr_value(vs.with_positions(zp), disk_images, q_cos)
-                     - kr_value(vs.with_positions(zm), disk_images, q_cos)) / (2 * h)
+            fd[i] = (kr_value(vs.with_positions(zp), green, q)
+                     - kr_value(vs.with_positions(zm), green, q)) / (2 * h)
         assert np.max(np.abs(g - fd)) / np.max(np.abs(g)) < 1e-5
 
 
-def test_hessian_symmetric_and_fd(disk_images, q_cos):
+def test_hessian_symmetric_and_fd(green_q):
+    green, q = green_q
     vs = mixed_system()
-    H = kr_hessian(vs, disk_images, q_cos)
+    H = kr_hessian(vs, green, q)
     assert np.max(np.abs(H - H.T)) < 1e-12
     z0 = vs.positions.ravel()
     h = 1e-6
@@ -98,9 +166,22 @@ def test_hessian_symmetric_and_fd(disk_images, q_cos):
         zp, zm = z0.copy(), z0.copy()
         zp[i] += h
         zm[i] -= h
-        fd[:, i] = (kr_grad(vs.with_positions(zp), disk_images, q_cos)
-                    - kr_grad(vs.with_positions(zm), disk_images, q_cos)) / (2 * h)
+        fd[:, i] = (kr_grad(vs.with_positions(zp), green, q)
+                    - kr_grad(vs.with_positions(zm), green, q)) / (2 * h)
     assert np.max(np.abs(H - fd)) / np.max(np.abs(H)) < 1e-5
+
+
+def test_kr_table_matches_termwise_oracle(green_q):
+    # W, grad W and the Hessian from the signed interaction table against
+    # the per-pair sums, on two + vortices and one - vortex
+    green, q = green_q
+    vs = mixed_system()
+    for got, ref in ((kr_value(vs, green, q), _oracle_value(vs, green, q)),
+                     (kr_grad(vs, green, q), _oracle_grad(vs, green, q)),
+                     (kr_hessian(vs, green, q), _oracle_hessian(vs, green, q))):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    H = kr_hessian(vs, green, q)
+    assert np.array_equal(H, H.T)
 
 
 def test_strength_rescaling_invariance(disk_images, q_zero):
