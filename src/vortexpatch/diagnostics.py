@@ -197,21 +197,43 @@ def energy_eval(fld, setup):
 def _free_boundary_radii(af, idx, z, dirs, lo, hi, xtol):
     """Radius of the free boundary of vortex idx on every ray z + r*dir.
 
-    Bisection on [lo, hi] for all rays at once, to xtol: the excess must be
-    positive at lo and negative at hi on every ray.
+    A safeguarded Illinois iteration on [lo, hi] for all rays at once: the
+    excess must be positive at lo and negative at hi on every ray.  Each
+    step takes the false-position point of every ray's bracket, with the
+    value at an end that the previous step kept halved, and the midpoint
+    where that point is not strictly inside the bracket (as on a closed
+    bracket, after an excess of exactly 0).  It stops when no ray's point
+    moves by more than xtol, and after at most the steps of a bisection to
+    xtol.
     """
-    if np.any(af.excess(idx, z + hi * dirs) >= 0):
+    fa = af.excess(idx, z + lo * dirs)
+    fb = af.excess(idx, z + hi * dirs)
+    if np.any(fb >= 0):
         raise ConfigError("free boundary reaches the subdomain edge")
-    if np.any(af.excess(idx, z + lo * dirs) <= 0):
+    if np.any(fa <= 0):
         raise ConfigError("composite field below the activation level at the core center")
     a = np.full(len(dirs), lo)
     b = np.full(len(dirs), hi)
+    kept_a = kept_b = np.zeros(len(dirs), dtype=bool)
+    r = a
     for _ in range(int(np.ceil(np.log2((hi - lo) / xtol)))):
-        mid = 0.5 * (a + b)
-        inside = af.excess(idx, z + mid[:, None] * dirs) > 0
-        a = np.where(inside, mid, a)
-        b = np.where(inside, b, mid)
-    return 0.5 * (a + b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = (a * fb - b * fa) / (fb - fa)
+        c = np.where((c > a) & (c < b), c, 0.5 * (a + b))
+        fc = af.excess(idx, z + c[:, None] * dirs)
+        inside = fc > 0
+        # an excess of exactly 0 is a root: the bracket closes on it
+        root = fc == 0
+        fa = np.where(inside | root, fc, np.where(kept_a, 0.5 * fa, fa))
+        fb = np.where(inside, np.where(kept_b, 0.5 * fb, fb), fc)
+        a = np.where(inside | root, c, a)
+        b = np.where(inside, b, c)
+        kept_a, kept_b = ~inside, inside
+        moved = float(np.max(np.abs(c - r)))
+        r = c
+        if moved <= xtol:
+            break
+    return r
 
 
 def ansatz_energy(af, n_r=96, n_theta=192):
@@ -221,8 +243,8 @@ def ansatz_energy(af, n_r=96, n_theta=192):
     defining equation of each projected bump) to integrals of the core
     nonlinearity against the composite field over the core disks; the
     potential terms are integrated in polar coordinates with the free
-    boundary located per angle (batched bisection to 1e-14 s), so the
-    integrand is smooth on every quadrature panel.
+    boundary located per angle (a batched Illinois iteration to steps of
+    1e-14 s), so the integrand is smooth on every quadrature panel.
     """
     cores = af.cores
     vs = af.vs

@@ -23,7 +23,6 @@ plain trapezoid sums, accurate only some sample spacings away from the wall.
 """
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import CompatibilityError, ConfigError, DomainError, SingularityError
 from .geometry import CHUNK, BoundaryCurve, _fft_derivative
@@ -132,7 +131,8 @@ class _BoundaryIntegralBackend:
     the trapezoid discretization of the double-layer operator; the diagonal
     carries the continuous limit -curvature/(4pi).  Densities for the Green
     regular part (and its derivatives in the source point) are cached per
-    source, reusing one LU factorization of the Nystrom matrix; each entry
+    source, reusing one inverse of the Nystrom matrix, computed once per
+    curve (a matrix product per density is cheaper than a solve); each entry
     also keeps, built on first use, the local expansion of H(., y) about y
     and the interior boundary values of the Cauchy integral of the density.
     """
@@ -144,7 +144,7 @@ class _BoundaryIntegralBackend:
         K = _dlp_kernel(curve.x, curve.x, curve.normal)
         np.fill_diagonal(K, -curve.curvature / (2.0 * TWO_PI))
         self.A = K * self.w[None, :] - 0.5 * np.eye(self.n)
-        self.lu = lu_factor(self.A)
+        self.A_inv = np.linalg.inv(self.A)
         self._cache = {}
         # boundary samples zeta_j and zeta'_j as complex numbers
         self.zeta = curve.x[:, 0] + 1j * curve.x[:, 1]
@@ -163,13 +163,11 @@ class _BoundaryIntegralBackend:
             d = self.curve.x - y[None, :]
             r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
             f = 0.5 * np.log(r2) / TWO_PI  # boundary data (1/2pi) ln|x_b - y|
-            entry = {"level": 0, "mu": lu_solve(self.lu, f)}
+            entry = {"level": 0, "mu": self.A_inv @ f}
             if level >= 1:
                 # d f / d y_h = (y - x_b)_h / (2pi |x_b - y|^2)
                 rhs = (-d) / (TWO_PI * r2[:, None])
-                entry["mu_y"] = np.column_stack(
-                    [lu_solve(self.lu, rhs[:, h]) for h in range(2)]
-                )
+                entry["mu_y"] = self.A_inv @ rhs
                 entry["level"] = 1
             if len(self._cache) > 2048:
                 self._cache.clear()
@@ -287,9 +285,9 @@ class GreenEvaluator:
     """Green function machinery for a Domain.
 
     backend "images" is available on disks only; "boundary-integral" works on
-    any smooth domain.  All evaluations are pure; the boundary factorization
-    and density cache are computed once, so a single instance can be shared
-    across threads.
+    any smooth domain.  All evaluations are pure; the inverse of the Nystrom
+    matrix and the density cache are computed once, so a single instance can
+    be shared across threads.
     """
 
     def __init__(self, domain, backend=None, order=512):

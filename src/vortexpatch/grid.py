@@ -1,18 +1,22 @@
-"""Masked Cartesian grids and the embedded-boundary Laplacian.
+"""Masked Cartesian grids, the embedded-boundary Laplacian and its inverse.
 
 Uniform node spacing in both axes.  Nodes strictly inside the domain are
 unknowns; a node with a neighbor outside is boundary-adjacent and carries
 fractional arm lengths in (0, h], measured to the true boundary along the
 axis (Shortley-Weller).  The discrete operator represents -Laplace with
 homogeneous Dirichlet data: second order at regular stencils, first order at
-the cut stencils, symmetric wherever all arms are full.
+the cut stencils, symmetric wherever all arms are full.  It is kept as
+stencil weights, and `GridSolver` inverts it by the capacitance matrix on
+the lattice Green function, with no sparse factorization.
 """
 
-import numpy as np
-import scipy.sparse as sp
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ResolutionError
+from .lattice import green_table
 
 ARM_DIRS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])  # E, W, N, S
 
@@ -33,6 +37,11 @@ class GridSpec:
     @property
     def n_interior(self):
         return self.points.shape[0]
+
+    @cached_property
+    def solver(self):
+        """The inverse of -lap_h on this grid, built on first use."""
+        return GridSolver(self)
 
     def values_to_array(self, values, fill=0.0):
         """Scatter unknowns into the full (nx, ny) array (exterior = fill)."""
@@ -118,30 +127,127 @@ def check_resolution(h, s_min):
 
 
 def discretize(spec):
-    """Sparse matrix of -Laplace_h with Dirichlet data eliminated.
+    """Stencil weights of -Laplace_h with Dirichlet data eliminated: the
+    diagonal (N,) and the neighbor weights (N, 4), zero on cut arms, so that
 
-    Row k:  sum_dir 2/(h_dir (h_dir + h_opp)) (u_k - u_nbr)  with u_nbr = 0
-    on cut arms.  Exact for quadratics on full stencils.
+        (-lap_h u)_k = diag_k u_k - sum_dir off_k,dir u_nbr,
+        diag = sum_dir 2/(h_dir (h_dir + h_opp)),  off_dir = 2/(h_dir (h_dir + h_opp)).
+
+    Exact for quadratics on full stencils.
     """
-    n = spec.n_interior
     arms = spec.arms
-    he, hw, hn, hs = arms[:, 0], arms[:, 1], arms[:, 2], arms[:, 3]
-    diag = 2.0 / (he * hw) + 2.0 / (hn * hs)
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [diag]
-    opp = [1, 0, 3, 2]
-    for d in range(4):
-        mask = spec.neighbors[:, d] >= 0
-        k = np.nonzero(mask)[0]
-        hd = arms[k, d]
-        ho = arms[k, opp[d]]
-        rows.append(k)
-        cols.append(spec.neighbors[k, d])
-        vals.append(-2.0 / (hd * (hd + ho)))
-    A = sp.csc_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-    return A
+    opp = arms[:, [1, 0, 3, 2]]
+    off = np.where(spec.neighbors >= 0, 2.0 / (arms * (arms + opp)), 0.0)
+    diag = 2.0 / (arms[:, 0] * arms[:, 1]) + 2.0 / (arms[:, 2] * arms[:, 3])
+    return diag, off
+
+
+def _fft_size(n):
+    """The smallest 5-smooth integer >= n."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+class GridSolver:
+    """-lap_h of one grid and its inverse, by the capacitance matrix on the
+    lattice Green function (Buzbee, Dorr, George & Golub, SIAM J. Numer.
+    Anal. 8, 1971).
+
+    In lattice units the operator is h^2 A.  Off the boundary-adjacent rows
+    B it is the five-point Laplacian L of the infinite lattice, which its
+    Green function G (lattice.green_table) inverts.  So the nodal values of
+    u = G * (g + rho), g a load and rho a charge on B, solve h^2 A u = g on
+    every row off B, and the rows of B fix rho:
+
+        C rho = D^-1 (g_B - h^2 A[B, :] (G * g)),   C = D^-1 h^2 A[B, :] G[:, B],
+
+    with D the diagonal of h^2 A on B.  That scaling keeps C of order one
+    where an arm is clipped to 1e-12 h.  A convolution with G over the grid
+    is one zero-padded FFT product.  `core` gives the blocks that the
+    Schur complement on a node set T needs.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.diag, self.off = discretize(spec)
+        self.rows = np.flatnonzero(spec.is_adjacent)
+        # each node's position in rows, -1 off B
+        self._row_of = np.full(spec.n_interior, -1)
+        self._row_of[self.rows] = np.arange(self.rows.size)
+        nx, ny = spec.shape
+        self._table = green_table((nx, ny))
+        # node coordinates as int32 (the table index |di| ny + |dj| fits)
+        self._i, self._j = spec.ij.T.astype(np.int32)
+        self.C = self.stencil_green(self.rows, self.rows)
+        # G at every offset of the zero-padded periodic grid; the offsets
+        # between nx - 1 and P - nx + 1 are never read
+        self._shape = (_fft_size(2 * nx - 1), _fft_size(2 * ny - 1))
+        di, dj = (np.minimum(np.minimum(np.arange(P), P - np.arange(P)), n - 1)
+                  for P, n in zip(self._shape, (nx, ny)))
+        self._kernel = np.fft.rfft2(self._table[np.ix_(di, dj)])
+
+    def apply(self, u):
+        """-lap_h u."""
+        return self.diag * u - (self.off * u[np.maximum(self.spec.neighbors, 0)]).sum(axis=1)
+
+    def green(self, p, q):
+        """G between the nodes p and q, shape (len(p), len(q))."""
+        idx = np.abs(self._i[p][:, None] - self._i[q]) * np.int32(self._table.shape[1])
+        idx += np.abs(self._j[p][:, None] - self._j[q])
+        return self._table.ravel().take(idx)
+
+    def stencil_green(self, rows, cols):
+        """(D^-1 h^2 A G)[rows, cols]: each row of h^2 A scaled by its
+        diagonal, applied to G."""
+        out = self.green(rows, cols)
+        for d in range(4):
+            nbr = self.spec.neighbors[rows, d]
+            ok = nbr >= 0
+            out[ok] -= (self.off[rows[ok], d] / self.diag[rows[ok]])[:, None] \
+                * self.green(nbr[ok], cols)
+        return out
+
+    def convolve(self, charge):
+        """G * charge at the nodes, for a charge given at the nodes."""
+        spec = self.spec
+        grid = np.fft.irfft2(np.fft.rfft2(spec.values_to_array(charge), self._shape)
+                             * self._kernel, self._shape)
+        return grid[spec.ij[:, 0], spec.ij[:, 1]]
+
+    def solve(self, f):
+        """A^-1 f for a load f at every node."""
+        h2 = self.spec.h**2
+        B = self.rows
+        v = self.convolve(h2 * f)
+        rho = np.linalg.solve(self.C, (f[B] - self.apply(v)[B]) / self.diag[B])
+        charge = np.zeros_like(v)
+        charge[B] = rho
+        return v + self.convolve(charge)
+
+    def core(self, T):
+        """The blocks of a Schur complement on the nodes T: X, with the
+        charge rho = -X g_T of a load g on T, and M = G[T, T] - G[T, B] X,
+        the block (h^2 A)^-1[T, T].  X = C^-1 D^-1 (h^2 A[B, :] G[:, T] - E),
+        E the unit entries of the nodes of T that lie in B."""
+        R = self.stencil_green(self.rows, T)
+        b = self._row_of[T]
+        hit = np.flatnonzero(b >= 0)
+        R[b[hit], hit] -= 1.0 / (self.spec.h**2 * self.diag[T[hit]])
+        X = np.linalg.solve(self.C, R)
+        return X, self.green(T, T) - self.green(T, self.rows) @ X
+
+    def core_field(self, T, X, g):
+        """(h^2 A)^-1 of the load g on the nodes T, with X = core(T)[0]."""
+        charge = np.zeros(self.spec.n_interior)
+        charge[T] = g
+        charge[self.rows] -= X @ g
+        return self.convolve(charge)
 
 
 def gradient(field):

@@ -25,8 +25,10 @@ with the plateau weights c = a/L the same formula is the composite field's
 tilt.
 """
 
-import numpy as np
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, SingularityError
 from .greens import TWO_PI, _log_hess
@@ -109,21 +111,44 @@ class VortexSystem:
 
 @dataclass
 class InteractionTable:
-    """Green interactions of a vortex system; pair entries vanish on the diagonal."""
-    g_diag: np.ndarray    # (k,)       g(z_i, z_i)
-    bar: np.ndarray       # (k, k)     barG(z_i, z_j)
+    """Green interactions of a vortex system; pair entries vanish on the
+    diagonal.  g itself (H through the Green backend) is evaluated on the
+    first read of g_diag or bar: the gradient and Hessian of W and the tilt
+    read only the gradients and the signs."""
+    Z: np.ndarray         # (k, 2)     the positions z_i
+    green: object
     dg_diag: np.ndarray   # (k, 2)     grad_x g(x, z_i) at x = z_i
     dbar: np.ndarray      # (k, k, 2)  grad_x barG(x, z_j) at x = z_i
     S: np.ndarray         # (k, k)     sigma_i sigma_j: +1 same sign, -1 mixed
+
+    @cached_property
+    def _g(self):
+        """g(z_i, z_j), one batched g call per source point."""
+        return np.column_stack([self.green.g(self.Z, z) for z in self.Z])
+
+    @property
+    def g_diag(self):
+        """(k,) g(z_i, z_i)."""
+        return np.diagonal(self._g)
+
+    @cached_property
+    def bar(self):
+        """(k, k) barG(z_i, z_j)."""
+        d = self.Z[:, None, :] - self.Z[None, :, :]
+        off = self.S != 0.0
+        with np.errstate(divide="ignore"):
+            return np.where(off, np.log(self.green.big_r / np.hypot(d[..., 0], d[..., 1]))
+                            - self._g, 0.0)
 
 
 def interaction_table(vs, green):
     """The signed interaction table that couples the vortices in the plateau
     balance, the first-order tilt, the energy expansion and Phi.
 
-    One batched g and g_grad_x call per source point.  Every position must
-    lie in the domain (DomainError) and no two may coincide
-    (SingularityError), as for the Green function itself.
+    One batched g_grad_x call per source point, and one g call per source
+    point once g is read.  Every position must lie in the domain
+    (DomainError) and no two may coincide (SingularityError), as for the
+    Green function itself.
     """
     Z = vs.positions
     k = len(Z)
@@ -134,14 +159,12 @@ def interaction_table(vs, green):
         raise DomainError("vortex position outside the domain")
     if np.any(r[off] == 0.0):
         raise SingularityError("coincident vortices")
-    g = np.column_stack([green.g(Z, z) for z in Z])        # g(z_i, z_j)
     dg = np.stack([green.g_grad_x(Z, z) for z in Z], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        bar = np.where(off, np.log(green.big_r / r) - g, 0.0)
         dbar = np.where(off[..., None], -d / (r**2)[..., None] - dg, 0.0)
     diag = np.arange(k)
-    return InteractionTable(g_diag=g[diag, diag], bar=bar, dg_diag=dg[diag, diag],
-                            dbar=dbar, S=np.where(off, np.outer(vs.signs, vs.signs), 0.0))
+    return InteractionTable(Z=Z, green=green, dg_diag=dg[diag, diag], dbar=dbar,
+                            S=np.where(off, np.outer(vs.signs, vs.signs), 0.0))
 
 
 def check_subdomains(vs, domain):

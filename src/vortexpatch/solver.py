@@ -10,31 +10,28 @@ Two equivalent variable forms share the machinery:
 with w = 2 pi u / |ln eps| and delta = eps (2 pi/|ln eps|)^((p-1)/2).  Each
 gate X_i is the indicator of the vortex subdomain.  The right side vanishes
 off the candidate core nodes T, so eliminating the other nodes leaves the
-exact system S w_T = f(w_T), S the Schur complement of the operator on T.
-Newton iterates on the core values alone, with the semismooth derivative
-p(.)_+^(p-1), a dense LU of S - diag(f'_T) per step and a backtracking line
-search on the core residual; the field is one sparse solve at the end.  A
-solve whose line search would need a damping below MIN_DAMPING (creep along
-the near-null core translations), or that stops making progress, restarts
-once from its best iterate in a deflated mode that splits each step along
-the near-null eigenvectors of the core Jacobian, and raises if that stalls
-too.  `picard_gap` applies the bare fixed-point map
-w <- (-coef lap)^{-1} rhs(w) once to a given field: a solver-independent
-check of a solution.  Iterating that map does not reach the solution, which
-is an unstable fixed point of it.
+exact system S w_T = f(w_T), S the Schur complement of the operator on T,
+which the grid's solver (grid.GridSolver) gives without a sparse
+factorization.  Newton iterates on the core values alone, with the
+semismooth derivative p(.)_+^(p-1), a dense solve with S - diag(f'_T) per
+step and a backtracking line search on the core residual; the field is one
+FFT convolution at the end.  A solve whose line search would need a damping
+below MIN_DAMPING (creep along the near-null core translations), or that
+stops making progress, restarts once from its best iterate in a deflated
+mode that splits each step along the near-null eigenvectors of the core
+Jacobian, and raises if that stalls too.  `picard_gap` applies the bare
+fixed-point map w <- (-coef lap)^{-1} rhs(w) once to a given field: a
+solver-independent check of a solution.  Iterating that map does not reach
+the solution, which is an unstable fixed point of it.
 """
 
-import warnings
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from dataclasses import dataclass, field, replace
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .ansatz import activation_level, delta_from_eps, eps_log
 from .errors import ConfigError, ConvergenceError
-from .grid import GridField, discretize
+from .grid import GridField
 
 TWO_PI = 2.0 * np.pi
 # Newton restarts in deflated mode (the second time: raises) after this many
@@ -70,7 +67,6 @@ class ProblemSetup:
     activation level in the variable's units (both 0 off every subdomain).
     """
     spec: object
-    A: object                   # sparse -lap_h
     coef: float                 # delta^2 (w-form) or eps^2 (u-form)
     p: float
     eps: float
@@ -79,13 +75,15 @@ class ProblemSetup:
     sign: np.ndarray            # (N,)
     level: np.ndarray           # (N,)
 
-    def operator(self):
-        return self.coef * self.A
+    def apply(self, values):
+        """The scaled operator coef (-lap_h) applied to nodal values."""
+        return self.coef * self.spec.solver.apply(values)
 
     @property
     def near_null_dim(self):
         """Two core translations per vortex whose subdomain holds a node."""
-        return 2 * np.unique(self.vortex[self.vortex >= 0]).size
+        # bincount, not unique: np.unique imports numpy.ma (30 ms) on first use
+        return 2 * int(np.count_nonzero(np.bincount(self.vortex[self.vortex >= 0])))
 
     def gate_argument(self, values):
         """sign * field - level on every gated node, -1 off every subdomain."""
@@ -96,8 +94,8 @@ class ProblemSetup:
         return np.maximum(self.gate_argument(values), 0.0)
 
 
-def setup_problem(spec, vs, q, eps, p, variable="w", A=None, subdomains=None):
-    """Precompute the gate map and the scaled operator for one grid."""
+def setup_problem(spec, vs, q, eps, p, variable="w", subdomains=None):
+    """Precompute the gate map and the operator's scale for one grid."""
     if variable not in ("w", "u"):
         raise ConfigError("variable must be 'w' or 'u'")
     pts = spec.points
@@ -122,8 +120,7 @@ def setup_problem(spec, vs, q, eps, p, variable="w", A=None, subdomains=None):
     else:
         coef = eps**2
         level *= eps_log(eps) / TWO_PI
-    A = discretize(spec) if A is None else A
-    return ProblemSetup(spec=spec, A=A, coef=coef, p=p, eps=float(eps),
+    return ProblemSetup(spec=spec, coef=coef, p=p, eps=float(eps),
                         variable=variable, vortex=vortex, sign=sign, level=level)
 
 
@@ -149,7 +146,7 @@ class SolveReport:
     residual_history: list = field(default_factory=list)   # (l2, max) pairs
     damping_history: list = field(default_factory=list)
     correction_max_norm: float = 0.0
-    factorizations: int = 0         # sparse LUs, a core rebuild included
+    factorizations: int = 0         # Schur complements, a core rebuild included
     core_nodes: int = 0             # the core of the Schur complement
     notes: str = ""
 
@@ -173,16 +170,6 @@ def _norms(r, f):
             max(float(np.max(np.abs(f))), 1e-300))
 
 
-def _lu(M, ordering="MMD_AT_PLUS_A"):
-    """Sparse LU of a structurally symmetric M (the 5-point stencil): by
-    default a minimum-degree ordering of M + M^T with diagonal pivots
-    preferred.  This keeps about half the fill of the default COLAMD column
-    ordering.  M's values are not symmetric (the cut rows), so this stays
-    LU, not Cholesky."""
-    return spla.splu(M, permc_spec=ordering, diag_pivot_thresh=0.1,
-                     options={"SymmetricMode": True})
-
-
 def _factorization_failed(exc, report):
     return ConvergenceError(f"Newton Jacobian factorization failed ({exc})",
                             report=report)
@@ -196,75 +183,47 @@ def _core_candidates(setup, w):
     return np.flatnonzero((setup.vortex >= 0) & (arg > -CORE_MARGIN * np.max(arg)))
 
 
-class _CoreLU:
-    """One sparse LU of Ac with the candidate core nodes T eliminated last.
+class _Core:
+    """The Schur complement S of Ac on the candidate core nodes T.
 
-    The trailing k x k block of that factorization, L22 U22, is the Schur
-    complement S of Ac on T (the capacitance-matrix method, Buzbee, Dorr,
-    George & Golub, SIAM J. Numer. Anal. 8, 1971).  A field whose residual
-    vanishes off T is fixed by its core values x, its residual on T is
-    S x - f_T(x), and its Jacobian J = Ac - diag(d), with d zero off T, is
-    S - diag(d_T) on the core.  The elimination order is Ac's minimum-degree
-    order with T moved last.  `report` counts the sparse factorizations and
-    the core size.
+    A field whose residual vanishes off T is fixed by its core values x,
+    its residual on T is S x - f_T(x), and its Jacobian J = Ac - diag(d),
+    with d zero off T, is S - diag(d_T) on the core.  S is the inverse of
+    the block (Ac^-1)[T, T] = h^2 M/coef, with M = (h^2 A)^-1[T, T] from
+    the grid's capacitance solver (grid.GridSolver.core).  `report` counts
+    the Schur complements and the core size.
     """
 
-    def __init__(self, Ac, core, report):
-        self.Ac = sp.csc_matrix(Ac)
-        self.report = report
-        # the ordering pass, which factors nothing: SuperLU picks `_lu`'s
-        # minimum-degree order from the pattern of Ac + Ac^T alone and, in
-        # symmetric mode, does not postorder it, so an incomplete LU that
-        # drops all fill returns the full LU's order (George & Liu, 1981)
-        try:
-            self.order = np.argsort(spla.spilu(
-                self.Ac, drop_tol=np.inf, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.1, options={"SymmetricMode": True}).perm_c)
-        except RuntimeError as exc:
-            raise _factorization_failed(exc, report)
-        self._factor(core)
-
-    def _factor(self, core):
-        n = self.Ac.shape[0]
-        in_core = np.zeros(n, dtype=bool)
+    def __init__(self, setup, core, report):
+        self.solver = setup.spec.solver
+        in_core = np.zeros(setup.spec.n_interior, dtype=bool)
         in_core[core] = True
         self.core = np.flatnonzero(in_core)
-        m = n - self.core.size
-        self.perm = np.concatenate((self.order[~in_core[self.order]], self.core))
+        self.X, M = self.solver.core(self.core)
         try:
-            self.lu = _lu(self.Ac[self.perm][:, self.perm], "NATURAL")
-        except RuntimeError as exc:
-            raise _factorization_failed(exc, self.report)
-        self.report.factorizations += 1
-        tail = np.arange(m, n)
-        if not (np.array_equal(self.lu.perm_c[m:], tail)
-                and np.array_equal(self.lu.perm_r[m:], tail)):
-            raise ConvergenceError("the sparse LU pivoted the core nodes out of the "
-                                   "trailing block", report=self.report)
-        # each full copy of L or U is dropped as soon as it is sliced
-        self.S = (self.lu.L[m:, m:] @ self.lu.U[m:, m:]).toarray()
-        self.report.core_nodes = self.core.size
+            self.M_inv = np.linalg.inv(M)
+        except np.linalg.LinAlgError as exc:
+            raise _factorization_failed(exc, report)
+        self.S = setup.coef / setup.spec.h**2 * self.M_inv
+        report.factorizations += 1
+        report.core_nodes = self.core.size
 
     def field(self, x):
-        """The field with core values x whose residual vanishes off T: the
-        solution of Ac w = [0; S x], whose forward solve leaves U22 x on
-        the trailing block, so its back solve returns x there."""
-        c = np.zeros(self.perm.size)
-        c[self.perm.size - self.core.size:] = self.S @ x
-        w = np.empty_like(c)
-        w[self.perm] = self.lu.solve(c)
+        """The field with core values x whose residual vanishes off T, from
+        the lattice load h^2 S x/coef = M^-1 x on T.  It takes the values x
+        on T up to rounding, and exactly once they are set."""
+        w = self.solver.core_field(self.core, self.X, self.M_inv @ x)
         w[self.core] = x
         return w
 
 
-def _dense_lu(J, report):
-    """Dense LU of a core Jacobian; a singular one fails the solve."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", LinAlgWarning)
-        try:
-            return lu_factor(J)
-        except LinAlgWarning as exc:
-            raise _factorization_failed(f"singular core block: {exc}", report)
+def _dense_solve(J, b, report):
+    """J^-1 b for a core Jacobian J (b a vector or a matrix); a singular J
+    fails the solve."""
+    try:
+        return np.linalg.solve(J, b)
+    except np.linalg.LinAlgError as exc:
+        raise _factorization_failed(f"singular core block: {exc}", report)
 
 
 def _near_null_basis(J, k):
@@ -303,18 +262,18 @@ def _trust_step(g, M, radius):
     return step(hi), False
 
 
-def _deflated_step(x, r, residual, J, lu, Q, radius):
+def _deflated_step(x, r, residual, J, J_inv, Q, radius):
     """One Newton step on the core values split along the near-null
     subspace span(Q).
 
     `residual(v)` returns the core residual and nonlinearity at v, J is the
-    core Jacobian at x and lu its dense LU.  On the complement the step is
+    core Jacobian at x and J_inv its inverse.  On the complement the step is
     the full Newton step P J^-1 P (-r), with P = I - Q Q^T; there J is well
     conditioned.  Along span(Q) the residual g = Q^T r is the gradient of
     the reduced energy of the core positions, and M = Q^T J Q (symmetrized)
     its Hessian.  The step minimizes the quadratic model within
     |beta| <= radius, the complement is re-solved at the trial point (chord
-    steps with the same LU), and the trial is accepted when the energy
+    steps with the same J_inv), and the trial is accepted when the energy
     change, integrated from g at both ends, is at least a tenth of the
     model's; the radius grows after a good prediction at the boundary and
     shrinks after a poor one.  Minimizing rather than zeroing |g| steps over
@@ -324,7 +283,7 @@ def _deflated_step(x, r, residual, J, lu, Q, radius):
     (0 when every trial was refused) and the new radius.
     """
     def complement(v, res):
-        step = lu_solve(lu, -(res - Q @ (Q.T @ res)))
+        step = J_inv @ (Q @ (Q.T @ res) - res)
         return v + step - Q @ (Q.T @ step)
 
     x = complement(x, r)
@@ -356,16 +315,16 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
     """Damped semismooth Newton on the core values from the given initial
     grid field.
 
-    tol is relative to the max norm of the active nonlinearity.  The
-    operator is factored once, with the candidate core nodes T of the start
-    last (`_CoreLU`), and Newton iterates on the core values x: the residual
-    is S x - f_T(x), and each step is the exact Newton step, a dense LU of
-    S - diag(f'_T(x)).  Steps are capped at 0.3 times the larger of the
+    tol is relative to the max norm of the active nonlinearity.  The Schur
+    complement S of the operator on the candidate core nodes T of the start
+    is formed once (`_Core`), and Newton iterates on the core values x: the
+    residual is S x - f_T(x), and each step is the exact Newton step, a
+    dense solve with S - diag(f'_T(x)).  Steps are capped at 0.3 times the larger of the
     start's range and the largest activation level (crossing the free
     boundary by many cells in one shot invalidates the local model; a flat
     start still moves by up to its levels), and the line search backtracks
     on the l2 residual down to MIN_DAMPING.  A converged x gives the field
-    by one sparse solve; if that field activates a node outside T, T grows
+    by one FFT convolution; if that field activates a node outside T, T grows
     to the union and Newton continues from the field's values there.  A
     start that activates no node has an empty core and the zero field.
 
@@ -382,32 +341,28 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
     """
     start = initial.values if isinstance(initial, GridField) else np.asarray(initial, dtype=float)
     var = initial.variable if isinstance(initial, GridField) else setup.variable
-    Ac = setup.operator()
     report = SolveReport()
     n_null = setup.near_null_dim
     step_cap = 0.3 * max(float(np.max(start) - np.min(start)),
                          float(np.max(np.abs(setup.level))), 1e-12)
-    core_lu = gates = eigvals = None
+    core_sys = gates = eigvals = None
 
     def residual(v):
         f = rhs_eval(v, gates)
-        return core_lu.S @ v - f, f
+        return core_sys.S @ v - f, f
 
     def jacobian(v):
-        return core_lu.S - np.diag(rhs_derivative(v, gates))
+        return core_sys.S - np.diag(rhs_derivative(v, gates))
 
     def field_of(v):
-        return core_lu.field(v) if core_lu is not None else np.zeros_like(start)
+        return core_sys.field(v) if core_sys is not None else np.zeros_like(start)
 
     def enter(core, w):
-        """Factor Ac with `core` last; the values of w there and their
+        """The Schur complement on `core`; the values of w there and their
         residual and nonlinearity."""
-        nonlocal core_lu, gates
-        if core_lu is None:
-            core_lu = _CoreLU(Ac, core, report)
-        else:
-            core_lu._factor(core)
-        T = core_lu.core
+        nonlocal core_sys, gates
+        core_sys = _Core(setup, core, report)
+        T = core_sys.core
         # the gate map of the core nodes alone
         gates = replace(setup, vortex=setup.vortex[T], sign=setup.sign[T], level=setup.level[T])
         return (w[T],) + residual(w[T])
@@ -436,8 +391,10 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
     while True:
         if rn <= tol * scale:
             w = field_of(x)
-            core = core_lu.core if core_lu is not None else np.empty(0, dtype=int)
-            grown = np.union1d(core, np.flatnonzero(setup.excess(w) > 0.0))
+            core = core_sys.core if core_sys is not None else np.empty(0, dtype=int)
+            grown = setup.excess(w) > 0.0
+            grown[core] = True
+            grown = np.flatnonzero(grown)
             if grown.size == core.size:
                 report.converged = True
                 break
@@ -465,12 +422,12 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
             x = best_x
             r, f = residual(x)
         J = jacobian(x)
-        lu = _dense_lu(J, report)
         if radius is not None:
             Q, eigvals = _near_null_basis(J, n_null)
-            x_try, r_try, f_try, lam, radius = _deflated_step(x, r, residual, J, lu, Q, radius)
+            J_inv = _dense_solve(J, np.eye(J.shape[0]), report)
+            x_try, r_try, f_try, lam, radius = _deflated_step(x, r, residual, J, J_inv, Q, radius)
         else:
-            step = lu_solve(lu, -r)
+            step = _dense_solve(J, -r, report)
             sn = float(np.max(np.abs(step)))
             if sn > step_cap:
                 step *= step_cap / sn
@@ -504,9 +461,7 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
 def picard_gap(setup, field):
     """Max-norm distance between a field and one application of the Picard
     map; a solver-independent fixed-point check."""
-    Ac = setup.operator().tocsc()
-    lu = _lu(Ac)
-    mapped = lu.solve(rhs_eval(field.values, setup))
+    mapped = setup.spec.solver.solve(rhs_eval(field.values, setup)) / setup.coef
     return float(np.max(np.abs(mapped - field.values)))
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vortexpatch import Domain, GreenEvaluator, HarmonicBackground, solve_profile
+from vortexpatch.grid import discretize
 from vortexpatch.pipeline import (PipelineContext, stage_equilibrium, stage_solve_one,
                                   stage_verify_one)
 
@@ -30,6 +32,18 @@ PAIR_CONFIG = {
     "profile": {"p": 2.0},
     "eps": [EPS_SWEEP[-1]],
 }
+
+
+def sparse_operator(spec):
+    """-lap_h of a grid as a sparse matrix assembled from the stencil
+    weights of grid.discretize: the reference that SuperLU factors in the
+    tests (a run assembles no matrix)."""
+    diag, off = discretize(spec)
+    n = spec.n_interior
+    k, d = np.nonzero(spec.neighbors >= 0)
+    rows = np.concatenate((np.arange(n), k))
+    cols = np.concatenate((np.arange(n), spec.neighbors[k, d]))
+    return sp.csc_matrix((np.concatenate((diag, -off[k, d])), (rows, cols)), shape=(n, n))
 
 
 def equilibrium_stage(cfg):

@@ -10,11 +10,15 @@ from vortexpatch import (Domain, GreenEvaluator, HarmonicBackground,
                          ansatz_energy, ansatz_energy_expansion, energy_eval,
                          kr_consistency, phi_value, reconstruct_flow,
                          vorticity_extract)
-from vortexpatch.ansatz import AnsatzField, delta_from_eps, solve_core_system
-from vortexpatch.diagnostics import boundary_normal_velocity
+from vortexpatch.ansatz import (AnsatzField, delta_from_eps, refine_positions,
+                                solve_core_system)
+from vortexpatch.diagnostics import _free_boundary_radii, boundary_normal_velocity
 from vortexpatch.errors import ConfigError
 from vortexpatch.grid import GridField
 from vortexpatch.kirchhoff import VortexSystem
+from vortexpatch.pipeline import build_system
+
+from conftest import PAIR_CONFIG, SINGLE_CONFIG, equilibrium_stage
 
 
 # ---------------------------------------------------------------------- #
@@ -133,6 +137,54 @@ def test_ansatz_energy_matches_per_angle_brentq(disk_images, profiles, q_zero, m
     assert abs(ansatz_energy(af, n_r=16, n_theta=12) - ref) <= 1e-13 * abs(ref)
 
 
+# the geometry and eps of each benchmark workload: the single vortex on the
+# 1/16 disk at eps 6e-4, the +/- pair at 3e-3 and 1e-3, the ellipse at 3e-3
+WORKLOAD_GEOMETRIES = {
+    "single-fine": dict(SINGLE_CONFIG, eps=[6e-4]),
+    "pair-sweep": dict(PAIR_CONFIG, eps=[3e-3, 1e-3]),
+    "ellipse-coarse": {
+        "domain": {"kind": "ellipse", "a": 0.0625, "b": 0.0375, "n_boundary": 512,
+                   "backend": "boundary-integral"},
+        "vortices": {"kappa_plus": [1.0], "kappa_minus": [], "seeds": [[0.0, 0.0]],
+                     "subdomain_radius": 0.016},
+        "background": {"kind": "vn-fourier", "cos": {"1": 0.1}},
+        "profile": {"p": 2.0},
+        "eps": [3e-3],
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_GEOMETRIES))
+def test_free_boundary_radii_stop_rule(workload, monkeypatch):
+    # on the 192 rays of ansatz_energy about every core of each workload,
+    # the Illinois iteration stops within 10 steps (the bisection it
+    # replaces took 48) and lands within its step tolerance 1e-14 s of a
+    # 60-step bisection
+    ctx, vs_star = equilibrium_stage(WORKLOAD_GEOMETRIES[workload])
+    th = 2.0 * np.pi * np.arange(192) / 192
+    dirs = np.column_stack((np.cos(th), np.sin(th)))
+    for eps in ctx.cfg["eps"]:
+        vs_eps, cores = refine_positions(vs_star, ctx.green, ctx.q, eps, ctx.profile)
+        vs_eps = build_system(ctx.cfg, ctx.domain, positions=vs_eps.positions)
+        af = AnsatzField(cores, vs_eps, ctx.profile, ctx.green, ctx.q)
+        subs = vs_eps.default_subdomains(ctx.domain)
+        for idx in range(vs_eps.m + vs_eps.n):
+            s, z = cores.s_all[idx], vs_eps.positions[idx]
+            lo, hi = 1e-12 * s, min(2.0 * s, 0.95 * subs[idx][1])
+            a, b = np.full(len(dirs), lo), np.full(len(dirs), hi)
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                inside = af.excess(idx, z + mid[:, None] * dirs) > 0
+                a, b = np.where(inside, mid, a), np.where(inside, b, mid)
+            calls = []
+            excess = af.excess
+            monkeypatch.setattr(af, "excess", lambda i, x: calls.append(i) or excess(i, x))
+            radii = _free_boundary_radii(af, idx, z, dirs, lo, hi, 1e-14 * s)
+            monkeypatch.undo()
+            assert len(calls) <= 2 + 10
+            assert np.max(np.abs(radii - 0.5 * (a + b))) <= 1e-14 * s
+
+
 def test_ansatz_energy_bracket_errors(disk_images, profiles, q_zero):
     rp = profiles[2.0]
     z = [0.3, 0.0]
@@ -149,40 +201,17 @@ def test_ansatz_energy_bracket_errors(disk_images, profiles, q_zero):
         ansatz_energy(AnsatzField(cores, high, rp, disk_images, q_zero), n_r=8, n_theta=8)
 
 
-def test_traced_scipy_entry_points_resolve(monkeypatch):
+def test_traced_scipy_entry_points_resolve():
     # perfbench/tracer.py patches these attributes by name to time and count
-    # them (eigs too, which the solver does not call); the solver must
-    # reach splu/spilu through the module to be counted (the tracer does not
-    # patch spilu yet, so the ordering pass shows in the solver's own time)
+    # them, so they must resolve; the solver itself calls none of them (it
+    # factors no sparse matrix), and they read 0 in a traced run
     for name in ("vortexpatch.diagnostics.brentq", "scipy.sparse.linalg.splu",
-                 "scipy.sparse.linalg.spilu", "scipy.sparse.linalg.eigs"):
+                 "scipy.sparse.linalg.eigs"):
         module, attr = name.rsplit(".", 1)
         assert callable(getattr(importlib.import_module(module), attr)), name
     solver = importlib.import_module("vortexpatch.solver")
-    assert solver.spla is importlib.import_module("scipy.sparse.linalg")
-
-    # a replaced scipy.sparse.linalg.splu sees every factorization of a
-    # Newton solve, the one with the core last, and a replaced spilu the
-    # ordering pass, with the solver's orderings passed through
-    import scipy.sparse as sp
-    calls = []
-
-    def recording(name):
-        real = getattr(solver.spla, name)
-
-        def call(*args, **kwargs):
-            calls.append((name, kwargs["permc_spec"]))
-            return real(*args, **kwargs)
-        return call
-
-    monkeypatch.setattr(solver.spla, "splu", recording("splu"))
-    monkeypatch.setattr(solver.spla, "spilu", recording("spilu"))
-    Ac = sp.diags([2.0, 3.0, 4.0], 0, format="csc")
-    report = solver.SolveReport()
-    core_lu = solver._CoreLU(Ac, [1], report)
-    assert np.allclose(core_lu.field(np.array([2.0])), [0.0, 2.0, 0.0])
-    assert calls == [("spilu", "MMD_AT_PLUS_A"), ("splu", "NATURAL")]
-    assert report.factorizations == 1
+    assert not any(str(getattr(obj, attr, "")).startswith("scipy")
+                   for obj in vars(solver).values() for attr in ("__module__", "__name__"))
 
 
 def test_grid_energy_matches_polar_quadrature(solved_case):

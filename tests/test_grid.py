@@ -1,13 +1,13 @@
-"""Masked grids and the embedded-boundary Laplacian."""
+"""Masked grids, the embedded-boundary Laplacian and its inverse."""
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from vortexpatch import Domain, build_grid
 from vortexpatch.errors import ResolutionError
-from vortexpatch.grid import (cell_weights, check_resolution, discretize,
-                              gradient, interpolate, GridField)
+from vortexpatch.grid import cell_weights, check_resolution, gradient, interpolate, GridField
+
+from conftest import sparse_operator
 
 
 @pytest.fixture(scope="module")
@@ -47,24 +47,27 @@ def test_arm_crossing_on_disk(disk_grid):
 
 
 def test_operator_polynomial_exactness(disk_grid):
-    A = discretize(disk_grid)
+    apply = disk_grid.solver.apply
     pts = disk_grid.points
     deep = ~disk_grid.is_adjacent
     quad = pts[:, 0]**2 + pts[:, 1]**2
-    # A represents -lap: -lap(x^2 + y^2) = -4
-    assert np.max(np.abs((A @ quad)[deep] + 4.0)) < 1e-8
+    # the stencil represents -lap: -lap(x^2 + y^2) = -4
+    assert np.max(np.abs(apply(quad)[deep] + 4.0)) < 1e-8
     harm = pts[:, 0]**2 - pts[:, 1]**2
-    assert np.max(np.abs((A @ harm)[deep])) < 1e-8
+    assert np.max(np.abs(apply(harm)[deep])) < 1e-8
     lin = 2.0 * pts[:, 0] - 0.7 * pts[:, 1]
-    assert np.max(np.abs((A @ lin)[deep])) < 1e-8
+    assert np.max(np.abs(apply(lin)[deep])) < 1e-8
+    # and it is the sparse reference matrix of the tests
+    v = np.random.default_rng(1).standard_normal(disk_grid.n_interior)
+    ref = sparse_operator(disk_grid) @ v
+    assert np.max(np.abs(apply(v) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_manufactured_solution(disk_grid):
     # u* = 1 - |x|^2 solves -lap u = 4 with zero boundary data
-    A = discretize(disk_grid).tocsc()
     pts = disk_grid.points
     ustar = 1.0 - pts[:, 0]**2 - pts[:, 1]**2
-    u = spla.splu(A).solve(np.full(disk_grid.n_interior, 4.0))
+    u = disk_grid.solver.solve(np.full(disk_grid.n_interior, 4.0))
     assert np.max(np.abs(u - ustar)) < 1e-10
 
 
@@ -73,23 +76,21 @@ def test_second_order_convergence(unit_disk):
     errs = []
     for h in (0.04, 0.02):
         spec = build_grid(unit_disk, h=h)
-        A = discretize(spec).tocsc()
         pts = spec.points
         ustar = (1.0 - pts[:, 0]**2 - pts[:, 1]**2) * np.exp(pts[:, 0])
         # -lap u* computed symbolically
         x, y = pts[:, 0], pts[:, 1]
         lap = np.exp(x) * (1 - x**2 - y**2 - 4 * x - 4)
-        u = spla.splu(A).solve(-lap)
+        u = spec.solver.solve(-lap)
         errs.append(np.max(np.abs(u - ustar)))
     rate = np.log2(errs[0] / errs[1])
     assert rate > 1.7
 
 
 def test_discrete_maximum_principle(disk_grid):
-    A = discretize(disk_grid).tocsc()
     rng = np.random.default_rng(0)
     rhs = rng.random(disk_grid.n_interior)
-    u = spla.splu(A).solve(rhs)
+    u = disk_grid.solver.solve(rhs)
     assert np.all(u > -1e-14)
 
 
@@ -120,3 +121,58 @@ def test_interpolation_and_weights(disk_grid):
     assert np.max(np.abs(vals - expect)) < 1e-12
     # cell weights sum to the disk area at the O(h) boundary-quadrature order
     assert abs(cell_weights(disk_grid).sum() - np.pi) < 3.0 * disk_grid.h
+
+
+# ---------------------------------------------------------------------- #
+#  the capacitance solver against SuperLU on the sparse reference matrix
+# ---------------------------------------------------------------------- #
+
+R0 = 1.0 / 16.0
+
+
+@pytest.fixture(scope="module", params=["disk", "ellipse", "blob"])
+def solver_case(request):
+    """A grid of about 20k nodes on the 1/16 disk, the benchmark ellipse or
+    a blob of radius R0, its SuperLU reference and two node sets: a core
+    about an off-center point, and one at the wall that meets the
+    boundary-adjacent rows."""
+    import scipy.sparse.linalg as spla
+    domain = {"disk": lambda: Domain.disk(R0),
+              "ellipse": lambda: Domain.named("ellipse", a=0.0625, b=0.0375),
+              "blob": lambda: Domain.named("blob", n=256, radius=R0)}[request.param]()
+    spec = build_grid(domain, R0 / 80.0)
+    pts = spec.points
+    rows = spec.solver.rows
+    center = np.flatnonzero(np.hypot(pts[:, 0] - 0.2 * R0, pts[:, 1] + 0.1 * R0) < 0.1 * R0)
+    wall = pts[rows[np.argmax(pts[rows, 0])]]
+    edge = np.flatnonzero(np.hypot(*(pts - wall).T) < 0.08 * R0)
+    return spec, spla.splu(sparse_operator(spec)), center, edge
+
+
+def _rel(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+
+def test_grid_solver_schur_complement_matches_superlu(solver_case):
+    spec, lu, center, edge = solver_case
+    h2 = spec.h**2
+    assert np.isin(edge, spec.solver.rows).sum() >= 3
+    for T in (center, edge):
+        X, M = spec.solver.core(T)
+        unit = np.zeros((spec.n_interior, T.size))
+        unit[T, np.arange(T.size)] = 1.0
+        block = lu.solve(unit)[T]                      # A^-1 [T, T]
+        assert _rel(h2 * M, block) <= 1e-12
+        # the Schur complement of A on T
+        assert _rel(np.linalg.inv(M) / h2, np.linalg.inv(block)) <= 1e-12
+        # the field of a load on T
+        g = np.random.default_rng(T.size).standard_normal(T.size)
+        load = np.zeros(spec.n_interior)
+        load[T] = g / h2
+        assert _rel(spec.solver.core_field(T, X, g), lu.solve(load)) <= 1e-12
+
+
+def test_grid_solver_solve_matches_superlu(solver_case):
+    spec, lu, _, _ = solver_case
+    f = np.random.default_rng(3).standard_normal(spec.n_interior)
+    assert _rel(spec.solver.solve(f), lu.solve(f)) <= 1e-12

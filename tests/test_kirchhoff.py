@@ -310,3 +310,18 @@ def test_subdomain_validation(unit_disk):
     vs_ok = VortexSystem([1.0], [1.0], [[0.3, 0.0], [-0.3, 0.0]],
                          subdomains=[((0.3, 0.0), 0.2), ((-0.3, 0.0), 0.2)])
     assert len(check_subdomains(vs_ok, unit_disk)) == 2
+
+
+def test_table_evaluates_g_only_where_read(ellipse_green, q_cos, monkeypatch):
+    # the gradient and Hessian of W read the interaction table's gradients
+    # and signs only, so they make no H call (on the Nystrom backend, a
+    # series or a barycentric sum per source); W itself reads g
+    vs = VortexSystem([1.0], [1.3], [[0.3, 0.1], [-0.2, 0.4]])
+    calls = []
+    H = ellipse_green._b.H
+    monkeypatch.setattr(ellipse_green._b, "H", lambda x, y: calls.append(y) or H(x, y))
+    kr_grad(vs, ellipse_green, q_cos)
+    kr_hessian(vs, ellipse_green, q_cos)
+    assert calls == []
+    kr_value(vs, ellipse_green, q_cos)
+    assert len(calls) == 2

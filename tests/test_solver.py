@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lu_solve
 
 from vortexpatch import (Domain, GreenEvaluator, HarmonicBackground,
                          background_from_flux, build_grid, solve_profile)
@@ -19,15 +18,16 @@ from vortexpatch.ansatz import (AnsatzField, activation_level, refine_positions,
                                 solve_core_system)
 from vortexpatch.diagnostics import energy_eval, reconstruct_flow
 from vortexpatch.errors import ConfigError, ConvergenceError
-from vortexpatch.grid import GridField, cell_weights, gradient, interpolate
+from vortexpatch.grid import GridField, GridSolver, cell_weights, gradient, interpolate
 from vortexpatch.kirchhoff import VortexSystem, find_critical
 from vortexpatch import solver
 from vortexpatch.solver import (MIN_DAMPING, STALL_WINDOW, TRUST_RADIUS, SolveReport,
-                                _core_candidates, _CoreLU, _deflated_step,
-                                _dense_lu, _lu, _near_null_basis, _trust_step,
-                                picard_gap,
+                                _Core, _core_candidates, _deflated_step, _dense_solve,
+                                _near_null_basis, _trust_step, picard_gap,
                                 rhs_derivative, rhs_eval, setup_problem,
                                 solve_newton, u_from_w, w_from_u)
+
+from conftest import sparse_operator
 
 R0 = 1.0 / 16.0
 
@@ -221,7 +221,7 @@ def _full_grid_newton(setup, start, tol=1e-10, max_iter=60):
     every node, a sparse LU of Ac - diag(f') at each iteration, with
     solve_newton's step cap and line search.  Returns the field and the
     damping history."""
-    Ac = setup.operator().tocsc()
+    Ac = setup.coef * sparse_operator(setup.spec)
     w = start.copy()
     field_range = max(float(np.max(w) - np.min(w)), 1e-12)
     rhs = rhs_eval(w, setup)
@@ -278,7 +278,7 @@ def test_newton_solution_properties(solved_case):
     c = solved_case
     fld, setup = c["field"], c["setup"]
     # residual below tolerance relative to the nonlinearity
-    r = setup.operator() @ fld.values - rhs_eval(fld.values, setup)
+    r = setup.apply(fld.values) - rhs_eval(fld.values, setup)
     assert np.max(np.abs(r)) <= 1e-10 * np.max(np.abs(rhs_eval(fld.values, setup)))
     # positive in the bulk (single positive vortex)
     assert fld.values.min() > -1e-12
@@ -292,8 +292,8 @@ def test_manufactured_linear_recovery(solved_case):
     # prescribe w* = ansatz, recover from its own discrete laplacian image
     c = solved_case
     setup, init = c["setup"], c["init"]
-    f_star = setup.operator() @ init.values
-    w_rec = _lu(setup.operator().tocsc()).solve(f_star)
+    f_star = setup.apply(init.values)
+    w_rec = setup.spec.solver.solve(f_star / setup.coef)
     assert np.max(np.abs(w_rec - init.values)) < 1e-9 * np.max(np.abs(init.values))
 
 
@@ -327,9 +327,9 @@ def test_newton_stall_raises_with_best_iterate(solved_case, variable):
     assert exc.report.iterations - best_it <= 2 * STALL_WINDOW
     assert exc.best.variable == variable
     # the history holds core residuals S x - f_T(x), x the values on the core
-    core_lu = _CoreLU(setup.operator(), _core_candidates(setup, init.values), SolveReport())
-    T = core_lu.core
-    r = core_lu.S @ exc.best.values[T] - rhs_eval(exc.best.values, setup)[T]
+    core = _Core(setup, _core_candidates(setup, init.values), SolveReport())
+    T = core.core
+    r = core.S @ exc.best.values[T] - rhs_eval(exc.best.values, setup)[T]
     assert float(np.max(np.abs(r))) == min(hist)
 
 
@@ -339,14 +339,13 @@ def test_deflated_steps_reach_newton_solution(solved_case):
     # Jacobian land on the plain Newton solution
     c = solved_case
     setup = c["setup"]
-    core_lu = _CoreLU(setup.operator(), _core_candidates(setup, c["init"].values),
-                      SolveReport())
-    T = core_lu.core
+    core = _Core(setup, _core_candidates(setup, c["init"].values), SolveReport())
+    T = core.core
     gates = replace(setup, vortex=setup.vortex[T], sign=setup.sign[T], level=setup.level[T])
 
     def residual(v):
         f = rhs_eval(v, gates)
-        return core_lu.S @ v - f, f
+        return core.S @ v - f, f
 
     x = c["init"].values[T]
     r, f = residual(x)
@@ -354,56 +353,20 @@ def test_deflated_steps_reach_newton_solution(solved_case):
     for _ in range(10):
         if np.max(np.abs(r)) <= 1e-10 * np.max(np.abs(f)):
             break
-        J = core_lu.S - np.diag(rhs_derivative(x, gates))
+        J = core.S - np.diag(rhs_derivative(x, gates))
         Q, _ = _near_null_basis(J, 2)
-        x, r, f, _, radius = _deflated_step(x, r, residual, J, _dense_lu(J, SolveReport()),
-                                            Q, radius)
+        x, r, f, _, radius = _deflated_step(x, r, residual, J, np.linalg.inv(J), Q, radius)
     assert np.max(np.abs(r)) <= 1e-10 * np.max(np.abs(f))
-    assert np.max(np.abs(core_lu.field(x) - c["field"].values)) < 1e-8
-
-
-def test_lu_ordering_matches_colamd_with_less_fill(solved_case):
-    # the Jacobian at the solution (active core, disk grid): the minimum-degree
-    # symmetric-mode factorization solves like SuperLU's default COLAMD one
-    # with much less fill.  The fill ratio falls with the grid size: 0.60 on
-    # these 6,006 nodes, about 0.5 on 104k; a revert to COLAMD reads 1.0.
-    c = solved_case
-    setup = c["setup"]
-    w = c["field"].values
-    assert np.any(rhs_derivative(w, setup) > 0.0)
-    J = (setup.operator() - sp.diags(rhs_derivative(w, setup))).tocsc()
-    lu, ref = _lu(J), spla.splu(J)
-    b = np.random.default_rng(5).standard_normal(J.shape[0])
-    x, x_ref = lu.solve(b), ref.solve(b)
-    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
-    assert lu.L.nnz + lu.U.nnz <= 0.65 * (ref.L.nnz + ref.U.nnz)
+    assert np.max(np.abs(core.field(x) - c["field"].values)) < 1e-8
 
 
 def test_factorize_singular_raises():
-    # a singular operator fails in the ordering pass's incomplete LU, a
-    # singular Jacobian in the dense LU of its core block; both name the
-    # failed factorization
-    with pytest.raises(ConvergenceError, match="factorization failed"):
-        _CoreLU(sp.diags([1.0, 0.0, 2.0], 0, format="csc"), [], SolveReport())
-    Ac = sp.diags([1.0, 2.0, 3.0], 0, format="csc")
-    core_lu = _CoreLU(Ac, [1, 2], SolveReport())
-    J = core_lu.S - np.diag([1.0, 0.0])
-    assert np.allclose(lu_solve(_dense_lu(J, SolveReport()), np.ones(2)), [1.0, 1.0 / 3.0])
+    # a singular core Jacobian fails its dense solve, which names the failed
+    # factorization
+    assert np.allclose(_dense_solve(np.diag([1.0, 3.0]), np.ones(2), SolveReport()),
+                       [1.0, 1.0 / 3.0])
     with pytest.raises(ConvergenceError, match="factorization failed.*core block"):
-        _dense_lu(core_lu.S - np.diag([2.0, 0.0]), SolveReport())
-
-
-def test_core_row_pivot_raises():
-    # a tiny core diagonal next to a unit off-diagonal entry: the threshold
-    # pivoting swaps the two core rows, so the trailing block of the LU is no
-    # longer the Schur complement in the core's own order
-    Ac = sp.csc_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 1e-3, 1.0], [0.0, 1.0, 1.0]]))
-    with pytest.raises(ConvergenceError, match="pivoted the core nodes"):
-        _CoreLU(Ac, [1, 2], SolveReport())
-    # with node 2 eliminated before it, node 1's pivot is the Schur
-    # complement 1e-3 - 1, and nothing pivots
-    core_lu = _CoreLU(Ac, [1], SolveReport())
-    assert np.allclose(core_lu.S, [[1e-3 - 1.0]])
+        _dense_solve(np.diag([3.0, 2.0]) - np.diag([0.0, 2.0]), np.ones(2), SolveReport())
 
 
 # ---------------------------------------------------------------------- #
@@ -411,46 +374,72 @@ def test_core_row_pivot_raises():
 # ---------------------------------------------------------------------- #
 
 
+def _superlu_schur(Ac, T):
+    """The Schur complement A_TT - A_TO A_OO^-1 A_OT of a sparse Ac on T."""
+    O = np.setdiff1d(np.arange(Ac.shape[0]), T)
+    A_OO_inv_A_OT = spla.splu(Ac[O][:, O].tocsc()).solve(Ac[O][:, T].toarray())
+    return Ac[T][:, T].toarray() - Ac[T][:, O] @ A_OO_inv_A_OT
+
+
+def _field_error(core, Ac, x):
+    """The max-norm distance of the field of core values x from SuperLU's
+    solve of Ac w = [0; S x], relative to the latter's max norm."""
+    load = np.zeros(Ac.shape[0])
+    load[core.core] = core.S @ x
+    ref = spla.splu(Ac.tocsc()).solve(load)
+    return np.max(np.abs(core.field(x) - ref)) / np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("variable", ["w", "u"])
 def test_core_jacobian_solve_matches_splu(solved_case, variable):
-    # S is the Schur complement A_TT - A_TO A_OO^-1 A_OT of the operator on
-    # the core T, and a solve with the core Jacobian S - diag(f'_T) is the
-    # core block of the full Jacobian's solve of a load on T
+    # S is the Schur complement of the operator on the core T, a solve with
+    # the core Jacobian S - diag(f'_T) is the core block of the full
+    # Jacobian's solve of a load on T, and the field of core values x
+    # solves Ac w = [0; S x]; SuperLU on the assembled matrix is the reference
     c = solved_case
     conv = 1.0 if variable == "w" else abs(np.log(c["eps"])) / (2 * np.pi)
     setup = setup_problem(c["grid"], c["vs"], c["q"], c["eps"], 2.0, variable=variable)
-    Ac = setup.operator().tocsc()
+    Ac = (setup.coef * sparse_operator(setup.spec)).tocsc()
     start = c["init"].values * conv
     report = SolveReport()
-    core_lu = _CoreLU(Ac, _core_candidates(setup, start), report)
-    T = core_lu.core
-    O = np.setdiff1d(np.arange(Ac.shape[0]), T)
-    A_OO_inv_A_OT = spla.splu(Ac[O][:, O].tocsc()).solve(Ac[O][:, T].toarray())
-    schur = Ac[T][:, T].toarray() - Ac[T][:, O] @ A_OO_inv_A_OT
-    assert np.max(np.abs(core_lu.S - schur)) <= 1e-10 * np.max(np.abs(schur))
+    core = _Core(setup, _core_candidates(setup, start), report)
+    T = core.core
+    schur = _superlu_schur(Ac, T)
+    assert np.max(np.abs(core.S - schur)) <= 1e-12 * np.max(np.abs(schur))
+    assert _field_error(core, Ac, start[T]) <= 1e-12
     b = np.random.default_rng(5).standard_normal(T.size)
     load = np.zeros(Ac.shape[0])
     load[T] = b
     for w in (start, c["field"].values * conv):
         d = rhs_derivative(w, setup)
         assert 100 < np.sum(d[T] > 0.0) == np.sum(d > 0.0) < T.size
-        y = lu_solve(_dense_lu(core_lu.S - np.diag(d[T]), report), b)
+        y = _dense_solve(core.S - np.diag(d[T]), b, report)
         ref = spla.splu((Ac - sp.diags(d)).tocsc()).solve(load)[T]
         assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(ref)
-    # one factorization with the core last, no rebuild
+    # one Schur complement, no rebuild
     assert report.factorizations == 1 and report.core_nodes == T.size
 
 
-@pytest.mark.parametrize("variable", ["w", "u"])
-def test_ordering_pass_matches_full_lu_order(solved_case, variable):
-    # the order read off the fill-dropping ILU is the minimum-degree order of
-    # the full LU; a SciPy that postordered or reordered it would change the
-    # fill of every factorization
+def test_core_that_meets_the_boundary_rows(solved_case):
+    # a gate subdomain at the wall: its core holds boundary-adjacent nodes,
+    # where the unit loads of the core enter the capacitance system as well;
+    # S and the field of smooth core values still match SuperLU.  The FFT
+    # convolution's error scales with the summed charge: random core values
+    # next to an arm clipped to 0.011 h make it 13 times that of a smooth
+    # field, and the field error 1.3e-12
     c = solved_case
-    setup = setup_problem(c["grid"], c["vs"], c["q"], c["eps"], 2.0, variable=variable)
-    Ac = setup.operator().tocsc()
-    core_lu = _CoreLU(Ac, [], SolveReport())
-    assert np.array_equal(core_lu.order, np.argsort(_lu(Ac).perm_c))
+    spec = c["grid"]
+    wall = spec.points[np.argmax(spec.points[:, 0])]
+    vs = VortexSystem([1.0], [], [wall], subdomains=[(wall, 0.1 * R0)])
+    setup = setup_problem(spec, vs, c["q"], c["eps"], 2.0)
+    T = np.flatnonzero(setup.vortex == 0)
+    assert np.isin(T, spec.solver.rows).sum() >= 3
+    core = _Core(setup, T, SolveReport())
+    Ac = (setup.coef * sparse_operator(spec)).tocsc()
+    schur = _superlu_schur(Ac, T)
+    assert np.max(np.abs(core.S - schur)) <= 1e-12 * np.max(np.abs(schur))
+    assert _field_error(core, Ac, 1.0 + np.cos(200.0 * spec.points[T, 1])) <= 1e-12
+    assert _field_error(core, Ac, np.random.default_rng(6).standard_normal(T.size)) <= 1e-11
 
 
 def test_core_grows_when_the_active_set_leaves_it(solved_case, monkeypatch):
@@ -491,37 +480,30 @@ def test_empty_core(solved_case):
         assert rep.converged and rep.iterations >= 1 and rep.notes == ""
         assert rep.damping_history == [1.0] * rep.iterations
         assert rep.factorizations == 1 and rep.core_nodes > 0
-        r = lowered.operator() @ fld.values - rhs_eval(fld.values, lowered)
+        r = lowered.apply(fld.values) - rhs_eval(fld.values, lowered)
         assert np.max(np.abs(r)) <= 1e-10 * np.max(np.abs(rhs_eval(fld.values, lowered)))
 
 
 def test_newton_factors_the_operator_once(solved_case, monkeypatch):
-    # one factorization with the core last, after an ordering pass that
-    # factors nothing, and one sparse solve, for the field of the converged
-    # core values; every Newton step is a dense LU of the core Jacobian
+    # one Schur complement of the operator on the core and one convolution,
+    # for the field of the converged core values; every Newton step is a
+    # dense solve with the core Jacobian
     c = solved_case
     calls = []
-    real = solver.spla.splu
 
-    class Recorded:
-        def __init__(self, lu):
-            self._lu = lu
+    def recording(name):
+        real = getattr(GridSolver, name)
 
-        def __getattr__(self, name):
-            return getattr(self._lu, name)
+        def call(self, *args):
+            calls.append(name)
+            return real(self, *args)
+        return call
 
-        def solve(self, b):
-            calls.append("solve")
-            return self._lu.solve(b)
-
-    def recording(*args, **kwargs):
-        calls.append(kwargs.get("permc_spec"))
-        return Recorded(real(*args, **kwargs))
-
-    monkeypatch.setattr(solver.spla, "splu", recording)
+    for name in ("core", "convolve", "solve"):
+        monkeypatch.setattr(GridSolver, name, recording(name))
     fld, rep = solve_newton(c["setup"], c["init"])
     assert rep.converged and rep.iterations >= 2
-    assert calls == ["NATURAL", "solve"]
+    assert calls == ["core", "convolve"]
     assert rep.factorizations == 1
     assert rep.core_nodes == _core_candidates(c["setup"], c["init"].values).size
     assert np.max(np.abs(fld.values - c["field"].values)) < 1e-12
