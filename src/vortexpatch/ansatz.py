@@ -464,7 +464,7 @@ def support_predict(af, check=True):
                 f"support bracket degenerate for vortex {idx}: T*s = {SUPPORT_T * s:.3e} >= 1")
         if not check:
             continue
-        r_sub = _subdomain_radius(af, idx)
+        r_sub = af.vs.default_subdomains(af.green.domain)[idx][1]
         r_check = min(2.0 * s, 0.5 * (outer[idx] + r_sub))
         if r_check <= outer[idx]:
             raise SolvabilityError(
@@ -484,8 +484,3 @@ def support_predict(af, check=True):
 
 def _ring(z, r, angles):
     return z + r * np.column_stack((np.cos(angles), np.sin(angles)))
-
-
-def _subdomain_radius(af, idx):
-    subs = af.vs.default_subdomains(af.green.domain)
-    return subs[idx][1]

@@ -29,7 +29,7 @@ _DOMAIN_KEYS = {
 }
 
 _VORTEX_KEYS = {
-    "kappa_plus": (list, None, lambda v: len(v) >= 0),
+    "kappa_plus": (list, None, None),
     "kappa_minus": (list, [], None),
     "seeds": ((list, type(None)), None, None),
     "positions": ((list, type(None)), None, None),

@@ -12,7 +12,7 @@ from .ansatz import eps_log
 from .errors import ConfigError
 from .grid import ARM_DIRS, GridField, cell_weights, gradient, interpolate
 from .kirchhoff import interaction_table
-from .solver import rhs_eval, u_from_w, w_from_u
+from .solver import rhs_eval
 
 TWO_PI = 2.0 * np.pi
 # samples of the ring-flux circulation check
@@ -68,11 +68,7 @@ class VortexDiagnostics:
 
 def _omega_nodes(fld, setup):
     """Vorticity = (physical nonlinearity)/eps^2 at the nodes."""
-    rhs = rhs_eval(fld.values, setup)
-    lg = eps_log(setup.eps)
-    if setup.variable == "w":
-        return rhs * (lg / TWO_PI)**setup.p / setup.eps**2
-    return rhs / setup.eps**2
+    return rhs_eval(fld.values, setup) * setup.u_per_unit**setup.p / setup.eps**2
 
 
 def _ring_flux(u_field, center, radius):
@@ -87,20 +83,21 @@ def _ring_flux(u_field, center, radius):
     return float(-np.sum(dudr) * radius * TWO_PI / RING_ANGLES)
 
 
-def vorticity_extract(fld, setup, vs, subdomains=None):
+def vorticity_extract(fld, setup, vs):
     """Vorticity field, per-vortex supports, centroids and circulations.
 
-    Support radii are measured about the configured vortex positions with
-    sub-cell refinement (linear interpolation of the gate argument along grid
-    edges).  Circulations come from midpoint quadrature over each subdomain,
-    which coincides with the discrete flux of the solved field, plus an
-    interpolated ring-flux cross-check.
+    The field is in the setup's variable form, and the subdomains are the
+    gate disks of vs.  Support radii are measured about each vortex's
+    extracted centroid with sub-cell refinement (linear interpolation of the
+    gate argument along grid edges).  Circulations come from midpoint
+    quadrature over each subdomain, which coincides with the discrete flux
+    of the solved field, plus an interpolated ring-flux cross-check.
     """
     spec = fld.spec
-    subs = subdomains if subdomains is not None else vs.default_subdomains(spec.domain)
+    subs = vs.default_subdomains(spec.domain)
     omega = _omega_nodes(fld, setup)
     weights = cell_weights(spec)
-    u_field = fld if fld.variable == "u" else u_from_w(fld)
+    u_field = GridField(spec, fld.values * setup.u_per_unit)
     k = vs.m + vs.n
     pts = spec.points
 
@@ -145,7 +142,7 @@ def vorticity_extract(fld, setup, vs, subdomains=None):
             rads = np.concatenate(crossings)
             r_in[i] = float(rads.min())
             r_out[i] = float(rads.max())
-        c_sub, r_sub = np.asarray(subs[i][0]), subs[i][1]
+        c_sub, r_sub = subs[i]
         # support must sit strictly inside its subdomain
         d_out = np.hypot(pts[on][:, 0] - c_sub[0], pts[on][:, 1] - c_sub[1]).max()
         if d_out >= r_sub - spec.h:
@@ -180,18 +177,17 @@ def energy_eval(fld, setup):
 
         I(w) = delta^2/2 int |Dw|^2 - sum 1/(p+1) int X_i (arg_i)_+^(p+1).
 
-    Accepts either variable form; u-fields are converted first.
+    Both terms scale as the (p+1)-th power of the variable (delta^2 =
+    eps^2 (2 pi/|ln eps|)^(p-1)), so in either form the functional of the
+    setup's variable times (w per unit of the variable)^(p+1) is I(w).
     """
-    if fld.variable == "u":
-        fld = w_from_u(fld)
-    if setup.variable != "w":
-        raise ConfigError("energy_eval needs a w-form setup")
     spec = fld.spec
     weights = cell_weights(spec)
     grad = gradient(fld)
     kinetic = 0.5 * setup.coef * float(((grad**2).sum(axis=1) * weights).sum())
     potential = float((setup.excess(fld.values)**(setup.p + 1.0) * weights).sum())
-    return kinetic - potential / (setup.p + 1.0)
+    w_per_unit = setup.u_per_unit / (eps_log(setup.eps) / TWO_PI)
+    return (kinetic - potential / (setup.p + 1.0)) * w_per_unit**(setup.p + 1.0)
 
 
 def _free_boundary_radii(af, idx, z, dirs, lo, hi, xtol):
@@ -375,23 +371,19 @@ def _deep_mask(spec):
 def reconstruct_flow(fld, setup, q):
     """Velocity v = (grad(u - q))^perp and the matching pressure.
 
-    The input may be in either variable form; internally the physical u is
-    used.  Divergence and curl are centered differences of the velocity
-    samples, reported on nodes whose depth-2 stencil is uncut.
+    The field is in the setup's variable form; the physical u is its values
+    times setup.u_per_unit.  Divergence and curl are centered differences of
+    the velocity samples, reported on nodes whose depth-2 stencil is uncut.
     """
-    u = fld if fld.variable == "u" else u_from_w(fld)
-    spec = u.spec
+    spec = fld.spec
+    u = GridField(spec, fld.values * setup.u_per_unit)
     pts = spec.points
     du = gradient(u)
     dq = q.grad(pts)
     dpsi = du - dq
     velocity = np.column_stack((dpsi[:, 1], -dpsi[:, 0]))
 
-    if setup.variable == "u":
-        excess = setup.excess(u.values)
-    else:
-        w = fld if fld.variable == "w" else w_from_u(fld)
-        excess = setup.excess(w.values) * (eps_log(setup.eps) / TWO_PI)
+    excess = setup.excess(fld.values) * setup.u_per_unit
     potential = excess**(setup.p + 1.0) / (setup.p + 1.0)
     # stationary pressure P = -F(psi) - |grad psi|^2/2 with F' = f and
     # -lap psi = f(psi); for the physical equation f carries the eps^-2 of

@@ -10,7 +10,7 @@ stencil weights, and `GridSolver` inverts it by the capacitance matrix on
 the lattice Green function, with no sparse factorization.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,14 +52,10 @@ class GridSpec:
 
 @dataclass
 class GridField:
+    """Nodal values on a grid.  Which variable they are, and its eps and p,
+    belong to the problem setup that they solve."""
     spec: GridSpec
     values: np.ndarray
-    variable: str = "w"           # "w" (rescaled) or "u" (physical)
-    params: dict = field(default_factory=dict)
-
-    def copy(self, values=None):
-        return GridField(self.spec, self.values.copy() if values is None else values,
-                         self.variable, dict(self.params))
 
 
 def _arm_crossings(domain, p, directions, h):

@@ -45,16 +45,18 @@ DEDUPE_TOL = 1e-6
 
 @dataclass
 class VortexSystem:
-    """Strengths and positions of the vortex system.
+    """Strengths and positions of the vortex system, and its gate disks.
 
     positions holds the m plus-vortices first, then the n minus-vortices.
-    subdomains, when set, is a list of (center, radius) disks, one per vortex,
-    mutually disjoint and compactly inside the domain.
+    Each vortex's gate disk (subdomain) is centred on its position, so the
+    disks move with the vortices.  subdomain_radius is the disks' radius,
+    one number or one per vortex, or None for the default of
+    default_subdomains.
     """
     kappa_plus: np.ndarray
     kappa_minus: np.ndarray
     positions: np.ndarray
-    subdomains: list = None
+    subdomain_radius: float | list | None = None
 
     def __post_init__(self):
         self.kappa_plus = np.atleast_1d(np.asarray(self.kappa_plus, dtype=float))
@@ -65,6 +67,8 @@ class VortexSystem:
             raise ConfigError("all vortex strengths must be positive")
         if self.positions.shape != (self.m + self.n, 2):
             raise ConfigError("positions must be (m + n, 2)")
+        if np.ndim(self.subdomain_radius) == 1 and len(self.subdomain_radius) != self.m + self.n:
+            raise ConfigError("need one subdomain radius per vortex")
 
     @property
     def m(self):
@@ -85,7 +89,7 @@ class VortexSystem:
     def with_positions(self, Z):
         return VortexSystem(self.kappa_plus, self.kappa_minus,
                             np.asarray(Z, dtype=float).reshape(self.m + self.n, 2),
-                            subdomains=self.subdomains)
+                            subdomain_radius=self.subdomain_radius)
 
     def check_admissible(self, domain):
         """Raise DomainError unless every vortex clears the boundary by
@@ -96,11 +100,14 @@ class VortexSystem:
             raise DomainError("vortex positions violate the separation constraints")
 
     def default_subdomains(self, domain):
-        """Disks around each vortex: radius min(rho, half min pairwise distance)."""
-        if self.subdomains is not None:
-            return self.subdomains
-        radius = min(CLEARANCE * domain.diameter, 0.5 * self._min_separation())
-        return [(z.copy(), radius) for z in self.positions]
+        """The gate disks as (center, radius) pairs, centred on the current
+        positions; the default radius is min(rho, half the smallest pairwise
+        distance)."""
+        radius = self.subdomain_radius
+        if radius is None:
+            radius = min(CLEARANCE * domain.diameter, 0.5 * self._min_separation())
+        radii = np.broadcast_to(np.asarray(radius, dtype=float), self.m + self.n)
+        return [(z.copy(), float(r)) for z, r in zip(self.positions, radii)]
 
     def _min_separation(self):
         """Smallest distance between two vortices (inf for a single one)."""
@@ -172,13 +179,11 @@ def check_subdomains(vs, domain):
     subs = vs.default_subdomains(domain)
     k = len(subs)
     for i in range(k):
-        ci, ri = np.asarray(subs[i][0]), subs[i][1]
+        ci, ri = subs[i]
         if domain.signed_distance(ci) < ri:
             raise ConfigError(f"subdomain {i} is not contained in the domain")
-        if np.hypot(*(ci - vs.positions[i])) >= ri:
-            raise ConfigError(f"subdomain {i} does not contain its vortex")
         for j in range(i + 1, k):
-            cj, rj = np.asarray(subs[j][0]), subs[j][1]
+            cj, rj = subs[j]
             if np.hypot(*(ci - cj)) <= ri + rj:
                 raise ConfigError(f"subdomains {i} and {j} overlap")
     return subs

@@ -127,17 +127,11 @@ def build_background(cfg, domain):
                                               offset=b["offset"])
 
 
-def build_system(cfg, domain, positions=None):
+def build_system(cfg):
     v = cfg["vortices"]
-    pos = positions if positions is not None else (
-        v["positions"] if v["positions"] is not None else v["seeds"])
-    subs = None
-    if v["subdomain_radius"] is not None:
-        rad = v["subdomain_radius"]
-        k = len(v["kappa_plus"]) + len(v["kappa_minus"])
-        radii = [float(rad)] * k if isinstance(rad, (int, float)) else [float(r) for r in rad]
-        subs = [(np.asarray(pos[i], dtype=float), radii[i]) for i in range(k)]
-    return VortexSystem(v["kappa_plus"], v["kappa_minus"], pos, subdomains=subs)
+    pos = v["positions"] if v["positions"] is not None else v["seeds"]
+    return VortexSystem(v["kappa_plus"], v["kappa_minus"], pos,
+                        subdomain_radius=v["subdomain_radius"])
 
 
 class PipelineContext:
@@ -159,7 +153,7 @@ class PipelineContext:
 def stage_equilibrium(ctx):
     cfg = ctx.cfg
     v = cfg["vortices"]
-    vs = build_system(cfg, ctx.domain)
+    vs = build_system(cfg)
     if v["positions"] is not None:
         vs.check_admissible(ctx.domain)
         gnorm = float(np.max(np.abs(kr_grad(vs, ctx.green, ctx.q))))
@@ -194,27 +188,26 @@ def _grid_h(cfg, cores):
 
 def write_solution(product, field_path, report_path, precision):
     """The solved field as x1,x2,w rows and the solver report of one eps."""
-    spec = product["grid"]
+    setup = product["setup"]
+    spec = setup.spec
     write_csv(field_path, ["x1", "x2", "w"],
               np.column_stack((spec.points, product["field"].values)), precision)
-    write_json(report_path, {"eps": product["eps"], "grid_h": product["h"],
+    write_json(report_path, {"eps": setup.eps, "grid_h": spec.h,
                              "grid_nodes": spec.n_interior,
                              "solver": product["report"].to_dict()}, precision)
 
 
 def stage_solve_one(ctx, vs_star, eps, warm=None):
-    """Cores (centers moved to the finite-eps equilibrium), ansatz, grid and
-    PDE solve at one eps.  Returns a dict of stage products keyed for
-    downstream verification."""
+    """Cores (centers moved to the finite-eps equilibrium, the gate disks
+    with them), ansatz, grid and PDE solve at one eps.  Returns a dict of
+    stage products keyed for downstream verification; the grid and eps are
+    those of its setup."""
     cfg = ctx.cfg
     vs_eps, cores = refine_positions(vs_star, ctx.green, ctx.q, eps, ctx.profile)
-    if cfg["vortices"]["subdomain_radius"] is not None:
-        vs_eps = build_system(cfg, ctx.domain, positions=vs_eps.positions)
-    subs = check_subdomains(vs_eps, ctx.domain)
+    check_subdomains(vs_eps, ctx.domain)
     af = AnsatzField(cores, vs_eps, ctx.profile, ctx.green, ctx.q)
-    h = _grid_h(cfg, cores)
-    spec = build_grid(ctx.domain, h)
-    setup = setup_problem(spec, vs_eps, ctx.q, eps, ctx.profile.p, subdomains=subs)
+    spec = build_grid(ctx.domain, _grid_h(cfg, cores))
+    setup = setup_problem(spec, vs_eps, ctx.q, eps, ctx.profile.p)
 
     # build_grid selected the nodes with domain.contains already
     ansatz_vals = af.evaluate(spec.points, require_inside=False)
@@ -222,16 +215,12 @@ def stage_solve_one(ctx, vs_star, eps, warm=None):
     if warm is not None:
         # warm start: previous correction interpolated onto the new grid
         init_vals = ansatz_vals + interpolate(warm["correction"], spec.points)
-    init = GridField(spec, init_vals, "w", {"eps": eps, "p": ctx.profile.p})
     sol_cfg = cfg["solver"]
-    fld, rep = solve_newton(setup, init, tol=sol_cfg["tol"], max_iter=sol_cfg["max_iter"])
-    ansatz_field = GridField(spec, ansatz_vals, "w", {"eps": eps, "p": ctx.profile.p})
-    correction = GridField(spec, fld.values - ansatz_field.values, "w", dict(fld.params))
+    fld, rep = solve_newton(setup, init_vals, tol=sol_cfg["tol"], max_iter=sol_cfg["max_iter"])
     return {
-        "eps": eps, "vs": vs_eps, "cores": cores, "ansatz": af, "grid": spec,
-        "setup": setup, "field": fld, "report": rep, "h": h,
-        "ansatz_field": ansatz_field, "correction": correction,
-        "subdomains": subs,
+        "vs": vs_eps, "cores": cores, "ansatz": af, "setup": setup, "field": fld,
+        "report": rep, "ansatz_field": GridField(spec, ansatz_vals),
+        "correction": GridField(spec, fld.values - ansatz_vals),
     }
 
 
@@ -241,7 +230,8 @@ def stage_verify_one(ctx, product):
     vs = product["vs"]
     setup = product["setup"]
     fld = product["field"]
-    diag = vorticity_extract(fld, setup, vs, subdomains=product["subdomains"])
+    spec = setup.spec
+    diag = vorticity_extract(fld, setup, vs)
     diag.energy = energy_eval(fld, setup)
     diag.residual_max = product["report"].residual_history[-1][1]
     af = product["ansatz"]
@@ -262,7 +252,7 @@ def stage_verify_one(ctx, product):
     af_centered = AnsatzField(cores, vs.with_positions(diag.centers),
                               ctx.profile, ctx.green, ctx.q)
     corr_centered = float(np.max(np.abs(
-        fld.values - af_centered.evaluate(product["grid"].points))))
+        fld.values - af_centered.evaluate(spec.points, require_inside=False))))
     denom = cores.delta * abs(np.log(cores.delta))**((cores.p - 1.0) / 2.0)
     out = {
         "eps": cores.eps, "delta": cores.delta, "p": cores.p,
@@ -281,7 +271,7 @@ def stage_verify_one(ctx, product):
         "correction_recentered_ratio": corr_centered / denom,
         "flow_divergence_rel": div_rel,
         "solver": product["report"].to_dict(),
-        "grid_h": product["h"], "grid_nodes": product["grid"].n_interior,
+        "grid_h": spec.h, "grid_nodes": spec.n_interior,
     }
     return out, diag, flow
 

@@ -20,7 +20,7 @@ below MIN_DAMPING (creep along the near-null core translations), or that
 stops making progress, restarts once from its best iterate in a deflated
 mode that splits each step along the near-null eigenvectors of the core
 Jacobian, and raises if that stalls too.  `picard_gap` applies the bare
-fixed-point map w <- (-coef lap)^{-1} rhs(w) once to a given field: a
+fixed-point map w <- (-coef lap)^{-1} rhs(w) once to given nodal values: a
 solver-independent check of a solution.  Iterating that map does not reach
 the solution, which is an unstable fixed point of it.
 """
@@ -65,6 +65,8 @@ class ProblemSetup:
     gate.  `vortex` is the index of the vortex whose subdomain holds the node
     (-1 off every subdomain), `sign` that vortex's sign and `level` its
     activation level in the variable's units (both 0 off every subdomain).
+    The setup is the one owner of the variable form: nodal arrays carry no
+    tag, and `u_per_unit` converts them to the physical u.
     """
     spec: object
     coef: float                 # delta^2 (w-form) or eps^2 (u-form)
@@ -74,6 +76,12 @@ class ProblemSetup:
     vortex: np.ndarray          # (N,) int
     sign: np.ndarray            # (N,)
     level: np.ndarray           # (N,)
+
+    @property
+    def u_per_unit(self):
+        """The physical u per unit of the variable: |ln eps|/2 pi in the
+        w-form (u = |ln eps| w/2 pi), 1 in the u-form."""
+        return eps_log(self.eps) / TWO_PI if self.variable == "w" else 1.0
 
     def apply(self, values):
         """The scaled operator coef (-lap_h) applied to nodal values."""
@@ -94,17 +102,14 @@ class ProblemSetup:
         return np.maximum(self.gate_argument(values), 0.0)
 
 
-def setup_problem(spec, vs, q, eps, p, variable="w", subdomains=None):
-    """Precompute the gate map and the operator's scale for one grid."""
+def setup_problem(spec, vs, q, eps, p, variable="w"):
+    """Precompute the gate map of the vortex system's gate disks and the
+    operator's scale for one grid."""
     if variable not in ("w", "u"):
         raise ConfigError("variable must be 'w' or 'u'")
     pts = spec.points
-    subs = subdomains if subdomains is not None else vs.default_subdomains(spec.domain)
-    if len(subs) != vs.m + vs.n:
-        raise ConfigError("need one subdomain per vortex")
     vortex = np.full(spec.n_interior, -1)
-    for i, (c, r) in enumerate(subs):
-        c = np.asarray(c, dtype=float)
+    for i, (c, r) in enumerate(vs.default_subdomains(spec.domain)):
         inside = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) < r
         taken = inside & (vortex >= 0)
         if np.any(taken):
@@ -124,14 +129,9 @@ def setup_problem(spec, vs, q, eps, p, variable="w", subdomains=None):
                         variable=variable, vortex=vortex, sign=sign, level=level)
 
 
-def rhs_eval(field_or_values, setup):
-    """Gated nonlinearity at the nodes; returns the same kind as the input."""
-    values = field_or_values.values if isinstance(field_or_values, GridField) \
-        else np.asarray(field_or_values, dtype=float)
-    out = setup.sign * setup.excess(values)**setup.p
-    if isinstance(field_or_values, GridField):
-        return field_or_values.copy(values=out)
-    return out
+def rhs_eval(values, setup):
+    """Gated nonlinearity sign (arg)_+^p at the nodes, for nodal values."""
+    return setup.sign * setup.excess(values)**setup.p
 
 
 def rhs_derivative(values, setup):
@@ -311,9 +311,9 @@ def _deflated_step(x, r, residual, J, J_inv, Q, radius):
     return x, r, f, 0.0, radius
 
 
-def solve_newton(setup, initial, tol=1e-10, max_iter=60):
-    """Damped semismooth Newton on the core values from the given initial
-    grid field.
+def solve_newton(setup, start, tol=1e-10, max_iter=60):
+    """Damped semismooth Newton on the core values from the nodal values
+    `start`; returns the solved GridField and its SolveReport.
 
     tol is relative to the max norm of the active nonlinearity.  The Schur
     complement S of the operator on the candidate core nodes T of the start
@@ -339,8 +339,6 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
     along span(Q).  A second stall raises ConvergenceError carrying the
     lowest-residual iterate and quoting the near-null eigenvalues.
     """
-    start = initial.values if isinstance(initial, GridField) else np.asarray(initial, dtype=float)
-    var = initial.variable if isinstance(initial, GridField) else setup.variable
     report = SolveReport()
     n_null = setup.near_null_dim
     step_cap = 0.3 * max(float(np.max(start) - np.min(start)),
@@ -386,7 +384,7 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
         raise ConvergenceError(
             f"{message}; best residual {best_rn:.3e} at iteration {best_it}; "
             f"near-null eigenvalues of the core Jacobian: {near_null}",
-            best=GridField(setup.spec, field_of(best_x), var), report=report)
+            best=GridField(setup.spec, field_of(best_x)), report=report)
 
     while True:
         if rn <= tol * scale:
@@ -454,25 +452,11 @@ def solve_newton(setup, initial, tol=1e-10, max_iter=60):
             best_x, best_rn, best_it = x, rn, it
             idle = 0
     report.correction_max_norm = float(np.max(np.abs(w - start)))
-    out = GridField(setup.spec, w, var, {"eps": setup.eps, "p": setup.p})
-    return out, report
+    return GridField(setup.spec, w), report
 
 
-def picard_gap(setup, field):
-    """Max-norm distance between a field and one application of the Picard
-    map; a solver-independent fixed-point check."""
-    mapped = setup.spec.solver.solve(rhs_eval(field.values, setup)) / setup.coef
-    return float(np.max(np.abs(mapped - field.values)))
-
-
-def u_from_w(field):
-    """Convert the rescaled solution to the physical one: u = |ln eps| w / 2 pi."""
-    eps = field.params["eps"]
-    vals = field.values * (eps_log(eps) / TWO_PI)
-    return GridField(field.spec, vals, "u", dict(field.params))
-
-
-def w_from_u(field):
-    eps = field.params["eps"]
-    vals = field.values * (TWO_PI / eps_log(eps))
-    return GridField(field.spec, vals, "w", dict(field.params))
+def picard_gap(setup, values):
+    """Max-norm distance between nodal values and one application of the
+    Picard map; a solver-independent fixed-point check."""
+    mapped = setup.spec.solver.solve(rhs_eval(values, setup)) / setup.coef
+    return float(np.max(np.abs(mapped - values)))

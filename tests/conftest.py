@@ -59,7 +59,7 @@ def solve_case(ctx, vs_star, eps):
     verify, diag, flow = stage_verify_one(ctx, product)
     return dict(domain=ctx.domain, green=ctx.green, q=ctx.q, rp=ctx.profile, eps=eps,
                 vs=product["vs"], cores=product["cores"], af=product["ansatz"],
-                grid=product["grid"], setup=product["setup"],
+                grid=product["setup"].spec, setup=product["setup"],
                 init=product["ansatz_field"], field=product["field"],
                 report=product["report"], diag=diag, flow=flow,
                 corr_recentered=verify["correction_recentered_max_norm"])

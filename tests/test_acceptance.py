@@ -19,10 +19,8 @@ from vortexpatch import (Domain, GreenEvaluator, HarmonicBackground,
 from vortexpatch.ansatz import AnsatzField, solve_core_system, solve_s
 from vortexpatch.diagnostics import (ansatz_energy, ansatz_energy_expansion,
                                      boundary_normal_velocity)
-from vortexpatch.grid import GridField
 from vortexpatch.kirchhoff import VortexSystem, kr_value, phi_value
-from vortexpatch.solver import (picard_gap, setup_problem, solve_newton,
-                                w_from_u)
+from vortexpatch.solver import picard_gap, setup_problem, solve_newton
 
 from conftest import (EPS_SWEEP, PAIR_CONFIG, equilibrium_stage, random_disk_points,
                       solve_case)
@@ -298,16 +296,14 @@ def test_criterion_11_cross_solver_and_variables(sweep):
     # Picard-map fixed-point gap at the Newton solution (the bare map has the
     # solution as an unstable fixed point, so the cross-check is the gap)
     s = sweep["singles"][1]   # eps = 1e-3: mid-size grid
-    gap = picard_gap(s["setup"], s["field"])
+    gap = picard_gap(s["setup"], s["field"].values)
 
-    # u-form solve converted back to w-form
-    lg = abs(np.log(s["eps"]))
+    # u-form solve converted back to w-form by the w-form setup's u per unit
+    w_unit = s["setup"].u_per_unit
     setup_u = setup_problem(s["grid"], s["vs"], sweep["q"], s["eps"],
                             sweep["rp"].p, variable="u")
-    init_u = GridField(s["grid"], s["af"].evaluate(s["grid"].points) * lg / (2 * np.pi),
-                       "u", {"eps": s["eps"], "p": sweep["rp"].p})
-    fld_u, rep_u = solve_newton(setup_u, init_u)
-    diff = float(np.max(np.abs(w_from_u(fld_u).values - s["field"].values)))
+    fld_u, rep_u = solve_newton(setup_u, s["af"].evaluate(s["grid"].points) * w_unit)
+    diff = float(np.max(np.abs(fld_u.values / w_unit - s["field"].values)))
     ok = gap <= 1e-8 and rep_u.converged and diff <= 1e-8
     assert report(11, ok,
                   f"Picard fixed-point gap at the Newton solution {gap:.2e} (<= 1e-8); "

@@ -315,16 +315,18 @@ def test_a_run_imports_no_scipy(tmp_path):
 def test_field_csv_bytes_match_per_value_format(tmp_path, precision):
     # the row-format writer gives the same bytes as formatting every value
     # on its own
-    from vortexpatch import Domain, build_grid
+    from vortexpatch import Domain, HarmonicBackground, build_grid
     from vortexpatch.grid import GridField
+    from vortexpatch.kirchhoff import VortexSystem
     from vortexpatch.pipeline import write_solution
-    from vortexpatch.solver import SolveReport
+    from vortexpatch.solver import SolveReport, setup_problem
     spec = build_grid(Domain.disk(1.0 / 16.0), 1.0 / 64.0)
     n = spec.n_interior
     vals = np.random.default_rng(2).standard_normal(n) * 1e-3
     vals[:6] = [-0.0, 1e-300, 0.12345678901234567, -2.5e-7, np.nan, np.inf]
-    product = {"grid": spec, "field": GridField(spec, vals, "w"), "eps": 3e-3,
-               "h": 1.0 / 64.0, "report": SolveReport()}
+    setup = setup_problem(spec, VortexSystem([1.0], [], [[0.0, 0.0]]),
+                          HarmonicBackground.zero(), 3e-3, 2.0)
+    product = {"setup": setup, "field": GridField(spec, vals), "report": SolveReport()}
     path = tmp_path / "field.csv"
     write_solution(product, str(path), str(tmp_path / "report.json"), precision)
     expected = "x1,x2,w\n" + "".join(

@@ -16,7 +16,7 @@ from vortexpatch.diagnostics import _free_boundary_radii, boundary_normal_veloci
 from vortexpatch.errors import ConfigError
 from vortexpatch.grid import GridField
 from vortexpatch.kirchhoff import VortexSystem
-from vortexpatch.pipeline import build_system
+from vortexpatch.solver import setup_problem, solve_newton
 
 from conftest import PAIR_CONFIG, SINGLE_CONFIG, equilibrium_stage
 
@@ -66,8 +66,7 @@ def test_support_radii_bracket(solved_case):
 
 def test_energy_zero_field(solved_case):
     setup = solved_case["setup"]
-    zero = GridField(setup.spec, np.zeros(setup.spec.n_interior), "w",
-                     {"eps": solved_case["eps"], "p": 2.0})
+    zero = GridField(setup.spec, np.zeros(setup.spec.n_interior))
     assert energy_eval(zero, setup) == 0.0
 
 
@@ -165,7 +164,6 @@ def test_free_boundary_radii_stop_rule(workload, monkeypatch):
     dirs = np.column_stack((np.cos(th), np.sin(th)))
     for eps in ctx.cfg["eps"]:
         vs_eps, cores = refine_positions(vs_star, ctx.green, ctx.q, eps, ctx.profile)
-        vs_eps = build_system(ctx.cfg, ctx.domain, positions=vs_eps.positions)
         af = AnsatzField(cores, vs_eps, ctx.profile, ctx.green, ctx.q)
         subs = vs_eps.default_subdomains(ctx.domain)
         for idx in range(vs_eps.m + vs_eps.n):
@@ -192,7 +190,7 @@ def test_ansatz_energy_bracket_errors(disk_images, profiles, q_zero):
     cores = solve_core_system(vs, disk_images, q_zero, 1e-3, rp)
     s = cores.s_all[0]
     # the bracket's upper end 0.95 r_sub lies inside the core
-    tight = VortexSystem([1.0], [], [z], subdomains=[(np.array(z), 0.5 * s)])
+    tight = VortexSystem([1.0], [], [z], subdomain_radius=0.5 * s)
     with pytest.raises(ConfigError, match="subdomain edge"):
         ansatz_energy(AnsatzField(cores, tight, rp, disk_images, q_zero), n_r=8, n_theta=8)
     # an activation level above the field: no positive excess at the lower end
@@ -331,3 +329,24 @@ def test_vorticity_curl_consistency(solved_case, flow):
     sel = reg & big
     rel = np.abs(flow.curl[sel] - omega[sel]) / np.max(np.abs(omega))
     assert np.median(rel) < 0.05
+
+
+def test_u_form_diagnostics_match_w_form(solved_case, flow):
+    # the diagnostics read the variable form from the setup alone: the u-form
+    # solve gives the circulations, centres, velocity and energy of the
+    # w-form solve, to the agreement of the two solves
+    c = solved_case
+    setup_u = setup_problem(c["grid"], c["vs"], c["q"], c["eps"], 2.0, variable="u")
+    fld_u, rep = solve_newton(setup_u, c["init"].values * c["setup"].u_per_unit)
+    assert rep.converged
+    diag_u = vorticity_extract(fld_u, setup_u, c["vs"])
+    diag_w = vorticity_extract(c["field"], c["setup"], c["vs"])
+
+    def rel(a, b):
+        return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
+
+    assert rel(diag_u.circulations, diag_w.circulations) <= 1e-8
+    assert rel(diag_u.circulations_flux, diag_w.circulations_flux) <= 1e-8
+    assert rel(diag_u.centers, diag_w.centers) <= 1e-8
+    assert rel(reconstruct_flow(fld_u, setup_u, c["q"]).velocity, flow.velocity) <= 1e-8
+    assert rel(energy_eval(fld_u, setup_u), energy_eval(c["field"], c["setup"])) <= 1e-8

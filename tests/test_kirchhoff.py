@@ -304,11 +304,11 @@ def test_classify_hessian_thresholds():
 
 def test_subdomain_validation(unit_disk):
     vs = VortexSystem([1.0], [1.0], [[0.3, 0.0], [-0.3, 0.0]],
-                      subdomains=[((0.3, 0.0), 0.4), ((-0.3, 0.0), 0.4)])
+                      subdomain_radius=0.4)
     with pytest.raises(ConfigError):
         check_subdomains(vs, unit_disk)
     vs_ok = VortexSystem([1.0], [1.0], [[0.3, 0.0], [-0.3, 0.0]],
-                         subdomains=[((0.3, 0.0), 0.2), ((-0.3, 0.0), 0.2)])
+                         subdomain_radius=[0.2, 0.2])
     assert len(check_subdomains(vs_ok, unit_disk)) == 2
 
 

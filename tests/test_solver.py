@@ -25,7 +25,7 @@ from vortexpatch.solver import (MIN_DAMPING, STALL_WINDOW, TRUST_RADIUS, SolveRe
                                 _Core, _core_candidates, _deflated_step, _dense_solve,
                                 _near_null_basis, _trust_step, picard_gap,
                                 rhs_derivative, rhs_eval, setup_problem,
-                                solve_newton, u_from_w, w_from_u)
+                                solve_newton)
 
 from conftest import sparse_operator
 
@@ -89,7 +89,7 @@ def gate_pair(small_disk):
     rest of each subdomain."""
     q = background_from_flux(small_disk, lambda t: 0.1 * np.cos(t) + 0.05 * np.sin(2 * t))
     Z = np.array([[0.02, 0.005], [-0.02, -0.005]])
-    vs = VortexSystem([1.0], [1.3], Z, subdomains=[(Z[0], 0.015), (Z[1], 0.015)])
+    vs = VortexSystem([1.0], [1.3], Z, subdomain_radius=0.015)
     gs = build_grid(small_disk, R0 / 48.0)
     pts = gs.points
     bumps = [np.exp(-((pts - z)**2).sum(axis=1) / 0.006**2) for z in Z]
@@ -105,7 +105,7 @@ def _old_gates(c, variable, level_order):
     pts, vs, eps = c["grid"].points, c["vs"], c["eps"]
     lg = abs(np.log(eps))
     masks = np.array([np.hypot(pts[:, 0] - z[0], pts[:, 1] - z[1]) < r
-                      for z, r in vs.subdomains])
+                      for z, r in vs.default_subdomains(c["grid"].domain)])
     kap, sgn, qn = vs.kappas[:, None], vs.signs[:, None], c["q"].value(pts)[None, :]
     if level_order == "helper":
         thr = kap + sgn * 2.0 * np.pi * qn / lg
@@ -159,9 +159,9 @@ def test_gate_map_matches_per_vortex_loops(gate_pair, variable):
     assert np.array_equal(rhs_eval(values, setup), rhs)
     assert np.array_equal(rhs_derivative(values, setup), p * der)
 
-    fld = GridField(c["grid"], values, variable, {"eps": eps, "p": p})
+    fld = GridField(c["grid"], values)
     q = c["q"]
-    dpsi = gradient(fld if variable == "u" else u_from_w(fld)) - q.grad(c["grid"].points)
+    dpsi = gradient(GridField(c["grid"], values * setup.u_per_unit)) - q.grad(c["grid"].points)
     if variable == "u":
         pot = sum(e**(p + 1.0) / (p + 1.0) for e in ex)
         pressure = -pot / eps**2 - 0.5 * (dpsi**2).sum(axis=1)
@@ -190,7 +190,7 @@ def test_gate_map_matches_per_vortex_loops(gate_pair, variable):
 def test_overlapping_subdomains_rejected(small_disk, profiles):
     q = HarmonicBackground.zero()
     vs = VortexSystem([1.0], [1.0], [[0.01, 0.0], [-0.01, 0.0]],
-                      subdomains=[((0.01, 0.0), 0.02), ((-0.01, 0.0), 0.02)])
+                      subdomain_radius=0.02)
     gs = build_grid(small_disk, R0 / 40.0)
     with pytest.raises(ConfigError):
         setup_problem(gs, vs, q, 3e-3, 2.0)
@@ -207,9 +207,8 @@ def test_zero_data_returns_zero(solved_case, fraction):
     # the ansatz, whose largest gate argument is -0.84) has an empty core:
     # the zero field is the solution, returned without an iteration
     setup = solved_case["setup"]
-    start = GridField(setup.spec, fraction * solved_case["init"].values, "w",
-                      {"eps": solved_case["eps"], "p": 2.0})
-    assert np.max(setup.gate_argument(start.values)) < -0.8
+    start = fraction * solved_case["init"].values
+    assert np.max(setup.gate_argument(start)) < -0.8
     fld, rep = solve_newton(setup, start)
     assert rep.iterations == 0
     assert np.all(fld.values == 0.0)
@@ -253,7 +252,7 @@ def test_core_newton_matches_full_grid_newton(solved_case):
     # Newton on the core values takes the full-grid Newton steps restricted
     # to the core: the same iterations and dampings, and the same field
     c = solved_case
-    fld, rep = solve_newton(c["setup"], c["init"])
+    fld, rep = solve_newton(c["setup"], c["init"].values)
     w_ref, damping = _full_grid_newton(c["setup"], c["init"].values)
     assert rep.converged and rep.iterations == len(damping) >= 2
     assert rep.damping_history == damping
@@ -314,8 +313,7 @@ def test_newton_stall_raises_with_best_iterate(solved_case, variable):
     c = solved_case
     conv = 1.0 if variable == "w" else abs(np.log(c["eps"])) / (2 * np.pi)
     setup = setup_problem(c["grid"], c["vs"], c["q"], c["eps"], 2.0, variable=variable)
-    init = GridField(c["grid"], c["init"].values * conv, variable,
-                     {"eps": c["eps"], "p": 2.0})
+    init = c["init"].values * conv
     max_iter = 60
     with pytest.raises(ConvergenceError,
                        match="no new best residual.*near-null eigenvalues") as info:
@@ -325,9 +323,8 @@ def test_newton_stall_raises_with_best_iterate(solved_case, variable):
     best_it = int(np.argmin(hist))
     assert exc.report.iterations < max_iter
     assert exc.report.iterations - best_it <= 2 * STALL_WINDOW
-    assert exc.best.variable == variable
     # the history holds core residuals S x - f_T(x), x the values on the core
-    core = _Core(setup, _core_candidates(setup, init.values), SolveReport())
+    core = _Core(setup, _core_candidates(setup, init), SolveReport())
     T = core.core
     r = core.S @ exc.best.values[T] - rhs_eval(exc.best.values, setup)[T]
     assert float(np.max(np.abs(r))) == min(hist)
@@ -430,7 +427,7 @@ def test_core_that_meets_the_boundary_rows(solved_case):
     c = solved_case
     spec = c["grid"]
     wall = spec.points[np.argmax(spec.points[:, 0])]
-    vs = VortexSystem([1.0], [], [wall], subdomains=[(wall, 0.1 * R0)])
+    vs = VortexSystem([1.0], [], [wall], subdomain_radius=0.1 * R0)
     setup = setup_problem(spec, vs, c["q"], c["eps"], 2.0)
     T = np.flatnonzero(setup.vortex == 0)
     assert np.isin(T, spec.solver.rows).sum() >= 3
@@ -451,7 +448,7 @@ def test_core_grows_when_the_active_set_leaves_it(solved_case, monkeypatch):
     setup = c["setup"]
     monkeypatch.setattr(solver, "CORE_MARGIN", -0.5)
     first = _core_candidates(setup, c["init"].values)
-    fld, rep = solve_newton(setup, c["init"])
+    fld, rep = solve_newton(setup, c["init"].values)
     active = np.flatnonzero(setup.excess(fld.values) > 0.0)
     assert not np.all(np.isin(active, first))
     assert rep.converged and rep.factorizations >= 2
@@ -501,7 +498,7 @@ def test_newton_factors_the_operator_once(solved_case, monkeypatch):
 
     for name in ("core", "convolve", "solve"):
         monkeypatch.setattr(GridSolver, name, recording(name))
-    fld, rep = solve_newton(c["setup"], c["init"])
+    fld, rep = solve_newton(c["setup"], c["init"].values)
     assert rep.converged and rep.iterations >= 2
     assert calls == ["core", "convolve"]
     assert rep.factorizations == 1
@@ -520,12 +517,10 @@ def test_pair_converges_on_the_plain_path(small_disk, profiles, monkeypatch):
     z0 = [[d, 0.0], [-d, 0.0]]
     z_star = find_critical(VortexSystem([1.0], [1.0], z0), ge, q, z0=z0).z_star
     vs_eps, cores = refine_positions(VortexSystem([1.0], [1.0], z_star), ge, q, eps, rp)
-    vs = VortexSystem([1.0], [1.0], vs_eps.positions,
-                      subdomains=[(z, 0.02) for z in vs_eps.positions])
+    vs = VortexSystem([1.0], [1.0], vs_eps.positions, subdomain_radius=0.02)
     gs = build_grid(small_disk, float(np.min(cores.s_all)) / 8.0)
     setup = setup_problem(gs, vs, q, eps, rp.p)
-    init = GridField(gs, AnsatzField(cores, vs, rp, ge, q).evaluate(gs.points), "w",
-                     {"eps": eps, "p": rp.p})
+    init = AnsatzField(cores, vs, rp, ge, q).evaluate(gs.points)
 
     def no_basis(*args):
         raise AssertionError("near-null basis computed on the plain path")
@@ -562,7 +557,7 @@ def test_trust_step_model_minimizer():
 
 
 def test_picard_fixed_point_gap_at_newton_solution(solved_case):
-    gap = picard_gap(solved_case["setup"], solved_case["field"])
+    gap = picard_gap(solved_case["setup"], solved_case["field"].values)
     assert gap < 1e-8
 
 
@@ -574,15 +569,12 @@ def test_picard_fixed_point_gap_at_newton_solution(solved_case):
 def test_u_form_matches_w_form(solved_case):
     c = solved_case
     setup_u = setup_problem(c["grid"], c["vs"], c["q"], c["eps"], 2.0, variable="u")
-    lg = abs(np.log(c["eps"]))
-    init_u = GridField(c["grid"], c["init"].values * lg / (2 * np.pi), "u",
-                       {"eps": c["eps"], "p": 2.0})
-    fld_u, rep_u = solve_newton(setup_u, init_u)
+    # the physical u per unit of w, from the w-form setup
+    w_unit = c["setup"].u_per_unit
+    assert w_unit == abs(np.log(c["eps"])) / (2 * np.pi) and setup_u.u_per_unit == 1.0
+    fld_u, rep_u = solve_newton(setup_u, c["init"].values * w_unit)
     assert rep_u.converged
-    w_back = w_from_u(fld_u)
-    assert np.max(np.abs(w_back.values - c["field"].values)) < 1e-8
-    # and the round trip is exact
-    assert np.max(np.abs(u_from_w(w_back).values - fld_u.values)) < 1e-14
+    assert np.max(np.abs(fld_u.values / w_unit - c["field"].values)) < 1e-8
 
 
 def test_mesh_refinement_study(solved_case):
@@ -591,8 +583,7 @@ def test_mesh_refinement_study(solved_case):
     h2 = c["grid"].h / 2.0
     gs2 = build_grid(c["domain"], h2)
     setup2 = setup_problem(gs2, c["vs"], c["q"], c["eps"], 2.0)
-    init2 = GridField(gs2, c["af"].evaluate(gs2.points), "w",
-                      {"eps": c["eps"], "p": 2.0})
+    init2 = c["af"].evaluate(gs2.points)
     fld2, _ = solve_newton(setup2, init2)
     # compare on probe points in the smooth annulus between core and boundary
     z = c["vs"].positions[0]
@@ -614,7 +605,6 @@ def test_solver_independent_of_big_r(solved_case, small_disk, profiles):
     ge2 = GreenEvaluator(dom2)
     cores2 = solve_core_system(c["vs"], ge2, c["q"], c["eps"], profiles[2.0])
     af2 = AnsatzField(cores2, c["vs"], profiles[2.0], ge2, c["q"])
-    init2 = GridField(c["grid"], af2.evaluate(c["grid"].points), "w",
-                      {"eps": c["eps"], "p": 2.0})
+    init2 = af2.evaluate(c["grid"].points)
     fld2, _ = solve_newton(c["setup"], init2)
     assert np.max(np.abs(fld2.values - c["field"].values)) < 1e-8
