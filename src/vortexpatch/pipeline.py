@@ -5,8 +5,10 @@ atomic replace) into the output directory; the manifest records the config
 hash, per-stage wall time and artifact paths.
 """
 
+import contextlib
 import json
 import os
+import resource
 import time
 
 import numpy as np
@@ -27,6 +29,10 @@ from .solver import setup_problem, solve_newton
 
 TWO_PI = 2.0 * np.pi
 
+# rows per block of write_csv: the writer holds the text of one block, a
+# few MB, whatever the number of rows
+CSV_BLOCK = 8192
+
 
 # ---------------------------------------------------------------------- #
 #  deterministic file helpers
@@ -37,11 +43,25 @@ def _fmt(x, precision=17):
     return f"{float(x):.{precision}g}"
 
 
-def atomic_write(path, text):
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A text file opened at `path`.tmp that replaces `path` when the block
+    ends; if anything raises, the temp file is removed and `path` keeps its
+    old bytes."""
     tmp = str(path) + ".tmp"
-    with open(tmp, "w") as f:
+    try:
+        with open(tmp, "w") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def atomic_write(path, text):
+    with _atomic_file(path) as f:
         f.write(text)
-    os.replace(tmp, path)
 
 
 def write_json(path, obj, precision=17):
@@ -73,18 +93,34 @@ def write_csv(path, header, rows, precision=17):
     """A 2-D float array (no rows: the header alone): the text of `_fmt` per
     value, and of str(int) for an integer of at most `precision` digits.
 
-    Each column formats its distinct values once (distinct float64 bit
-    patterns, so -0.0 and 0.0 keep their own text) and gathers them.
+    The rows are formatted and written in blocks of `CSV_BLOCK`, so the
+    text held in memory does not grow with the number of rows.
     """
     rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
     fmt = f"%.{precision}g"
-    cols = []
-    for bits in rows.view(np.uint64).T:
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        text = [fmt % v for v in distinct.view(np.float64).tolist()]
-        cols.append(np.array(text, dtype=object)[inverse].tolist())
-    lines = [",".join(header)] + list(map(",".join, zip(*cols)))
-    atomic_write(path, "\n".join(lines) + "\n")
+    with _atomic_file(path) as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(rows), CSV_BLOCK):
+            f.write(_csv_block(rows[start:start + CSV_BLOCK], fmt))
+
+
+def _csv_block(block, fmt):
+    """The text of some rows.  A column with fewer than half as many
+    distinct float64 bit patterns as rows (so -0.0 and 0.0 keep their own
+    text) formats each distinct value once and gathers the texts; any
+    other column passes its floats to the one row template.  Both apply
+    `fmt` to the same Python float, so the text is the same."""
+    cols, cells = [], []
+    for col in block.T:
+        distinct, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+        if 2 * len(distinct) < len(col):
+            text = [fmt % v for v in distinct.view(np.float64).tolist()]
+            cols.append(np.array(text, dtype=object)[inverse].tolist())
+            cells.append("%s")
+        else:
+            cols.append(col.tolist())
+            cells.append(fmt)
+    return "".join(map((",".join(cells) + "\n").__mod__, zip(*cols)))
 
 
 # ---------------------------------------------------------------------- #
@@ -353,6 +389,7 @@ def run_pipeline(cfg, outdir, progress=None):
     manifest["artifacts"]["convergence"] = conv_path
 
     manifest["wall_time"] = round(time.time() - t_start, 3)
+    manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     manifest["failures"] = [{"eps": e, "error": msg} for e, msg in failures]
     manifest["converged"] = not failures
     manifest_path = os.path.join(outdir, "manifest.json")

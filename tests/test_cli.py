@@ -157,6 +157,7 @@ def test_minimal_pipeline_artifacts(pipeline_out):
     assert manifest["config_hash"] == config_hash(cfg)
     # every stage carries a wall-clock entry
     assert {"equilibrium", "profile"}.issubset(manifest["stages"])
+    assert manifest["peak_rss_mb"] > 0
 
 
 def test_pipeline_determinism(pipeline_out, tmp_path):
@@ -360,18 +361,63 @@ def _row_format_csv(header, rows, precision):
 def test_csv_matches_row_formatter(tmp_path, precision):
     # repeated values, both zeros, nan, +/-inf, integer-valued floats
     # (short and past `precision` digits), and the empty table
-    from vortexpatch.pipeline import write_csv
+    from vortexpatch.pipeline import CSV_BLOCK, write_csv
     rng = np.random.default_rng(7)
     special = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 3.0, -12.0, 104123.0,
                1234567.0, 1e16, 0.1, 1.0 / 3.0, 2.5e-300, -5e-324]
     rows = np.column_stack((rng.choice(special, 400), rng.choice(np.linspace(-1, 1, 9), 400),
                             rng.standard_normal(400)))
     rows[:len(special), 2] = special
+    # blocks: the last one partial; x1 repeats in runs of 100, one of which
+    # spans the first block edge; x2 repeats and w is mostly distinct in
+    # every block, so both ways of formatting a column run; -0.0 and 0.0
+    # meet at the second block edge
+    n = 2 * CSV_BLOCK + 3
+    blocks = np.column_stack((np.repeat(rng.standard_normal(n // 100 + 1), 100)[:n],
+                              rng.choice(special, n), rng.standard_normal(n)))
+    assert blocks[CSV_BLOCK - 1, 0] == blocks[CSV_BLOCK, 0]
+    blocks[2 * CSV_BLOCK - 1, 1:] = -0.0
+    blocks[2 * CSV_BLOCK, 1:] = 0.0
     header = ["x1", "x2", "w"]
-    for case in (rows, rows[::2], rows.tolist(), np.empty((0, 3))):   # [::2]: strided
+    for case in (rows, rows[::2], rows.tolist(), np.empty((0, 3)),   # [::2]: strided
+                 blocks, blocks[:CSV_BLOCK]):
         path = tmp_path / "rows.csv"
         write_csv(str(path), header, case, precision)
         assert path.read_text() == _row_format_csv(header, case, precision)
+
+
+def test_write_csv_memory_is_bounded(tmp_path):
+    # the writer holds one block of text, not the text of every row
+    import tracemalloc
+    from vortexpatch.pipeline import write_csv
+    x1, x2 = np.meshgrid(np.linspace(-1, 1, 600), np.linspace(-1, 1, 500))
+    rows = np.column_stack((x1.ravel(), x2.ravel(),
+                            np.random.default_rng(3).standard_normal(x1.size)))
+    tracemalloc.start()
+    try:
+        write_csv(str(tmp_path / "field.csv"), ["x1", "x2", "w"], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    # a write that raises before its rename removes its temp file, and the
+    # artifact already at the path keeps its bytes
+    from vortexpatch import pipeline
+
+    def refuse(src, dst):
+        raise OSError("refused")
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"earlier\n")
+    monkeypatch.setattr(pipeline.os, "replace", refuse)
+    for write in (lambda: pipeline.write_csv(str(path), ["a", "b"], [[1.0, 2.0]]),
+                  lambda: pipeline.atomic_write(str(path), "text\n")):
+        with pytest.raises(OSError, match="refused"):
+            write()
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert path.read_bytes() == b"earlier\n"
 
 
 def test_all_failed_sweep_writes_header_only_table(tmp_path):
