@@ -41,7 +41,7 @@ import math
 import warnings
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import DomainError, SolvabilityError, ConvergenceError
 from .kirchhoff import interaction_table, signed_tilt
@@ -185,13 +185,7 @@ class CoreParameters:
         return np.concatenate([self.a_plus, self.a_minus])
 
     def to_dict(self):
-        return {
-            "eps": self.eps, "delta": self.delta, "p": self.p, "big_r": self.big_r,
-            "s_plus": self.s_plus.tolist(), "a_plus": self.a_plus.tolist(),
-            "s_minus": self.s_minus.tolist(), "a_minus": self.a_minus.tolist(),
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "iterations": self.iterations,
-        }
+        return asdict(self)
 
 
 def core_residuals(cores, vs, table, q, rp):

@@ -6,7 +6,7 @@ reduced-energy consistency, and the reconstructed velocity/pressure pair.
 import warnings
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .ansatz import eps_log
 from .errors import ConfigError
@@ -52,18 +52,7 @@ class VortexDiagnostics:
     omega: np.ndarray = field(default=None, repr=False)
 
     def to_dict(self):
-        return {
-            "eps": self.eps, "delta": self.delta, "p": self.p,
-            "centers": self.centers.tolist(),
-            "circulations": self.circulations.tolist(),
-            "circulations_flux": self.circulations_flux.tolist(),
-            "support_inner": self.support_inner.tolist(),
-            "support_outer": self.support_outer.tolist(),
-            "total_circulation": self.total_circulation,
-            "total_circulation_flux": self.total_circulation_flux,
-            "energy": self.energy, "residual_max": self.residual_max,
-            "confinement_ok": self.confinement_ok,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "omega"}
 
 
 def _omega_nodes(fld, setup):

@@ -11,21 +11,23 @@ with w = 2 pi u / |ln eps| and delta = eps (2 pi/|ln eps|)^((p-1)/2).  Each
 gate X_i is the indicator of the vortex subdomain.  The right side vanishes
 off the candidate core nodes T, so eliminating the other nodes leaves the
 exact system S w_T = f(w_T), S the Schur complement of the operator on T,
-which the grid's solver (grid.GridSolver) gives without a sparse
-factorization.  Newton iterates on the core values alone, with the
-semismooth derivative p(.)_+^(p-1), a dense solve with S - diag(f'_T) per
-step and a backtracking line search on the core residual; the field is one
-FFT convolution at the end.  A solve whose line search would need a damping
-below MIN_DAMPING (creep along the near-null core translations), or that
-stops making progress, restarts once from its best iterate in a deflated
-mode that splits each step along the near-null eigenvectors of the core
-Jacobian, and raises if that stalls too.  `picard_gap` applies the bare
-fixed-point map w <- (-coef lap)^{-1} rhs(w) once to given nodal values: a
-solver-independent check of a solution.  Iterating that map does not reach
-the solution, which is an unstable fixed point of it.
+whose inverse the grid's solver (grid.GridSolver) gives without a sparse
+factorization.  Newton iterates on the core values and their load S w_T,
+with the semismooth derivative p(.)_+^(p-1), a dense solve on the active
+nodes alone per step (the primal-dual active-set form of semismooth
+Newton) and a backtracking line search on the core residual; the field is
+one FFT convolution at the end.  A solve whose line search would need a
+damping below MIN_DAMPING (creep along the near-null core translations),
+or that stops making progress, restarts once from its best iterate in a
+deflated mode that splits each step along the near-null eigenvectors of
+the core Jacobian, and raises if that stalls too.  `picard_gap` applies
+the bare fixed-point map w <- (-coef lap)^{-1} rhs(w) once to given nodal
+values: a solver-independent check of a solution.  Iterating that map does
+not reach the solution, which is an unstable fixed point of it.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -146,19 +148,13 @@ class SolveReport:
     residual_history: list = field(default_factory=list)   # (l2, max) pairs
     damping_history: list = field(default_factory=list)
     correction_max_norm: float = 0.0
-    factorizations: int = 0         # Schur complements, a core rebuild included
-    core_nodes: int = 0             # the core of the Schur complement
+    factorizations: int = 0         # cores factored, a core rebuild included
+    core_nodes: int = 0             # k, the size of the last core
+    active_nodes: list = field(default_factory=list)   # |A| of each iteration's Jacobian
     notes: str = ""
 
     def to_dict(self):
-        return {
-            "iterations": self.iterations, "converged": self.converged,
-            "residual_history": [[float(a), float(b)] for a, b in self.residual_history],
-            "damping_history": [float(d) for d in self.damping_history],
-            "correction_max_norm": float(self.correction_max_norm),
-            "factorizations": self.factorizations, "core_nodes": self.core_nodes,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _norms(r, f):
@@ -170,11 +166,6 @@ def _norms(r, f):
             max(float(np.max(np.abs(f))), 1e-300))
 
 
-def _factorization_failed(exc, report):
-    return ConvergenceError(f"Newton Jacobian factorization failed ({exc})",
-                            report=report)
-
-
 def _core_candidates(setup, w):
     """The nodes where the Jacobian may leave Ac: the gated nodes whose gate
     argument exceeds -CORE_MARGIN times its maximum (every active node among
@@ -184,46 +175,61 @@ def _core_candidates(setup, w):
 
 
 class _Core:
-    """The Schur complement S of Ac on the candidate core nodes T.
+    """The operator on the candidate core nodes T (sorted node numbers).
 
-    A field whose residual vanishes off T is fixed by its core values x,
-    its residual on T is S x - f_T(x), and its Jacobian J = Ac - diag(d),
-    with d zero off T, is S - diag(d_T) on the core.  S is the inverse of
-    the block (Ac^-1)[T, T] = h^2 M/coef, with M = (h^2 A)^-1[T, T] from
-    the grid's capacitance solver (grid.GridSolver.core).  `report` counts
-    the Schur complements and the core size.
+    A field whose residual vanishes off T is fixed by its core values x, or
+    by their load y = S x, S the Schur complement of Ac on T: its residual
+    on T is y - f_T(x), and its Jacobian Ac - diag(d), d zero off T, is
+    S - diag(d_T) there.  W = S^-1 = (Ac^-1)[T, T] is h^2 M/coef, M from the
+    grid's capacitance solver (grid.GridSolver.core); S is formed on demand.
     """
 
     def __init__(self, setup, core, report):
         self.solver = setup.spec.solver
-        in_core = np.zeros(setup.spec.n_interior, dtype=bool)
-        in_core[core] = True
-        self.core = np.flatnonzero(in_core)
-        self.X, M = self.solver.core(self.core)
-        try:
-            self.M_inv = np.linalg.inv(M)
-        except np.linalg.LinAlgError as exc:
-            raise _factorization_failed(exc, report)
-        self.S = setup.coef / setup.spec.h**2 * self.M_inv
+        self.core = core
+        self.X, M = self.solver.core(core)
+        self.lattice_per_load = setup.spec.h**2 / setup.coef
+        self.W = self.lattice_per_load * M
+        self.report = report
         report.factorizations += 1
         report.core_nodes = self.core.size
 
-    def field(self, x):
-        """The field with core values x whose residual vanishes off T, from
-        the lattice load h^2 S x/coef = M^-1 x on T.  It takes the values x
-        on T up to rounding, and exactly once they are set."""
-        w = self.solver.core_field(self.core, self.X, self.M_inv @ x)
+    @cached_property
+    def S(self):
+        """The Schur complement W^-1, for the deflated mode."""
+        return _dense_solve(self.W, np.eye(self.core.size), self.report)
+
+    def step(self, r, d):
+        """The Newton step (dx, dy) of the core values and their load for the
+        residual r and the derivative d = f'_T(x): (S - diag(d)) dx = -r and
+        dy = S dx.  In the load the Jacobian is I - diag(d) W, whose rows off
+        the active nodes A (d = 0) are those of I: there dy = -r, and the
+        rows of A solve (I - D_A W_AA) dy_A = -r_A + D_A W_AN dy_N, one dense
+        |A| x |A| solve; then dx = W dy."""
+        A = np.flatnonzero(d)
+        dy = np.where(d > 0.0, 0.0, -r)
+        # W[A][:, A], two takes, in a third of the time of W[np.ix_(A, A)]
+        K = np.eye(A.size) - d[A, None] * self.W[A][:, A]
+        dy[A] = _dense_solve(K, d[A] * (self.W @ dy)[A] - r[A], self.report)
+        return self.W @ dy, dy
+
+    def field(self, x, y):
+        """The field with core values x and load y = S x whose residual
+        vanishes off T, from the lattice load h^2 y/coef on T.  It takes the
+        values x on T up to rounding, and exactly once they are set."""
+        w = self.solver.core_field(self.core, self.X, self.lattice_per_load * y)
         w[self.core] = x
         return w
 
 
 def _dense_solve(J, b, report):
-    """J^-1 b for a core Jacobian J (b a vector or a matrix); a singular J
-    fails the solve."""
+    """J^-1 b for a block J of the core operator or Jacobian (b a vector or
+    a matrix); a singular J fails the solve."""
     try:
         return np.linalg.solve(J, b)
     except np.linalg.LinAlgError as exc:
-        raise _factorization_failed(f"singular core block: {exc}", report)
+        raise ConvergenceError(f"Newton Jacobian factorization failed (singular core "
+                               f"block: {exc})", report=report)
 
 
 def _near_null_basis(J, k):
@@ -315,29 +321,31 @@ def solve_newton(setup, start, tol=1e-10, max_iter=60):
     """Damped semismooth Newton on the core values from the nodal values
     `start`; returns the solved GridField and its SolveReport.
 
-    tol is relative to the max norm of the active nonlinearity.  The Schur
-    complement S of the operator on the candidate core nodes T of the start
-    is formed once (`_Core`), and Newton iterates on the core values x: the
-    residual is S x - f_T(x), and each step is the exact Newton step, a
-    dense solve with S - diag(f'_T(x)).  Steps are capped at 0.3 times the larger of the
-    start's range and the largest activation level (crossing the free
-    boundary by many cells in one shot invalidates the local model; a flat
-    start still moves by up to its levels), and the line search backtracks
-    on the l2 residual down to MIN_DAMPING.  A converged x gives the field
-    by one FFT convolution; if that field activates a node outside T, T grows
-    to the union and Newton continues from the field's values there.  A
-    start that activates no node has an empty core and the zero field.
+    tol is relative to the max norm of the active nonlinearity.  The block
+    W = S^-1 on the candidate core nodes T of the start is formed once
+    (`_Core`), and Newton iterates on the core values x and their load
+    y = S x, from one LU solve with W: the residual is y - f_T(x), and each
+    step is the exact Newton step, a dense solve on the active nodes alone
+    (`_Core.step`).  Steps are capped at 0.3 times the larger of the start's
+    range and the largest activation level (crossing the free boundary by
+    many cells in one shot invalidates the local model; a flat start still
+    moves by up to its levels), and the line search backtracks on the l2
+    residual down to MIN_DAMPING.  A converged load gives the field by one
+    FFT convolution; if that field activates a node outside T, T grows to
+    the union and Newton continues from the field's values there.  A start
+    that activates no node has an empty core and the zero field.
 
     The solve stalls when the line search would need a smaller damping, or
     when STALL_WINDOW iterations pass without a new lowest max-residual.
     The first stall restarts once from the best iterate in deflated mode:
     each iteration takes `_deflated_step` along the near-null basis Q of
-    the core Jacobian, two core translations per vortex, starting from
-    TRUST_RADIUS along span(Q).  This is the regime of degenerate equilibria
-    (a pair on a rotation orbit), where the near-null eigenvalues come
-    within the grid's own pinning of the cores and plain Newton steps creep
-    along span(Q).  A second stall raises ConvergenceError carrying the
-    lowest-residual iterate and quoting the near-null eigenvalues.
+    the core Jacobian S - diag(f'_T), two core translations per vortex,
+    starting from TRUST_RADIUS along span(Q).  This is the regime of
+    degenerate equilibria (a pair on a rotation orbit), where the near-null
+    eigenvalues come within the grid's own pinning of the cores and plain
+    Newton steps creep along span(Q).  A second stall raises
+    ConvergenceError carrying the lowest-residual iterate and quoting the
+    near-null eigenvalues.
     """
     report = SolveReport()
     n_null = setup.near_null_dim
@@ -345,32 +353,32 @@ def solve_newton(setup, start, tol=1e-10, max_iter=60):
                          float(np.max(np.abs(setup.level))), 1e-12)
     core_sys = gates = eigvals = None
 
-    def residual(v):
+    def residual(v, load=None):
+        """The core residual load - f_T(v), the load S v unless given (in the
+        deflated mode), and f_T(v)."""
         f = rhs_eval(v, gates)
-        return core_sys.S @ v - f, f
+        return (core_sys.S @ v if load is None else load) - f, f
 
-    def jacobian(v):
-        return core_sys.S - np.diag(rhs_derivative(v, gates))
-
-    def field_of(v):
-        return core_sys.field(v) if core_sys is not None else np.zeros_like(start)
+    def field_of(v, load):
+        return core_sys.field(v, load) if core_sys is not None else np.zeros_like(start)
 
     def enter(core, w):
-        """The Schur complement on `core`; the values of w there and their
-        residual and nonlinearity."""
+        """The core on `core`; the values of w there, their load, residual
+        and nonlinearity."""
         nonlocal core_sys, gates
         core_sys = _Core(setup, core, report)
         T = core_sys.core
         # the gate map of the core nodes alone
         gates = replace(setup, vortex=setup.vortex[T], sign=setup.sign[T], level=setup.level[T])
-        return (w[T],) + residual(w[T])
+        y = _dense_solve(core_sys.W, w[T], report)      # S w_T, one LU solve with W
+        return (w[T], y) + residual(w[T], y)
 
     core = _core_candidates(setup, start)
-    x, r, f = enter(core, start) if core.size else (np.empty(0),) * 3
+    x, y, r, f = enter(core, start) if core.size else (np.empty(0),) * 4
     rl2, rn, scale = _norms(r, f)
     report.residual_history.append((rl2, rn))
     # iterates are never modified in place, so the best one is kept by reference
-    best_x, best_rn, best_it = x, rn, 0
+    best_x, best_y, best_rn, best_it = x, y, rn, 0
     idle = 0                 # iterations since the last new best (or restart)
     radius = None            # trust radius along span(Q) once deflated
     stalled = None
@@ -379,16 +387,17 @@ def solve_newton(setup, start, tol=1e-10, max_iter=60):
     def fail(message):
         nonlocal eigvals
         if eigvals is None:
-            eigvals = _near_null_basis(jacobian(x), n_null or 2)[1]
+            eigvals = _near_null_basis(core_sys.S - np.diag(rhs_derivative(x, gates)),
+                                       n_null or 2)[1]
         near_null = ", ".join(f"{v:.2e}" for v in sorted(eigvals, key=abs))
         raise ConvergenceError(
             f"{message}; best residual {best_rn:.3e} at iteration {best_it}; "
             f"near-null eigenvalues of the core Jacobian: {near_null}",
-            best=GridField(setup.spec, field_of(best_x)), report=report)
+            best=GridField(setup.spec, field_of(best_x, best_y)), report=report)
 
     while True:
         if rn <= tol * scale:
-            w = field_of(x)
+            w = field_of(x, y)
             core = core_sys.core if core_sys is not None else np.empty(0, dtype=int)
             grown = setup.excess(w) > 0.0
             grown[core] = True
@@ -398,10 +407,10 @@ def solve_newton(setup, start, tol=1e-10, max_iter=60):
                 break
             # the field activates nodes outside T: the iterate's residual on
             # the grown core replaces the one on T, and Newton goes on there
-            x, r, f = enter(grown, w)
+            x, y, r, f = enter(grown, w)
             rl2, rn, scale = _norms(r, f)
             report.residual_history[-1] = (rl2, rn)
-            best_x, best_rn, best_it = x, rn, it
+            best_x, best_y, best_rn, best_it = x, y, rn, it
             idle = 0
             continue
         if it == max_iter:
@@ -419,20 +428,23 @@ def solve_newton(setup, start, tol=1e-10, max_iter=60):
             idle = 0
             x = best_x
             r, f = residual(x)
-        J = jacobian(x)
+        d = rhs_derivative(x, gates)
+        report.active_nodes.append(int(np.count_nonzero(d)))
         if radius is not None:
+            J = core_sys.S - np.diag(d)
             Q, eigvals = _near_null_basis(J, n_null)
             J_inv = _dense_solve(J, np.eye(J.shape[0]), report)
             x_try, r_try, f_try, lam, radius = _deflated_step(x, r, residual, J, J_inv, Q, radius)
+            y_try = r_try + f_try   # S x_try, as the deflated residual has it
         else:
-            step = _dense_solve(J, -r, report)
-            sn = float(np.max(np.abs(step)))
+            dx, dy = core_sys.step(r, d)
+            sn = float(np.max(np.abs(dx)))
             if sn > step_cap:
-                step *= step_cap / sn
+                dx, dy = dx * (step_cap / sn), dy * (step_cap / sn)
             lam = 1.0
             while lam >= MIN_DAMPING:
-                x_try = x + lam * step
-                r_try, f_try = residual(x_try)
+                x_try, y_try = x + lam * dx, y + lam * dy
+                r_try, f_try = residual(x_try, y_try)
                 if np.linalg.norm(r_try) <= (1.0 - 1e-4 * lam) * rl2 or \
                    np.max(np.abs(r_try)) <= tol * scale:
                     break
@@ -441,15 +453,15 @@ def solve_newton(setup, start, tol=1e-10, max_iter=60):
                 # the step is refused and recorded with damping 0; the next
                 # iteration restarts in deflated mode
                 stalled = f"line search stalled below damping {MIN_DAMPING:.1e} at iteration {it}"
-                x_try, r_try, f_try, lam = x, r, f, 0.0
-        x, r, f = x_try, r_try, f_try
+                x_try, y_try, r_try, f_try, lam = x, y, r, f, 0.0
+        x, y, r, f = x_try, y_try, r_try, f_try
         rl2, rn, scale = _norms(r, f)
         report.iterations = it
         report.residual_history.append((rl2, rn))
         report.damping_history.append(lam)
         idle += 1
         if rn < best_rn:
-            best_x, best_rn, best_it = x, rn, it
+            best_x, best_y, best_rn, best_it = x, y, rn, it
             idle = 0
     report.correction_max_norm = float(np.max(np.abs(w - start)))
     return GridField(setup.spec, w), report
