@@ -95,6 +95,23 @@ NAMED_SHAPES = {
     "blob": _smooth_blob,
 }
 
+# sample pairs per block of the diameter scan: a few 512 kB temporaries,
+# where all pairs at once take 0.7 GB at 4,096 samples
+DIAMETER_BLOCK = 2**16
+
+
+def _diameter(pts):
+    """Largest distance between two samples, scanned over blocks of rows,
+    each against the samples from its first row on."""
+    x, y = pts.T
+    rows = max(1, DIAMETER_BLOCK // len(pts))
+    sq = 0.0
+    for i in range(0, len(pts), rows):
+        dx = x[i:i + rows, None] - x[i:]
+        dy = y[i:i + rows, None] - y[i:]
+        sq = max(sq, float((dx * dx + dy * dy).max()))
+    return float(np.sqrt(sq))
+
 
 class Domain:
     """Bounded simply connected domain.
@@ -119,8 +136,7 @@ class Domain:
                 raise ConfigError("parametric domain needs a BoundaryCurve")
             self.curve = curve
             self.radius = None
-            # one sample at a time: O(n) memory, 0.7 GB at once for 4,096 samples
-            self.diameter = float(max(np.sqrt(((curve.x - p)**2).sum(-1)).max() for p in curve.x))
+            self.diameter = _diameter(curve.x)
             self.center = curve.x.mean(axis=0)
         else:
             raise ConfigError(f"unknown domain kind {kind!r}")

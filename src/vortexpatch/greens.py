@@ -18,8 +18,10 @@ smooth representation, never as a difference of two nearly equal
 logarithms.  In the boundary integral backend H(., y) is a Taylor series
 about y on a disk around the source and, everywhere else up to the wall,
 the barycentric form of the interior Cauchy integral of the density
-(Helsing & Ojala, J. Comput. Phys. 227, 2008); H_grad_x and H_hess_* are
-plain trapezoid sums, accurate only some sample spacings away from the wall.
+(Helsing & Ojala, J. Comput. Phys. 227, 2008), with the curve's Cauchy
+matrix formed once: a new source costs one matvec for its trace, and a sum
+over targets one product per block.  H_grad_x and H_hess_* are plain
+trapezoid sums, accurate only some sample spacings away from the wall.
 """
 
 import numpy as np
@@ -114,41 +116,36 @@ class _ImagesBackend:
 # ====================================================================== #
 
 
-def _dlp_kernel(targets, bpts, bnormals):
-    """Double-layer kernel (1/2pi) (x-b).n_b / |x-b|^2, shape (nt, nb)."""
-    dx = targets[:, 0, None] - bpts[:, 0]
-    dy = targets[:, 1, None] - bpts[:, 1]
-    r2 = dx * dx + dy * dy
-    c = dx * bnormals[:, 0] + dy * bnormals[:, 1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return c / (TWO_PI * r2)
-
-
 class _BoundaryIntegralBackend:
     """Interior Dirichlet solver via the double-layer Nystrom method.
 
     The density for boundary data f solves (K_w - I/2) mu = f where K_w is
     the trapezoid discretization of the double-layer operator; the diagonal
-    carries the continuous limit -curvature/(4pi).  Densities for the Green
-    regular part (and its derivatives in the source point) are cached per
-    source, reusing one inverse of the Nystrom matrix, computed once per
-    curve (a matrix product per density is cheaper than a solve); each entry
-    also keeps, built on first use, the local expansion of H(., y) about y
-    and the interior boundary values of the Cauchy integral of the density.
+    carries the continuous limit -curvature/(4pi).  Formed once per curve:
+    the Cauchy matrix Q_ij = zeta'_j dt / (zeta_j - zeta_i), 0 on the
+    diagonal, whose -Re Q_ij / (2pi i) are the off-diagonal entries of K_w
+    on a positively oriented curve, its row sums q, and one inverse of the
+    Nystrom matrix.  Cached per source: the densities of H(., y) and of its
+    y-derivatives, and, built on first use, the local expansion of H about
+    y and the boundary trace of the Cauchy integral of the density.
     """
 
     def __init__(self, curve):
         self.curve = curve
         self.n = curve.n
         self.w = TWO_PI / self.n * curve.speed
-        K = _dlp_kernel(curve.x, curve.x, curve.normal)
-        np.fill_diagonal(K, -curve.curvature / (2.0 * TWO_PI))
-        self.A = K * self.w[None, :] - 0.5 * np.eye(self.n)
-        self.A_inv = np.linalg.inv(self.A)
-        self._cache = {}
         # boundary samples zeta_j and zeta'_j as complex numbers
         self.zeta = curve.x[:, 0] + 1j * curve.x[:, 1]
         self.dzeta = curve.dx[:, 0] + 1j * curve.dx[:, 1]
+        diff = self.zeta[None, :] - self.zeta[:, None]
+        np.fill_diagonal(diff, 1.0)
+        self.Q = self.dzeta * (TWO_PI / self.n) / diff
+        np.fill_diagonal(self.Q, 0.0)
+        self.q = self.Q.sum(1)
+        A = self.Q.imag / -TWO_PI
+        np.fill_diagonal(A, -curve.curvature * self.w / (2.0 * TWO_PI) - 0.5)
+        self.A_inv = np.linalg.inv(A)
+        self._cache = {}
         # the series stands in for the plain trapezoid sum, which is at
         # rounding only about six sample spacings or more from the samples
         self.series_min_radius = 6.0 * curve.perimeter / self.n
@@ -194,14 +191,12 @@ class _BoundaryIntegralBackend:
     def _trace(self, entry):
         """Interior boundary values g of the Cauchy integral
         C mu(z) = (1/2pi i) int mu zeta' / (zeta - z) dt, whose real part is
-        -H(., y):  g_i = mu_i + (1/2pi i) [sum_{j != i} (mu_j - mu_i)
-        zeta'_j dt / (zeta_j - zeta_i) + mu'_i dt]."""
+        -H(., y):  g_i = mu_i + (1/2pi i) [sum_{j != i} (mu_j - mu_i) Q_ij
+        + mu'_i dt], that is g = mu + (Q mu - q mu + mu' dt) / (2pi i)."""
         if "trace" not in entry:
-            mu, dt = entry["mu"], TWO_PI / self.n
-            diff = self.zeta[None, :] - self.zeta[:, None]
-            np.fill_diagonal(diff, 1.0)
-            s = ((mu[None, :] - mu[:, None]) * (self.dzeta * dt)[None, :] / diff).sum(1)
-            entry["trace"] = mu + (s + _fft_derivative(mu) * dt) / (1j * TWO_PI)
+            mu = entry["mu"]
+            s = self.Q @ mu - self.q * mu + _fft_derivative(mu) * (TWO_PI / self.n)
+            entry["trace"] = mu + s / (1j * TWO_PI)
         return entry["trace"]
 
     # -- regular part ---------------------------------------------------- #
@@ -240,17 +235,19 @@ class _BoundaryIntegralBackend:
     def _eval(self, targets, g):
         """-Re of the interior Cauchy integral with boundary values g by the
         barycentric rule sum_j g_j E_j / sum_j E_j, E_j = zeta'_j/(zeta_j - z):
-        the quadrature errors of the two sums cancel up to the wall.  A
-        target on a sample (E_j not finite) takes that sample's value."""
+        the quadrature errors of the two sums cancel up to the wall.  Per block
+        both are one product, 1/(zeta_j - z) times zeta'_j [g_j, 1].  A target
+        on a sample (a row that is not finite) takes that sample's value."""
         z = targets[:, 0] + 1j * targets[:, 1]
         out = np.empty(z.shape[0])
-        for i in range(0, z.shape[0], CHUNK):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                E = self.dzeta / (self.zeta[None, :] - z[i:i + CHUNK, None])
-            row, col = np.nonzero(~np.isfinite(E))
-            E[row] = 0.0
-            E[row, col] = 1.0
-            out[i:i + CHUNK] = -((E @ g) / E.sum(1)).real
+        weights = self.dzeta[:, None] * np.column_stack((g, np.ones(self.n)))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i in range(0, z.shape[0], CHUNK):
+                r = self.zeta[None, :] - z[i:i + CHUNK, None]
+                s = np.reciprocal(r, out=r) @ weights
+                out[i:i + CHUNK] = -(s[:, 0] / s[:, 1]).real
+        hit = ~np.isfinite(out)
+        out[hit] = -g[np.abs(self.zeta - z[hit, None]).argmin(1)].real
         return out
 
     def _eval_grad(self, targets, mu):

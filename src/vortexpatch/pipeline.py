@@ -10,6 +10,7 @@ import json
 import os
 import resource
 import time
+import warnings
 
 import numpy as np
 
@@ -57,6 +58,20 @@ def _atomic_file(path):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+@contextlib.contextmanager
+def _collect_warnings(messages):
+    """Appends the message of each warning raised in the block to
+    `messages`, and shows the warning as before when the block ends."""
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            yield
+    finally:
+        for w in caught:
+            messages.append(str(w.message))
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
 
 
 def atomic_write(path, text):
@@ -356,9 +371,11 @@ def run_pipeline(cfg, outdir, progress=None):
     for idx, eps in enumerate(cfg["eps"]):
         t0 = time.time()
         tag = f"eps{idx}"
+        messages = []
         try:
-            product = stage_solve_one(ctx, vs_star, eps,
-                                      warm=warm if cfg["solver"]["continuation"] else None)
+            with _collect_warnings(messages):
+                product = stage_solve_one(ctx, vs_star, eps,
+                                          warm=warm if cfg["solver"]["continuation"] else None)
         except ConvergenceError as exc:
             failures.append((eps, str(exc)))
             tick(f"solve_{tag}", t0)
@@ -374,7 +391,9 @@ def run_pipeline(cfg, outdir, progress=None):
                                     f"report_{tag}": report_path})
 
         t0 = time.time()
-        verify, diag, _flow = stage_verify_one(ctx, product)
+        with _collect_warnings(messages):
+            verify, diag, _flow = stage_verify_one(ctx, product)
+        verify["warnings"] = messages
         diags.append(verify)
         rows.append(_convergence_row(verify, vs_star))
         tick(f"verify_{tag}", t0)

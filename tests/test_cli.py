@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortexpatch import ansatz
 from vortexpatch.cli import main
 from vortexpatch.config import config_hash, load_config, validate_config
 from vortexpatch.errors import ConfigError, ConvergenceError
@@ -181,6 +182,23 @@ def test_diagnostics_content(pipeline_out):
     assert d["diagnostics"]["confinement_ok"]
     assert d["solver"]["converged"]
     assert d["correction_recentered_ratio"] < 5.0
+    assert d["warnings"] == []
+
+
+def test_warnings_go_into_the_diagnostics(tmp_path, monkeypatch):
+    # a core solve from a = 1.5 kappa that lands on another root warns: the
+    # warning is still shown, and its message is in the eps entry
+    iterate_fn = ansatz._iterate_cores
+
+    def second_root(vs, table, q, eps, delta, rp, big_r, a_init, max_iter):
+        a, s, it = iterate_fn(vs, table, q, eps, delta, rp, big_r, a_init, max_iter)
+        return (2.0 * a if np.array_equal(a_init, 1.5 * vs.kappas) else a), s, it
+
+    monkeypatch.setattr(ansatz, "_iterate_cores", second_root)
+    with pytest.warns(UserWarning, match="multiple fixed points"):
+        run_pipeline(validate_config(json.loads(json.dumps(BASE_CONFIG))), str(tmp_path))
+    d = json.loads((tmp_path / "diagnostics.jsonl").read_text())
+    assert len(d["warnings"]) == 1 and "multiple fixed points" in d["warnings"][0]
 
 
 def test_pipeline_field_is_the_suites_solved_case(pipeline_out, solved_case):

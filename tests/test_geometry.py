@@ -109,6 +109,23 @@ def test_distance_memory_is_bounded():
     assert peak < 40e6
 
 
+@pytest.mark.parametrize("n", [512, 4096])
+@pytest.mark.parametrize("shape", ["ellipse", "nonconvex-blob"])
+def test_diameter_is_the_largest_sample_distance(shape, n):
+    # the blocked scan gives the per-sample formula's value exactly; all
+    # pairs at once would take 0.7 GB at 4,096 samples
+    name, params = SERIES_SHAPES[shape]
+    tracemalloc.start()
+    try:
+        dom = Domain.named(name, n=n, **params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    c = dom.curve.x
+    assert dom.diameter == float(max(np.sqrt(((c - p)**2).sum(-1)).max() for p in c))
+    assert peak < 4e6
+
+
 @pytest.fixture(scope="module")
 def nonconvex():
     return Domain.named("blob", n=256, radius=1.0, wobble=0.3, mode=5)
@@ -298,6 +315,60 @@ def test_H_memory_is_bounded():
         tracemalloc.stop()
     assert np.all(np.isfinite(vals))
     assert peak < 40e6
+    # a fresh source on a few targets outside its series disk: the density
+    # and the boundary trace are each one product with a matrix of the
+    # curve, formed once (building the trace from (n, n) complex
+    # temporaries peaks at about 11 MB)
+    y = np.array([-0.2, 0.1])
+    x = 0.9 * dom.curve.x[::128]
+    tracemalloc.start()
+    try:
+        vals = ge.H(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(vals))
+    assert peak < 2e6
+
+
+def _trace_ref(b, mu):
+    """Interior boundary values of the Cauchy integral of mu by the
+    subtracted-singularity trapezoid sum, one (n, n) table at a time."""
+    z = b.curve.x[:, 0] + 1j * b.curve.x[:, 1]
+    dz = b.curve.dx[:, 0] + 1j * b.curve.dx[:, 1]
+    dt = TWO_PI / b.n
+    diff = z[None, :] - z[:, None]
+    np.fill_diagonal(diff, 1.0)
+    s = ((mu[None, :] - mu[:, None]) * dz[None, :] * dt / diff).sum(1)
+    dmu = np.fft.ifft(1j * np.fft.fftfreq(b.n, 1.0 / b.n) * np.fft.fft(mu)).real
+    return mu + (s + dmu * dt) / (1j * TWO_PI)
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("shape", ["thin-ellipse", "nonconvex-blob"])
+def test_nystrom_matrix_and_trace_from_the_cauchy_matrix(shape, n, monkeypatch):
+    # the Nystrom matrix the backend inverts is the double-layer trapezoid
+    # matrix with the curvature limit on its diagonal, and the trace of a
+    # density is the subtracted-singularity sum
+    name, params = SERIES_SHAPES[shape]
+    dom = Domain.named(name, n=n, **params)
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.copy()) or inv(a))
+    ge = GreenEvaluator(dom, order=n)
+    monkeypatch.undo()
+    b = ge._b
+    c, nrm = dom.curve.x, dom.curve.normal
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = _dlp_ref(c, c, nrm) * b.w[None, :]
+    np.fill_diagonal(ref, -dom.curve.curvature * b.w / (2.0 * TWO_PI))
+    ref -= 0.5 * np.eye(n)
+    assert len(inverted) == 1
+    assert np.max(np.abs(inverted[0] - ref)) <= 1e-15 * np.max(np.abs(ref))
+    for y in (np.array([0.1, 0.05]), c[n // 4] - 0.05 * nrm[n // 4]):
+        ent = b._densities(y, 0)
+        err = np.max(np.abs(b._trace(ent) - _trace_ref(b, ent["mu"])))
+        assert err <= 1e-14 * np.max(np.abs(ent["mu"]))
 
 
 # ---------------------------------------------------------------------- #
