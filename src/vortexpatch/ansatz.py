@@ -458,7 +458,7 @@ def support_predict(af, check=True):
                 f"support bracket degenerate for vortex {idx}: T*s = {SUPPORT_T * s:.3e} >= 1")
         if not check:
             continue
-        r_sub = af.vs.default_subdomains(af.green.domain)[idx][1]
+        r_sub = af.vs.subdomain_radii(af.green.domain)[idx]
         r_check = min(2.0 * s, 0.5 * (outer[idx] + r_sub))
         if r_check <= outer[idx]:
             raise SolvabilityError(

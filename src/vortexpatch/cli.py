@@ -14,10 +14,11 @@ from . import __version__
 from .ansatz import AnsatzField, refine_positions
 from .config import load_config
 from .errors import ConfigError, ConvergenceError, VortexPatchError
+from .kirchhoff import kr_value
 from .pipeline import (PipelineContext, run_pipeline, run_sweep, stage_equilibrium,
                        stage_solve_one, write_csv, write_json, write_jsonl,
                        write_solution)
-from .profile import solve_profile
+from .profile import _ode_residual, solve_profile
 
 
 def _common(parser):
@@ -66,7 +67,6 @@ def cmd_find_equilibrium(args):
     write_jsonl(path, [report] + extra, precision)
     print(f"critical point: {vs_star.positions.tolist()}")
     if args.landscape_grid:
-        from .kirchhoff import kr_value
         n = args.landscape_grid
         lo, hi = ctx.domain.bounding_box()
         rows = []
@@ -95,7 +95,6 @@ def cmd_profile(args):
     print(f"phi(0)           = {rp.phi0:.15g}")
     print(f"int phi^p        = {rp.int_phi_p:.15g}   (Pohozaev residual {r1:.2e})")
     print(f"int phi^(p+1)    = {rp.int_phi_p1:.15g}   (Pohozaev residual {r2:.2e})")
-    from .profile import _ode_residual
     print(f"table ODE residual = {_ode_residual(rp):.2e}")
     if args.csv:
         write_csv(args.csv, ["r", "phi", "dphi"],

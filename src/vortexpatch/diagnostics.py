@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 from dataclasses import dataclass, field, fields
 
-from .ansatz import eps_log
+from .ansatz import delta_from_eps, eps_log
 from .errors import ConfigError
 from .grid import ARM_DIRS, GridField, cell_weights, gradient, interpolate
 from .kirchhoff import interaction_table
@@ -83,7 +83,7 @@ def vorticity_extract(fld, setup, vs):
     of the solved field, plus an interpolated ring-flux cross-check.
     """
     spec = fld.spec
-    subs = vs.default_subdomains(spec.domain)
+    radii = vs.subdomain_radii(spec.domain)
     omega = _omega_nodes(fld, setup)
     weights = cell_weights(spec)
     u_field = GridField(spec, fld.values * setup.u_per_unit)
@@ -131,8 +131,8 @@ def vorticity_extract(fld, setup, vs):
             rads = np.concatenate(crossings)
             r_in[i] = float(rads.min())
             r_out[i] = float(rads.max())
-        c_sub, r_sub = subs[i]
         # support must sit strictly inside its subdomain
+        c_sub, r_sub = vs.positions[i], radii[i]
         d_out = np.hypot(pts[on][:, 0] - c_sub[0], pts[on][:, 1] - c_sub[1]).max()
         if d_out >= r_sub - spec.h:
             confinement_ok = False
@@ -147,7 +147,6 @@ def vorticity_extract(fld, setup, vs):
         rr = spec.domain.radius - 4.0 * spec.h
         total_flux = _ring_flux(u_field, spec.domain.center, rr)
 
-    from .ansatz import delta_from_eps
     return VortexDiagnostics(
         eps=setup.eps, delta=delta_from_eps(setup.eps, setup.p), p=setup.p,
         centers=centers, circulations=circ, circulations_flux=circ_flux,
@@ -238,7 +237,7 @@ def ansatz_energy(af, n_r=96, n_theta=192):
     gauss_x, gauss_w = np.polynomial.legendre.leggauss(n_r)
     th = TWO_PI * np.arange(n_theta) / n_theta
     dirs = np.column_stack((np.cos(th), np.sin(th)))
-    subs = vs.default_subdomains(af.green.domain)
+    radii = vs.subdomain_radii(af.green.domain)
 
     k = vs.m + vs.n
     grad_term = 0.0
@@ -259,7 +258,7 @@ def ansatz_energy(af, n_r=96, n_theta=192):
         grad_term += sign * float((bump_p * ang_avg * r * wr).sum()) * TWO_PI
 
         # 1/(p+1) int (sign (P+ - P-) - threshold)_+^(p+1), free boundary per angle
-        hi = min(2.0 * s, 0.95 * subs[idx][1])
+        hi = min(2.0 * s, 0.95 * radii[idx])
         rstar = _free_boundary_radii(af, idx, z, dirs, 1e-12 * s, hi, 1e-14 * s)
         rr = 0.5 * rstar * (gauss_x[:, None] + 1.0)
         wrr = 0.5 * rstar * gauss_w[:, None]
@@ -308,7 +307,6 @@ def kr_consistency(eps_values, energies, phi_values, p):
     labels = sorted(energies)
     if len(labels) < 2:
         raise ConfigError("kr_consistency needs at least 2 configurations")
-    from .ansatz import delta_from_eps
     lg = np.abs(np.log(eps_values))
     d2 = np.array([delta_from_eps(e, p) for e in eps_values])**2
     pairs = {}

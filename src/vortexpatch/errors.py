@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: ConfigError -> 2 (a grid
-spacing too coarse for the cores, ResolutionError, included), ConvergenceError
--> 3, I/O errors -> 4.
+spacing too coarse for the cores, ResolutionError, and a boundary flux with
+net flux, CompatibilityError, included), ConvergenceError -> 3, I/O errors
+-> 4.
 """
 
 
@@ -16,10 +17,6 @@ class DomainError(VortexPatchError):
 
 class SingularityError(VortexPatchError):
     """Evaluation at a singular configuration, e.g. G(x, x)."""
-
-
-class CompatibilityError(VortexPatchError):
-    """Boundary flux with nonzero net integral, or similar data inconsistency."""
 
 
 class SolvabilityError(VortexPatchError):
@@ -37,6 +34,10 @@ class ConvergenceError(VortexPatchError):
 
 class ConfigError(VortexPatchError):
     """Invalid run configuration."""
+
+
+class CompatibilityError(ConfigError):
+    """Boundary flux with nonzero net integral, or similar data inconsistency."""
 
 
 class ResolutionError(ConfigError):

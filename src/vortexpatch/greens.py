@@ -7,22 +7,27 @@ Conventions (fixed once for the whole package):
     g(x, z) = ln(bigR) + 2 pi h(x, z)          (harmonic in x, g = ln(bigR/|x-z|) on the boundary),
     barG(x, y) = ln(bigR/|x-y|) - g(x, y)      (equals 2 pi G identically).
 
-Two backends with one interface (H, H_grad_x, H_hess_xx and H_hess_xy of
-a batch of targets and one source): the method of images on disks (closed
+Two backends with one interface: the method of images on disks (closed
 forms, machine accurate) and a second-kind boundary integral equation on the
 boundary samples of any smooth domain, a disk included (double-layer
 representation, Nystrom/trapezoid, spectrally accurate).  GreenEvaluator
 picks the backend once, from the domain kind unless one is named, and
-delegates the regular part to it.  H is always evaluated directly from the
-smooth representation, never as a difference of two nearly equal
-logarithms.  In the boundary integral backend H(., y) is a Taylor series
-about y on a disk around the source and, everywhere else up to the wall,
-the barycentric form of the interior Cauchy integral of the density
-(Helsing & Ojala, J. Comput. Phys. 227, 2008), with the curve's Cauchy
-matrix formed once: a new source costs one matvec for its trace, and a sum
-over targets one product per block.  H_grad_x and H_hess_* are plain
-trapezoid sums, accurate only some sample spacings away from the wall.
+delegates the regular part to it.  On both backends H(., y) = Re f(z),
+z = x_1 + i x_2: a backend gives H, f' and f'' (df) and df'/dy_1,2 (df_y)
+for a batch of targets and one source, and _grad and _hess form every real
+gradient and Hessian from such complex derivatives.  H is always evaluated
+directly from the smooth representation, never as a difference of two
+nearly equal logarithms.  In the boundary integral backend H(., y) is a
+Taylor series about y on a disk around the source and, everywhere else up
+to the wall, the barycentric form of the interior Cauchy integral of the
+density (Helsing & Ojala, J. Comput. Phys. 227, 2008), with the curve's
+Cauchy matrix formed once: a new source costs one matvec for its trace,
+and a sum over targets one product per block.  Its f' and f'' are plain
+trapezoid sums of the poles, also one product per block, accurate only
+some sample spacings away from the wall.
 """
+
+import math
 
 import numpy as np
 
@@ -46,12 +51,20 @@ def _ret(val, single):
     return val[0] if single else val
 
 
-def _log_hess(x, y):
-    """Hessian of ln|x - y| in x, shape (..., 2, 2)."""
-    d = x - y[None, :]
-    r2 = (d**2).sum(-1)
-    return (np.eye(2) / r2[..., None, None]
-            - 2.0 * d[..., :, None] * d[..., None, :] / (r2**2)[..., None, None])
+def _complex(x):
+    """The points x (..., 2) as z = x_1 + i x_2."""
+    return x[..., 0] + 1j * x[..., 1]
+
+
+def _grad(fp):
+    """Gradient (Re f', -Im f') of Re f from its z-derivative f'."""
+    return np.stack([fp.real, -fp.imag], axis=-1)
+
+
+def _hess(fpp):
+    """Hessian [[a, b], [b, -a]], a + i b = conj f'', of Re f from f''."""
+    a, b = fpp.real, -fpp.imag
+    return np.stack([np.stack([a, b], -1), np.stack([b, -a], -1)], -2)
 
 
 # ====================================================================== #
@@ -62,53 +75,42 @@ def _log_hess(x, y):
 class _ImagesBackend:
     """Closed-form H for a disk of radius rho centered at c.
 
-    Uses the symmetric combination
-        q2(x, y) = |x|^2 |y|^2 - 2 rho^2 x.y + rho^4   (coordinates relative to c)
-    so that H = (1/4pi) ln q2 - (1/2pi) ln rho is exactly symmetric and stays
-    stable as y -> 0 or x -> y.
+    In coordinates relative to c, H(., y) = Re f - (1/2pi) ln rho with
+    f(z) = ln(z conj(y) - rho^2)/2pi.  H itself is formed from
+        q2(x, y) = |z conj(y) - rho^2|^2 = |x|^2 |y|^2 - 2 rho^2 x.y + rho^4,
+    which is exactly symmetric and stays stable as y -> 0 or x -> y.
     """
 
     def __init__(self, domain):
         self.c = domain.center
         self.rho = domain.radius
 
-    def _q2(self, x, y):
+    def H(self, x, y):
         xt = x - self.c
         yt = y - self.c
         xx = (xt**2).sum(-1)
         yy = (yt**2).sum(-1)
         xy = (xt * yt).sum(-1)
         r2 = self.rho**2
-        return xx * yy - 2.0 * r2 * xy + r2**2, xt, yt
-
-    def H(self, x, y):
-        q2, _, _ = self._q2(x, y)
+        q2 = xx * yy - 2.0 * r2 * xy + r2**2
         return np.log(q2) / (2.0 * TWO_PI) - np.log(self.rho) / TWO_PI
 
-    def H_grad_x(self, x, y):
-        q2, xt, yt = self._q2(x, y)
-        yy = (yt**2).sum(-1)[..., None]
-        dq = 2.0 * yy * xt - 2.0 * self.rho**2 * yt
-        return dq / (2.0 * TWO_PI * q2[..., None])
+    def _pole(self, x, y):
+        """d = z conj(y) - rho^2 and conj(y), relative to c."""
+        yb = np.conj(_complex(y - self.c))
+        return _complex(x - self.c) * yb - self.rho**2, yb
 
-    def H_hess_xx(self, x, y):
-        q2, xt, yt = self._q2(x, y)
-        yy = (yt**2).sum(-1)[..., None, None]
-        dq = (2.0 * (yt**2).sum(-1)[..., None] * xt - 2.0 * self.rho**2 * yt)
-        eye = np.eye(2)
-        hess_q = 2.0 * yy * eye
-        outer = dq[..., :, None] * dq[..., None, :]
-        return (hess_q / q2[..., None, None] - outer / (q2**2)[..., None, None]) / (2.0 * TWO_PI)
+    def df(self, x, y, order):
+        """f' = conj(y)/(2pi d) (order 1) or f'' = -conj(y)^2/(2pi d^2)."""
+        d, yb = self._pole(x, y)
+        return -(-yb / d)**order / TWO_PI
 
-    def H_hess_xy(self, x, y):
-        # d^2 H / dx_i dy_j
-        q2, xt, yt = self._q2(x, y)
-        r2 = self.rho**2
-        dqx = 2.0 * (yt**2).sum(-1)[..., None] * xt - 2.0 * r2 * yt
-        dqy = 2.0 * (xt**2).sum(-1)[..., None] * yt - 2.0 * r2 * xt
-        mixed = 4.0 * xt[..., :, None] * yt[..., None, :] - 2.0 * r2 * np.eye(2)
-        outer = dqx[..., :, None] * dqy[..., None, :]
-        return (mixed / q2[..., None, None] - outer / (q2**2)[..., None, None]) / (2.0 * TWO_PI)
+    def df_y(self, x, y):
+        """(df'/dy_1, df'/dy_2) = (K, -i K), K = -rho^2/(2pi d^2): f depends
+        on y only through conj(y)."""
+        d, _ = self._pole(x, y)
+        k = -self.rho**2 / (TWO_PI * d**2)
+        return np.stack([k, -1j * k], axis=-1)
 
 
 # ====================================================================== #
@@ -135,8 +137,9 @@ class _BoundaryIntegralBackend:
         self.n = curve.n
         self.w = TWO_PI / self.n * curve.speed
         # boundary samples zeta_j and zeta'_j as complex numbers
-        self.zeta = curve.x[:, 0] + 1j * curve.x[:, 1]
-        self.dzeta = curve.dx[:, 0] + 1j * curve.dx[:, 1]
+        self.zeta = _complex(curve.x)
+        self.dzeta = _complex(curve.dx)
+        self.nu = _complex(curve.normal)
         diff = self.zeta[None, :] - self.zeta[:, None]
         np.fill_diagonal(diff, 1.0)
         self.Q = self.dzeta * (TWO_PI / self.n) / diff
@@ -171,9 +174,15 @@ class _BoundaryIntegralBackend:
             self._cache[key] = entry
         return entry
 
+    def _coeffs(self, mu):
+        """Pole weights c_j = mu_j w_j n_j / 2pi of the double layer of the
+        density mu (n,) or of each column of mu (n, m): its potential is
+        Re sum_j c_j / (z - b_j), with n_j as a complex number."""
+        return (mu.T * self.w * self.nu / TWO_PI).T
+
     def _local(self, y, entry):
         """Radius rho and Taylor coefficients L of the far-field sum
-        Re sum_j c_j / (z - b_j), c_j = mu_j w_j n_j / 2pi, about z = y:
+        Re sum_j c_j / (z - b_j) about z = y:
         Re sum_k L_k (z - y)^k for |z - y| < rho.  rho is 0 when the disk
         would be smaller than series_min_radius (a source near the wall)."""
         if "local" not in entry:
@@ -181,11 +190,9 @@ class _BoundaryIntegralBackend:
             rho = SERIES_THETA * float(np.abs(d).min())
             entry["local"] = (0.0, None)
             if rho >= self.series_min_radius:
-                nrm = self.curve.normal
-                c = entry["mu"] * self.w * (nrm[:, 0] + 1j * nrm[:, 1]) / TWO_PI
                 # L_k = -sum_j c_j (b_j - y)^-(k+1)
                 powers = np.cumprod(np.broadcast_to(1.0 / d, (SERIES_TERMS, self.n)), axis=0)
-                entry["local"] = (rho, -(powers @ c))
+                entry["local"] = (rho, -(powers @ self._coeffs(entry["mu"])))
         return entry["local"]
 
     def _trace(self, entry):
@@ -220,15 +227,13 @@ class _BoundaryIntegralBackend:
             out[~inner] = self._eval(x[~inner], self._trace(ent))
         return out
 
-    def H_grad_x(self, x, y):
-        return self._eval_grad(x, self._densities(y, 0)["mu"])
+    def df(self, x, y, order):
+        """f' (order 1) or f'' (order 2) of the pole sum f of H(., y)."""
+        return self._pole_sum(x, self._coeffs(self._densities(y, 0)["mu"]), order)
 
-    def H_hess_xx(self, x, y):
-        return self._eval_hess(x, self._densities(y, 0)["mu"])
-
-    def H_hess_xy(self, x, y):
-        mu_y = self._densities(y, 1)["mu_y"]
-        return np.stack([self._eval_grad(x, mu_y[:, h]) for h in range(2)], axis=-1)
+    def df_y(self, x, y):
+        """(df'/dy_1, df'/dy_2): f' of the y-derivative densities."""
+        return self._pole_sum(x, self._coeffs(self._densities(y, 1)["mu_y"]), 1)
 
     # -- interior evaluation ---------------------------------------------- #
 
@@ -238,7 +243,7 @@ class _BoundaryIntegralBackend:
         the quadrature errors of the two sums cancel up to the wall.  Per block
         both are one product, 1/(zeta_j - z) times zeta'_j [g_j, 1].  A target
         on a sample (a row that is not finite) takes that sample's value."""
-        z = targets[:, 0] + 1j * targets[:, 1]
+        z = _complex(targets)
         out = np.empty(z.shape[0])
         weights = self.dzeta[:, None] * np.column_stack((g, np.ones(self.n)))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -250,27 +255,19 @@ class _BoundaryIntegralBackend:
         out[hit] = -g[np.abs(self.zeta - z[hit, None]).argmin(1)].real
         return out
 
-    def _eval_grad(self, targets, mu):
-        d = targets[:, None, :] - self.curve.x[None, :, :]
-        r2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
-        nrm = self.curve.normal
-        c = d[..., 0] * nrm[:, 0] + d[..., 1] * nrm[:, 1]
-        gk = (nrm[None, :, :] / r2[..., None]
-              - 2.0 * c[..., None] * d / (r2**2)[..., None]) / TWO_PI
-        return np.einsum("tbi,b->ti", gk, mu * self.w)
-
-    def _eval_hess(self, targets, mu):
-        d = targets[:, None, :] - self.curve.x[None, :, :]
-        r2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
-        nrm = self.curve.normal
-        c = d[..., 0] * nrm[:, 0] + d[..., 1] * nrm[:, 1]
-        eye = np.eye(2)
-        t1 = -2.0 * (nrm[None, :, :, None] * d[:, :, None, :]
-                     + nrm[None, :, None, :] * d[:, :, :, None]) / (r2**2)[..., None, None]
-        t2 = -2.0 * c[..., None, None] * eye / (r2**2)[..., None, None]
-        t3 = 8.0 * c[..., None, None] * d[:, :, :, None] * d[:, :, None, :] / (r2**3)[..., None, None]
-        hk = (t1 + t2 + t3) / TWO_PI
-        return np.einsum("tbij,b->tij", hk, mu * self.w)
+    def _pole_sum(self, targets, c, order):
+        """The order-th z-derivative of sum_j c_j / (z - zeta_j) for weights
+        c (n,) or (n, m), -order! sum_j c_j / (zeta_j - z)^(order + 1): per
+        block of targets one product, the powers of the in-place
+        reciprocals times c.  A plain trapezoid sum, accurate some sample
+        spacings away from the wall."""
+        z = _complex(targets)
+        out = np.empty(z.shape + c.shape[1:], dtype=complex)
+        for i in range(0, z.shape[0], CHUNK):
+            r = self.zeta[None, :] - z[i:i + CHUNK, None]
+            np.reciprocal(r, out=r)
+            out[i:i + CHUNK] = r**(order + 1) @ c
+        return -math.factorial(order) * out
 
 
 # ====================================================================== #
@@ -302,7 +299,7 @@ class GreenEvaluator:
             raise ConfigError(f"unknown Green backend {backend!r}")
         self.backend = backend
 
-    # -- regular part ---------------------------------------------------- #
+    # -- regular part: H(., y) = Re f(z) -------------------------------- #
 
     def H(self, x, y):
         x, single = _as_points(x)
@@ -310,17 +307,20 @@ class GreenEvaluator:
 
     def H_grad_x(self, x, y):
         x, single = _as_points(x)
-        return _ret(self._b.H_grad_x(x, np.asarray(y, dtype=float)), single)
+        return _ret(_grad(self._b.df(x, np.asarray(y, dtype=float), 1)), single)
 
     def H_hess_xx(self, x, y):
         x, single = _as_points(x)
-        return _ret(self._b.H_hess_xx(x, np.asarray(y, dtype=float)), single)
+        return _ret(_hess(self._b.df(x, np.asarray(y, dtype=float), 2)), single)
 
     def H_hess_xy(self, x, y):
+        """d^2 H / dx_i dy_h at [..., i, h]: the gradient of each df'/dy_h."""
         x, single = _as_points(x)
-        return _ret(self._b.H_hess_xy(x, np.asarray(y, dtype=float)), single)
+        pair = self._b.df_y(x, np.asarray(y, dtype=float))
+        return _ret(np.swapaxes(_grad(pair), -1, -2), single)
 
     # -- Green function and friends --------------------------------------- #
+    # -(1/2pi) ln|x - y| = Re[-ln(z - w)/2pi], w = y_1 + i y_2
 
     def green(self, x, y):
         """G(x, y); x may be a batch of points, y a single point."""
@@ -334,19 +334,24 @@ class GreenEvaluator:
         x, single = _as_points(x)
         y = np.asarray(y, dtype=float)
         self._check_pair(x, y)
-        d = x - y[None, :]
-        r2 = (d**2).sum(-1)[..., None]
-        return _ret(-d / (TWO_PI * r2) + self.H_grad_x(x, y), single)
+        fp = self._b.df(x, y, 1) - 1.0 / (TWO_PI * _complex(x - y))
+        return _ret(_grad(fp), single)
 
     def green_hess_xx(self, x, y):
         x, single = _as_points(x)
         y = np.asarray(y, dtype=float)
-        return _ret(-_log_hess(x, y) / TWO_PI + self.H_hess_xx(x, y), single)
+        self._check_pair(x, y)
+        fpp = self._b.df(x, y, 2) + 1.0 / (TWO_PI * _complex(x - y)**2)
+        return _ret(_hess(fpp), single)
 
     def green_hess_xy(self, x, y):
+        # the log term's f' = -1/(2pi (z - w)) has y-pair (D, i D) with
+        # D = -1/(2pi (z - w)^2), whose gradients form the matrix _hess(D)
         x, single = _as_points(x)
         y = np.asarray(y, dtype=float)
-        return _ret(_log_hess(x, y) / TWO_PI + self.H_hess_xy(x, y), single)
+        self._check_pair(x, y)
+        log_xy = _hess(-1.0 / (TWO_PI * _complex(x - y)**2))
+        return _ret(log_xy + self.H_hess_xy(x, y), single)
 
     def robin(self, z):
         """Robin function H(z, z)."""
@@ -443,13 +448,10 @@ class HarmonicBackground:
         return np.real(self._poly(x)) + self.offset
 
     def grad(self, x):
-        fp = self._poly(x, 1) / self.scale
-        return np.stack([np.real(fp), -np.imag(fp)], axis=-1)
+        return _grad(self._poly(x, 1) / self.scale)
 
     def hessian(self, x):
-        fpp = self._poly(x, 2) / self.scale**2
-        a, b = np.real(fpp), -np.imag(fpp)
-        return np.stack([np.stack([a, b], -1), np.stack([b, -a], -1)], -2)
+        return _hess(self._poly(x, 2) / self.scale**2)
 
 
 def background_from_flux(domain, vn, offset=0.0):

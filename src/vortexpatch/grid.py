@@ -10,6 +10,7 @@ stencil weights, and `GridSolver` inverts it by the capacitance matrix on
 the lattice Green function, with no sparse factorization.
 """
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,7 +118,6 @@ def check_resolution(h, s_min):
             f"grid spacing h={h:.3e} too coarse for core radius {s_min:.3e}; "
             f"need h <= {s_min / 8.0:.3e}")
     if h > s_min / 8.0:
-        import warnings
         warnings.warn(f"grid spacing h={h:.3e} only marginally resolves the "
                       f"smallest core ({s_min:.3e}); accuracy degraded", stacklevel=2)
 

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, SingularityError
-from .greens import TWO_PI, _log_hess
+from .greens import TWO_PI, _complex, _hess
 
 # admissible positions keep a boundary clearance rho = CLEARANCE * diameter
 # and a pairwise separation rho^SEPARATION_EXPONENT
@@ -51,7 +51,7 @@ class VortexSystem:
     Each vortex's gate disk (subdomain) is centred on its position, so the
     disks move with the vortices.  subdomain_radius is the disks' radius,
     one number or one per vortex, or None for the default of
-    default_subdomains.
+    subdomain_radii.
     """
     kappa_plus: np.ndarray
     kappa_minus: np.ndarray
@@ -92,22 +92,20 @@ class VortexSystem:
                             subdomain_radius=self.subdomain_radius)
 
     def check_admissible(self, domain):
-        """Raise DomainError unless every vortex clears the boundary by
+        """Raise ConfigError unless every vortex clears the boundary by
         rho = CLEARANCE * diameter and every pair by rho^SEPARATION_EXPONENT."""
         rho = CLEARANCE * domain.diameter
         if (self._min_separation() < rho**SEPARATION_EXPONENT
                 or not np.all(domain.signed_distance(self.positions) >= rho)):
-            raise DomainError("vortex positions violate the separation constraints")
+            raise ConfigError("vortex positions violate the separation constraints")
 
-    def default_subdomains(self, domain):
-        """The gate disks as (center, radius) pairs, centred on the current
-        positions; the default radius is min(rho, half the smallest pairwise
-        distance)."""
+    def subdomain_radii(self, domain):
+        """(m + n,) radii of the gate disks about the positions; the default
+        radius is min(rho, half the smallest pairwise distance)."""
         radius = self.subdomain_radius
         if radius is None:
             radius = min(CLEARANCE * domain.diameter, 0.5 * self._min_separation())
-        radii = np.broadcast_to(np.asarray(radius, dtype=float), self.m + self.n)
-        return [(z.copy(), float(r)) for z, r in zip(self.positions, radii)]
+        return np.broadcast_to(np.asarray(radius, dtype=float), self.m + self.n)
 
     def _min_separation(self):
         """Smallest distance between two vortices (inf for a single one)."""
@@ -175,18 +173,17 @@ def interaction_table(vs, green):
 
 
 def check_subdomains(vs, domain):
-    """Mutual disjointness + containment; raises ConfigError naming offenders."""
-    subs = vs.default_subdomains(domain)
-    k = len(subs)
+    """Mutual disjointness + containment of the gate disks; raises
+    ConfigError naming offenders, else returns their radii."""
+    Z, radii = vs.positions, vs.subdomain_radii(domain)
+    k = len(radii)
     for i in range(k):
-        ci, ri = subs[i]
-        if domain.signed_distance(ci) < ri:
+        if domain.signed_distance(Z[i]) < radii[i]:
             raise ConfigError(f"subdomain {i} is not contained in the domain")
         for j in range(i + 1, k):
-            cj, rj = subs[j]
-            if np.hypot(*(ci - cj)) <= ri + rj:
+            if np.hypot(*(Z[i] - Z[j])) <= radii[i] + radii[j]:
                 raise ConfigError(f"subdomains {i} and {j} overlap")
-    return subs
+    return radii
 
 
 # ---------------------------------------------------------------------- #
@@ -225,7 +222,7 @@ def kr_grad(vs, green, q):
 def kr_hessian(vs, green, q):
     """Hessian of W, exactly symmetric: pair weights S_ij kappa_i kappa_j
     from the interaction table, one batched H_hess_xx and H_hess_xy call per
-    source and the Hessian of the log kernel in closed form."""
+    source and the Hessian of the log kernel from its f''."""
     t = interaction_table(vs, green)
     Z, kap = vs.positions, vs.kappas
     k = len(Z)
@@ -233,9 +230,10 @@ def kr_hessian(vs, green, q):
     hxx = np.stack([green.H_hess_xx(Z, z) for z in Z], axis=1)    # [i, j]: at (z_i, z_j)
     hxy = np.stack([green.H_hess_xy(Z, z) for z in Z], axis=1)
     off = ~np.eye(k, dtype=bool)
-    # any nonzero offset on the diagonal, where every pair weight is zero
+    # any nonzero offset on the diagonal, where every pair weight is zero;
+    # lh is the Hessian of ln|x - y|/2pi, whose f'' is -1/(2pi (z - w)^2)
     d = np.where(off[..., None], Z[:, None, :] - Z[None, :, :], 1.0)
-    lh = _log_hess(d.reshape(-1, 2), np.zeros(2)).reshape(k, k, 2, 2) / TWO_PI
+    lh = _hess(-1.0 / (TWO_PI * _complex(d)**2))
     # G_xx = -lh + H_xx and G_xy = lh + H_xy off the diagonal; the Robin
     # Hessian is 2 (H_xx + H_xy) at (z_i, z_i)
     diag = np.arange(k)

@@ -111,7 +111,7 @@ def setup_problem(spec, vs, q, eps, p, variable="w"):
         raise ConfigError("variable must be 'w' or 'u'")
     pts = spec.points
     vortex = np.full(spec.n_interior, -1)
-    for i, (c, r) in enumerate(vs.default_subdomains(spec.domain)):
+    for i, (c, r) in enumerate(zip(vs.positions, vs.subdomain_radii(spec.domain))):
         inside = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) < r
         taken = inside & (vortex >= 0)
         if np.any(taken):

@@ -539,6 +539,22 @@ def test_cli_unsupported_profile_exponent_exits_2(tmp_path, capsys):
     assert "configuration error" in err and "1.38 <= p <= 6.5" in err
 
 
+def test_cli_flux_with_net_flux_exits_2(tmp_path, capsys):
+    # a constant outward flux violates the zero-circulation compatibility
+    cfg_path = write_config(tmp_path, {"background.cos": {"0": 0.1}})
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "net boundary flux" in err
+
+
+def test_cli_positions_within_the_clearance_exit_2(tmp_path, capsys):
+    # 0.0025 from the wall of a disk of diameter 0.125: the clearance is 0.00625
+    cfg_path = write_config(tmp_path, {"vortices.positions": [[0.06, 0.0]]})
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "separation constraints" in err
+
+
 def test_cli_ansatz(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     rc = main(["ansatz", "--config", cfg_path, "--out", str(tmp_path / "a"),

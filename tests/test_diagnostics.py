@@ -114,7 +114,7 @@ def _ansatz_energy_brentq(af, n_r, n_theta):
         amp = cores.delta**(2.0 / (p - 1.0)) * s**(-2.0 / (p - 1.0))
         avg = [np.mean([af.evaluate(z + ri * d, require_inside=False) for d in dirs]) for ri in r]
         total += np.pi * sign * np.sum((amp * af.rp.phi_at(r / s))**p * avg * r * wr)
-        hi = min(2.0 * s, 0.95 * vs.default_subdomains(af.green.domain)[idx][1])
+        hi = min(2.0 * s, 0.95 * vs.subdomain_radii(af.green.domain)[idx])
         for d in dirs:
             def ex(rr):
                 return float(af.excess(idx, z + rr * d))
@@ -165,10 +165,10 @@ def test_free_boundary_radii_stop_rule(workload, monkeypatch):
     for eps in ctx.cfg["eps"]:
         vs_eps, cores = refine_positions(vs_star, ctx.green, ctx.q, eps, ctx.profile)
         af = AnsatzField(cores, vs_eps, ctx.profile, ctx.green, ctx.q)
-        subs = vs_eps.default_subdomains(ctx.domain)
+        r_sub = vs_eps.subdomain_radii(ctx.domain)
         for idx in range(vs_eps.m + vs_eps.n):
             s, z = cores.s_all[idx], vs_eps.positions[idx]
-            lo, hi = 1e-12 * s, min(2.0 * s, 0.95 * subs[idx][1])
+            lo, hi = 1e-12 * s, min(2.0 * s, 0.95 * r_sub[idx])
             a, b = np.full(len(dirs), lo), np.full(len(dirs), hi)
             for _ in range(60):
                 mid = 0.5 * (a + b)

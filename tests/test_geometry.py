@@ -331,6 +331,27 @@ def test_H_memory_is_bounded():
     assert peak < 2e6
 
 
+def test_H_derivatives_memory_is_bounded():
+    # 4,096 targets against 512 samples: per-sample real kernels of the
+    # gradient and Hessian, (targets, samples, 2[, 2]), peak at 176-336 MB
+    dom = Domain.named("ellipse", n=512)
+    ge = GreenEvaluator(dom)
+    y = np.array([0.1, 0.05])
+    ge.H_hess_xy(np.array([[0.0, 0.0]]), y)     # density solves outside the trace
+    t = TWO_PI * np.random.default_rng(3).random(4096)
+    r = 0.8 * np.sqrt(np.random.default_rng(4).random(4096))
+    x = np.column_stack((r * np.cos(t), 0.6 * r * np.sin(t)))
+    for name in ("H_grad_x", "H_hess_xx", "H_hess_xy"):
+        tracemalloc.start()
+        try:
+            vals = getattr(ge, name)(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(vals))
+        assert peak < 8e6, name
+
+
 def _trace_ref(b, mu):
     """Interior boundary values of the Cauchy integral of mu by the
     subtracted-singularity trapezoid sum, one (n, n) table at a time."""
@@ -369,6 +390,51 @@ def test_nystrom_matrix_and_trace_from_the_cauchy_matrix(shape, n, monkeypatch):
         ent = b._densities(y, 0)
         err = np.max(np.abs(b._trace(ent) - _trace_ref(b, ent["mu"])))
         assert err <= 1e-14 * np.max(np.abs(ent["mu"]))
+
+
+def _dlp_grad_ref(targets, bpts, bnormals):
+    """x-gradient of the double-layer kernel, (targets, samples, 2)."""
+    d = targets[:, None, :] - bpts[None, :, :]
+    r2 = (d**2).sum(-1)
+    c = (d * bnormals[None, :, :]).sum(-1)
+    return (bnormals[None, :, :] / r2[..., None]
+            - 2.0 * c[..., None] * d / (r2**2)[..., None]) / TWO_PI
+
+
+def _dlp_hess_ref(targets, bpts, bnormals):
+    """x-Hessian of the double-layer kernel, (targets, samples, 2, 2)."""
+    d = targets[:, None, :] - bpts[None, :, :]
+    r2 = (d**2).sum(-1)[..., None, None]
+    c = (d * bnormals[None, :, :]).sum(-1)[..., None, None]
+    nd = bnormals[None, :, :, None] * d[:, :, None, :]
+    return (-2.0 * (nd + nd.swapaxes(-1, -2)) / r2**2 - 2.0 * c * np.eye(2) / r2**2
+            + 8.0 * c * d[..., :, None] * d[..., None, :] / r2**3) / TWO_PI
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("shape", ["thin-ellipse", "nonconvex-blob"])
+def test_H_derivatives_are_the_double_layer_sums(shape, n):
+    # f' and f'' of the pole sum, and f' of the y-derivative densities, give
+    # the trapezoid sums of the double-layer kernel's real derivatives
+    name, params = SERIES_SHAPES[shape]
+    dom = Domain.named(name, n=n, **params)
+    ge = GreenEvaluator(dom, order=n)
+    b = ge._b
+    c, nrm = dom.curve.x, dom.curve.normal
+    far = 0.8 * c[::4]
+    for y in (np.array([0.1, 0.05]), c[n // 4] - 0.05 * nrm[n // 4]):
+        ent = b._densities(y, 1)
+        rho, _ = b._local(y, ent)
+        x = np.vstack((_disk_targets(y, max(rho, 0.04), 200, n), far))
+        inside = np.hypot(*(x - y).T) < rho
+        assert rho == 0.0 or 0 < np.count_nonzero(inside) < len(x)
+        dk = _dlp_grad_ref(x, c, nrm)
+        grad = np.einsum("tbi,b->ti", dk, ent["mu"] * b.w)
+        hess = np.einsum("tbij,b->tij", _dlp_hess_ref(x, c, nrm), ent["mu"] * b.w)
+        hxy = np.einsum("tbi,bh->tih", dk, ent["mu_y"] * b.w[:, None])
+        for got, ref in ((ge.H_grad_x(x, y), grad), (ge.H_hess_xx(x, y), hess),
+                         (ge.H_hess_xy(x, y), hxy)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------- #

@@ -132,8 +132,12 @@ def test_green_domain_and_singularity_errors(disk_images):
         disk_images.green((1.5, 0.0), (0.2, 0.0))
     with pytest.raises(DomainError):
         disk_images.green((0.2, 0.0), (1.5, 0.0))
-    with pytest.raises(SingularityError):
-        disk_images.green((0.2, 0.0), (0.2, 0.0))
+    for f in (disk_images.green, disk_images.green_grad_x, disk_images.green_hess_xx,
+              disk_images.green_hess_xy):
+        with pytest.raises(SingularityError):
+            f((0.2, 0.0), (0.2, 0.0))
+        with pytest.raises(DomainError):
+            f((1.5, 0.0), (0.2, 0.0))
     with pytest.raises(DomainError):
         disk_images.robin((2.0, 0.0))
 

@@ -105,7 +105,7 @@ def _old_gates(c, variable, level_order):
     pts, vs, eps = c["grid"].points, c["vs"], c["eps"]
     lg = abs(np.log(eps))
     masks = np.array([np.hypot(pts[:, 0] - z[0], pts[:, 1] - z[1]) < r
-                      for z, r in vs.default_subdomains(c["grid"].domain)])
+                      for z, r in zip(vs.positions, vs.subdomain_radii(c["grid"].domain))])
     kap, sgn, qn = vs.kappas[:, None], vs.signs[:, None], c["q"].value(pts)[None, :]
     if level_order == "helper":
         thr = kap + sgn * 2.0 * np.pi * qn / lg
