@@ -79,7 +79,10 @@ def activation_level(kappa, sign, q_values, eps):
 
 
 def w_delta_eval(delta, a, s, z, rp, big_r, x):
-    """The truncated bump W_{delta,a}(x - z); defined for |x - z| <= bigR."""
+    """The truncated bump W_{delta,a}(x - z); defined for |x - z| <= bigR.
+
+    Each point takes its own side of r = s only: the core a + amp phi(r/s)
+    on r <= s, the log tail a ln(r/bigR)/ln(s/bigR) beyond."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -87,9 +90,10 @@ def w_delta_eval(delta, a, s, z, rp, big_r, x):
     if np.any(r > big_r * (1.0 + 1e-12)):
         raise DomainError("evaluation point outside B_bigR(z)")
     amp = delta**(2.0 / (rp.p - 1.0)) * s**(-2.0 / (rp.p - 1.0))
-    inner = a + amp * rp.phi_at(np.minimum(r / s, 1.0))
-    outer = a * np.log(np.maximum(r, 1e-300) / big_r) / np.log(s / big_r)
-    out = np.where(r <= s, inner, outer)
+    core = r <= s
+    out = np.empty_like(r)
+    out[core] = a + amp * rp.phi_at(r[core] / s)
+    out[~core] = a * np.log(r[~core] / big_r) / np.log(s / big_r)
     return float(out[0]) if single else out
 
 

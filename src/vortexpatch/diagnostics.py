@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 from .ansatz import delta_from_eps, eps_log
 from .errors import ConfigError
@@ -220,6 +221,15 @@ def _free_boundary_radii(af, idx, z, dirs, lo, hi, xtol):
     return r
 
 
+@lru_cache(maxsize=8)
+def _gauss_rule(n_r):
+    """The n_r-point Gauss-Legendre rule on [-1, 1], built once (leggauss(96)
+    costs milliseconds) and read-only."""
+    x, w = np.polynomial.legendre.leggauss(n_r)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def ansatz_energy(af, n_r=96, n_theta=192):
     """High-accuracy quadrature of I(P^+ - P^-).
 
@@ -234,7 +244,7 @@ def ansatz_energy(af, n_r=96, n_theta=192):
     vs = af.vs
     rp = af.rp
     p = rp.p
-    gauss_x, gauss_w = np.polynomial.legendre.leggauss(n_r)
+    gauss_x, gauss_w = _gauss_rule(n_r)
     th = TWO_PI * np.arange(n_theta) / n_theta
     dirs = np.column_stack((np.cos(th), np.sin(th)))
     radii = vs.subdomain_radii(af.green.domain)

@@ -86,11 +86,11 @@ class _ImagesBackend:
         self.rho = domain.radius
 
     def H(self, x, y):
-        xt = x - self.c
-        yt = y - self.c
-        xx = (xt**2).sum(-1)
-        yy = (yt**2).sum(-1)
-        xy = (xt * yt).sum(-1)
+        x0, x1 = x[..., 0] - self.c[0], x[..., 1] - self.c[1]
+        y0, y1 = y[..., 0] - self.c[0], y[..., 1] - self.c[1]
+        xx = x0 * x0 + x1 * x1
+        yy = y0 * y0 + y1 * y1
+        xy = x0 * y0 + x1 * y1
         r2 = self.rho**2
         q2 = xx * yy - 2.0 * r2 * xy + r2**2
         return np.log(q2) / (2.0 * TWO_PI) - np.log(self.rho) / TWO_PI

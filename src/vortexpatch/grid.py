@@ -258,13 +258,15 @@ def gradient(field):
     out = np.zeros((n, 2))
     arms = spec.arms
     nbr = spec.neighbors
+    # a missing neighbour (index -1) reads the trailing Dirichlet value 0
+    v0 = np.append(v, 0.0)
     for axis, (dp, dm) in enumerate(((0, 1), (2, 3))):
-        vp = np.where(nbr[:, dp] >= 0, v[np.maximum(nbr[:, dp], 0)], 0.0)
-        vm = np.where(nbr[:, dm] >= 0, v[np.maximum(nbr[:, dm], 0)], 0.0)
         hp = arms[:, dp]
         hm = arms[:, dm]
-        # nonuniform centered difference, exact for quadratics
-        out[:, axis] = (vp * hm**2 - vm * hp**2 + v * (hp**2 - hm**2)) / (hp * hm * (hp + hm))
+        # nonuniform centered difference, exact for quadratics; the gathers
+        # and squares stay inline, so no (n,) array outlives its product
+        out[:, axis] = (v0[nbr[:, dp]] * hm**2 - v0[nbr[:, dm]] * hp**2
+                        + v * (hp**2 - hm**2)) / (hp * hm * (hp + hm))
     return out
 
 

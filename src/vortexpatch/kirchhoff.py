@@ -146,30 +146,35 @@ class InteractionTable:
                             - self._g, 0.0)
 
 
-def interaction_table(vs, green):
-    """The signed interaction table that couples the vortices in the plateau
-    balance, the first-order tilt, the energy expansion and Phi.
-
-    One batched g_grad_x call per source point, and one g call per source
-    point once g is read.  Every position must lie in the domain
-    (DomainError) and no two may coincide (SingularityError), as for the
-    Green function itself.
-    """
+def _pairs(vs, green):
+    """The off-diagonal mask, the offsets z_i - z_j, their lengths and the
+    sign table S.  Every position must lie in the domain (DomainError) and
+    no two may coincide (SingularityError), as for the Green function."""
     Z = vs.positions
-    k = len(Z)
-    off = ~np.eye(k, dtype=bool)
-    d = Z[:, None, :] - Z[None, :, :]                      # z_i - z_j
+    off = ~np.eye(len(Z), dtype=bool)
+    d = Z[:, None, :] - Z[None, :, :]
     r = np.hypot(d[..., 0], d[..., 1])
     if not np.all(green.domain.contains(Z)):
         raise DomainError("vortex position outside the domain")
     if np.any(r[off] == 0.0):
         raise SingularityError("coincident vortices")
+    return off, d, r, np.where(off, np.outer(vs.signs, vs.signs), 0.0)
+
+
+def interaction_table(vs, green):
+    """The signed interaction table that couples the vortices in the plateau
+    balance, the first-order tilt, the energy expansion and Phi.
+
+    One batched g_grad_x call per source point, and one g call per source
+    point once g is read; the positions are checked as in _pairs.
+    """
+    Z = vs.positions
+    off, d, r, S = _pairs(vs, green)
     dg = np.stack([green.g_grad_x(Z, z) for z in Z], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         dbar = np.where(off[..., None], -d / (r**2)[..., None] - dg, 0.0)
-    diag = np.arange(k)
-    return InteractionTable(Z=Z, green=green, dg_diag=dg[diag, diag], dbar=dbar,
-                            S=np.where(off, np.outer(vs.signs, vs.signs), 0.0))
+    diag = np.arange(len(Z))
+    return InteractionTable(Z=Z, green=green, dg_diag=dg[diag, diag], dbar=dbar, S=S)
 
 
 def check_subdomains(vs, domain):
@@ -221,18 +226,18 @@ def kr_grad(vs, green, q):
 
 def kr_hessian(vs, green, q):
     """Hessian of W, exactly symmetric: pair weights S_ij kappa_i kappa_j
-    from the interaction table, one batched H_hess_xx and H_hess_xy call per
-    source and the Hessian of the log kernel from its f''."""
-    t = interaction_table(vs, green)
+    from the sign table of the interaction table, one batched H_hess_xx and
+    H_hess_xy call per source and the Hessian of the log kernel from its
+    f''."""
+    off, d, _, S = _pairs(vs, green)
     Z, kap = vs.positions, vs.kappas
     k = len(Z)
-    w = t.S * np.outer(kap, kap)
+    w = S * np.outer(kap, kap)
     hxx = np.stack([green.H_hess_xx(Z, z) for z in Z], axis=1)    # [i, j]: at (z_i, z_j)
     hxy = np.stack([green.H_hess_xy(Z, z) for z in Z], axis=1)
-    off = ~np.eye(k, dtype=bool)
     # any nonzero offset on the diagonal, where every pair weight is zero;
     # lh is the Hessian of ln|x - y|/2pi, whose f'' is -1/(2pi (z - w)^2)
-    d = np.where(off[..., None], Z[:, None, :] - Z[None, :, :], 1.0)
+    d = np.where(off[..., None], d, 1.0)
     lh = _hess(-1.0 / (TWO_PI * _complex(d)**2))
     # G_xx = -lh + H_xx and G_xy = lh + H_xy off the diagonal; the Robin
     # Hessian is 2 (H_xx + H_xy) at (z_i, z_i)

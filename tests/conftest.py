@@ -115,3 +115,10 @@ def random_disk_points(rng, n, rmax=0.85, min_sep=0.05):
         if all(np.hypot(*(cand - p)) > min_sep for p in pts):
             pts.append(cand)
     return np.array(pts)
+
+
+def same_bits(a, b):
+    """True when two float arrays (or floats) agree bit for bit: equal
+    shapes, and equal values including the sign of zero."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))

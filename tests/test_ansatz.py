@@ -19,6 +19,8 @@ from vortexpatch.errors import (ConvergenceError, DomainError, SingularityError,
                                 SolvabilityError)
 from vortexpatch.kirchhoff import VortexSystem, interaction_table, phi_value
 
+from conftest import same_bits
+
 
 @pytest.fixture(scope="module")
 def ge10():
@@ -45,6 +47,48 @@ def test_w_delta_continuity_at_core_radius(profiles, disk_images):
     with pytest.raises(DomainError):
         w_delta_eval(delta, a, s, z, rp, big_r, z + np.array([big_r * 1.01, 0.0]))
 
+
+
+def _w_delta_where_form(delta, a, s, z, rp, big_r, x):
+    """w_delta_eval as it was written before it took only each point's own
+    side of r = s: both branches on every point, np.where keeps one."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = np.atleast_2d(x)
+    r = np.hypot(pts[..., 0] - z[0], pts[..., 1] - z[1])
+    amp = delta**(2.0 / (rp.p - 1.0)) * s**(-2.0 / (rp.p - 1.0))
+    inner = a + amp * rp.phi_at(np.minimum(r / s, 1.0))
+    outer = a * np.log(np.maximum(r, 1e-300) / big_r) / np.log(s / big_r)
+    out = np.where(r <= s, inner, outer)
+    return float(out[0]) if single else out
+
+
+def test_w_delta_eval_is_the_where_form(profiles):
+    rp = profiles[2.0]
+    delta, a, big_r = 1e-4, 1.2, 4.0
+    s = solve_s(delta, a, big_r, rp)
+    args = (delta, a, s)
+    # on the x axis about z = 0, hypot gives r = |x| exactly: the radii s,
+    # one ulp either side of it, 0 and bigR
+    z0 = np.zeros(2)
+    for r in (s, np.nextafter(s, 0.0), np.nextafter(s, np.inf), 0.0, big_r):
+        x = np.array([r, 0.0])
+        new = w_delta_eval(*args, z0, rp, big_r, x)
+        assert isinstance(new, float)
+        assert same_bits(new, _w_delta_where_form(*args, z0, rp, big_r, x)), r
+    # an (a, b, 2) batch about an off-centre z, through the core, the tail
+    # and the point z itself
+    z = np.array([0.1, -0.2])
+    rng = np.random.default_rng(5)
+    radii = np.concatenate(([0.0, s], s * rng.uniform(0.0, 3.0, 22), rng.uniform(s, big_r, 6)))
+    th = rng.uniform(0.0, 2.0 * np.pi, radii.size)
+    batch = (z + radii[:, None] * np.column_stack((np.cos(th), np.sin(th)))).reshape(5, 6, 2)
+    new = w_delta_eval(*args, z, rp, big_r, batch)
+    assert new.shape == (5, 6)
+    assert same_bits(new, _w_delta_where_form(*args, z, rp, big_r, batch))
+    with pytest.raises(DomainError):
+        w_delta_eval(*args, z, rp, big_r, np.concatenate((batch.reshape(-1, 2),
+                                                          [z + [1.01 * big_r, 0.0]])))
 
 def test_c1_gluing_derivative_jump(profiles):
     rp = profiles[2.0]

@@ -12,6 +12,7 @@ from vortexpatch import (Domain, GreenEvaluator, HarmonicBackground,
                          vorticity_extract)
 from vortexpatch.ansatz import (AnsatzField, delta_from_eps, refine_positions,
                                 solve_core_system)
+import vortexpatch.diagnostics as diagnostics
 from vortexpatch.diagnostics import _free_boundary_radii, boundary_normal_velocity
 from vortexpatch.errors import ConfigError
 from vortexpatch.grid import GridField
@@ -134,6 +135,27 @@ def test_ansatz_energy_matches_per_angle_brentq(disk_images, profiles, q_zero, m
                      disk_images, q_zero)
     ref = _ansatz_energy_brentq(af, n_r=16, n_theta=12)
     assert abs(ansatz_energy(af, n_r=16, n_theta=12) - ref) <= 1e-13 * abs(ref)
+
+
+def test_ansatz_energy_reuses_its_gauss_rule(disk_images, profiles, q_zero, monkeypatch):
+    rp = profiles[2.0]
+    vs = VortexSystem([1.0], [], [[0.3, 0.0]])
+    af = AnsatzField(solve_core_system(vs, disk_images, q_zero, 1e-3, rp), vs, rp,
+                     disk_images, q_zero)
+    leggauss = np.polynomial.legendre.leggauss
+    calls = []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    diagnostics._gauss_rule.cache_clear()
+    first = ansatz_energy(af, n_r=16, n_theta=12)
+    assert ansatz_energy(af, n_r=16, n_theta=12) == first
+    assert calls == [16]
+    # each order the suite uses gets its own rule, once
+    for n_r in (8, 96, 8, 16, 96):
+        ansatz_energy(af, n_r=n_r, n_theta=12)
+    assert calls == [16, 8, 96]
+    x, w = diagnostics._gauss_rule(96)
+    assert not (x.flags.writeable or w.flags.writeable)
 
 
 # the geometry and eps of each benchmark workload: the single vortex on the

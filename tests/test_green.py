@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from vortexpatch import Domain, GreenEvaluator
 from vortexpatch.errors import ConfigError, DomainError, SingularityError
 
-from conftest import random_disk_points
+from conftest import random_disk_points, same_bits
 
 TWO_PI = 2.0 * np.pi
 
@@ -108,6 +108,33 @@ def test_barg_identity_and_symmetry(disk_images):
         assert abs(bg - disk_images.bar_g(y, x)) < 1e-10
     # closed-form check: x = 0, y = (0.5, 0) -> ln 2
     assert abs(disk_images.bar_g((0.0, 0.0), (0.5, 0.0)) - np.log(2.0)) < 1e-13
+
+
+def _images_H_reduction_form(c, rho, x, y):
+    """The images H as it was written with length-2 reductions."""
+    xt = x - c
+    yt = y - c
+    xx = (xt**2).sum(-1)
+    yy = (yt**2).sum(-1)
+    xy = (xt * yt).sum(-1)
+    r2 = rho**2
+    q2 = xx * yy - 2.0 * r2 * xy + r2**2
+    return np.log(q2) / (2.0 * TWO_PI) - np.log(rho) / TWO_PI
+
+
+@pytest.mark.parametrize("center, rho", [((0.0, 0.0), 1.0), ((0.03, -0.02), 1.0 / 16.0)],
+                         ids=["unit", "off-centre"])
+def test_images_H_is_the_reduction_form(center, rho):
+    ge = GreenEvaluator(Domain.disk(rho, center=center, big_r=4.0), backend="images")
+    c = np.asarray(center, dtype=float)
+    x = c + rho * random_disk_points(np.random.default_rng(8), 40, rmax=0.95, min_sep=0.01)
+    # the source at the centre, off centre and near the wall; each source
+    # is also a target
+    for y in (c, c + rho * np.array([0.3, -0.4]), c + rho * np.array([0.0, 0.999])):
+        xs = np.vstack((x, y))
+        ref = _images_H_reduction_form(c, rho, xs, y)
+        assert same_bits(ge.H(xs, y), ref)
+        assert same_bits(ge.H(y, y), ref[-1])
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,9 +7,11 @@ from vortexpatch import (Domain, GreenEvaluator, HarmonicBackground,
                          background_from_flux, find_critical, kr_grad,
                          kr_hessian, kr_value, phi_value)
 from vortexpatch.errors import ConfigError, DomainError, SingularityError
-from vortexpatch.kirchhoff import VortexSystem, check_subdomains, classify_hessian
+from vortexpatch.greens import TWO_PI, _complex, _hess
+from vortexpatch.kirchhoff import (VortexSystem, check_subdomains, classify_hessian,
+                                   interaction_table)
 
-from conftest import random_disk_points
+from conftest import random_disk_points, same_bits
 
 D_PAIR = np.sqrt(np.sqrt(5.0) - 2.0)   # pair equilibrium distance on the unit disk
 
@@ -325,3 +327,40 @@ def test_table_evaluates_g_only_where_read(ellipse_green, q_cos, monkeypatch):
     assert calls == []
     kr_value(vs, ellipse_green, q_cos)
     assert len(calls) == 2
+
+
+def _kr_hessian_from_table(vs, green, q):
+    """kr_hessian as it was written when it read S from a whole interaction
+    table (whose k g_grad_x calls it threw away)."""
+    t = interaction_table(vs, green)
+    Z, kap = vs.positions, vs.kappas
+    k = len(Z)
+    w = t.S * np.outer(kap, kap)
+    hxx = np.stack([green.H_hess_xx(Z, z) for z in Z], axis=1)
+    hxy = np.stack([green.H_hess_xy(Z, z) for z in Z], axis=1)
+    off = ~np.eye(k, dtype=bool)
+    d = np.where(off[..., None], Z[:, None, :] - Z[None, :, :], 1.0)
+    lh = _hess(-1.0 / (TWO_PI * _complex(d)**2))
+    diag = np.arange(k)
+    blocks = w[..., None, None] * (lh + hxy)
+    blocks[diag, diag] = (np.einsum("ij,ijab->iab", w, hxx - lh)
+                          + kap[:, None, None]**2 * (hxx + hxy)[diag, diag]
+                          - (vs.signs * kap)[:, None, None] * q.hessian(Z))
+    hess = blocks.transpose(0, 2, 1, 3).reshape(2 * k, 2 * k)
+    return 0.5 * (hess + hess.T)
+
+
+def test_kr_hessian_makes_no_g_grad_call(green_q, monkeypatch):
+    green, q = green_q
+    vs = VortexSystem([1.0], [1.3], [[0.3, 0.1], [-0.2, 0.4]])
+    ref = _kr_hessian_from_table(vs, green, q)
+    calls = []
+    g_grad_x = green.g_grad_x
+    monkeypatch.setattr(green, "g_grad_x", lambda x, y: calls.append(y) or g_grad_x(x, y))
+    assert same_bits(kr_hessian(vs, green, q), ref)
+    assert calls == []
+    # the positions are checked as the table checks them
+    with pytest.raises(SingularityError):
+        kr_hessian(VortexSystem([1.0], [1.0], [[0.2, 0.1], [0.2, 0.1]]), green, q)
+    with pytest.raises(DomainError):
+        kr_hessian(VortexSystem([1.0], [1.0], [[0.2, 0.1], [1.5, 0.0]]), green, q)
