@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: find-equilibrium, profile, ansatz, solve, sweep, verify, run.
+Subcommands: find-equilibrium, profile, ansatz, solve, sweep, run (alias verify).
 Exit codes: 0 success, 2 invalid configuration, 3 non-convergence, 4 I/O.
 """
 
@@ -138,12 +138,6 @@ def cmd_solve(args):
     return 0
 
 
-def cmd_verify(args):
-    manifest = run_pipeline(_load(args), args.out)
-    print(f"wrote {manifest['artifacts']['diagnostics']}")
-    return 0
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="vortexpatch",
@@ -151,7 +145,8 @@ def build_parser():
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="full pipeline over the configured eps list")
+    p = sub.add_parser("run", aliases=["verify"],
+                       help="full pipeline and diagnostics over the configured eps list")
     _common(p)
     p.set_defaults(func=cmd_run)
 
@@ -179,10 +174,6 @@ def build_parser():
     p = sub.add_parser("solve", help="one PDE solve at the first configured eps")
     _common(p)
     p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("verify", help="diagnostics for the configured eps list")
-    _common(p)
-    p.set_defaults(func=cmd_verify)
     return ap
 
 

@@ -123,26 +123,9 @@ def _apply_schema(section, data, schema):
 
 def validate_config(raw):
     """Validate a raw dict; returns the fully-defaulted config."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - set(_TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
-    cfg = {}
-    for key, (types, default, check) in _TOP_KEYS.items():
-        if key in raw:
-            val = raw[key]
-        elif default is None:
-            raise ConfigError(f"missing required section {key!r}")
-        else:
-            val = default
-        if not _type_ok(val, types):
-            raise ConfigError(f"top-level {key!r} has wrong type")
-        if check is not None and not check(val):
-            raise ConfigError(f"top-level {key!r} fails validation: {val!r}")
-        cfg[key] = val
+    cfg = _apply_schema("config", raw, _TOP_KEYS)
     for name, schema in _SECTIONS.items():
-        cfg[name] = _apply_schema(name, cfg.get(name, {}), schema)
+        cfg[name] = _apply_schema(name, cfg[name], schema)
 
     eps = cfg["eps"]
     if not eps or not all(_type_ok(e, (int, float)) and e > 0 for e in eps):

@@ -397,22 +397,14 @@ def reconstruct_flow(fld, setup, q):
                      divergence=div, curl=curl, regular=_deep_mask(spec))
 
 
-def boundary_normal_velocity(flow, n_samples=128, offsets=(2.0, 4.0)):
+def boundary_normal_velocity(flow, n_samples=128):
     """Normal velocity on the boundary by linear extrapolation of bilinear
-    samples along the inward normal; returns (parameters, v.n)."""
+    samples at 2h and 4h along the inward normal; returns (parameters, v.n)."""
     spec = flow.spec
-    h = spec.h
     bp, nrm = spec.domain.boundary_points(n_samples)
-    d1, d2 = offsets[0] * h, offsets[1] * h
-    vx = GridField(spec, flow.velocity[:, 0])
-    vy = GridField(spec, flow.velocity[:, 1])
-    out = np.zeros(n_samples)
-    for i in range(n_samples):
-        p1 = bp[i] - d1 * nrm[i]
-        p2 = bp[i] - d2 * nrm[i]
-        v1 = np.array([interpolate(vx, p1), interpolate(vy, p1)])
-        v2 = np.array([interpolate(vx, p2), interpolate(vy, p2)])
-        vb = v1 + (v1 - v2) * (d1 / (d2 - d1))
-        out[i] = float(vb @ nrm[i])
+    d1, d2 = 2.0 * spec.h, 4.0 * spec.h
+    v1, v2 = (np.column_stack([interpolate(GridField(spec, c), bp - d * nrm)
+                               for c in flow.velocity.T]) for d in (d1, d2))
+    vb = v1 + (v1 - v2) * (d1 / (d2 - d1))
     t = TWO_PI * np.arange(n_samples) / n_samples
-    return t, out
+    return t, vb[:, 0] * nrm[:, 0] + vb[:, 1] * nrm[:, 1]

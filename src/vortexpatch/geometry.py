@@ -23,17 +23,13 @@ CHUNK = 256
 
 
 def _fft_derivative(values, order=1):
-    """Differentiate 2pi-periodic samples spectrally. values: (n,) or (n, d)."""
+    """Differentiate 2pi-periodic samples spectrally along axis 0.
+    values: (n,) or (n, d)."""
     v = np.asarray(values, dtype=float)
     n = v.shape[0]
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    mult = (1j * k) ** order
-    if v.ndim == 1:
-        return np.real(np.fft.ifft(mult * np.fft.fft(v)))
-    out = np.empty_like(v)
-    for j in range(v.shape[1]):
-        out[:, j] = np.real(np.fft.ifft(mult * np.fft.fft(v[:, j])))
-    return out
+    mult = (1j * np.fft.fftfreq(n, d=1.0 / n)) ** order
+    mult = mult.reshape((n,) + (1,) * (v.ndim - 1))
+    return np.real(np.fft.ifft(mult * np.fft.fft(v, axis=0), axis=0))
 
 
 class BoundaryCurve:
@@ -52,7 +48,6 @@ class BoundaryCurve:
         if area2 < 0:  # enforce positive orientation
             pts = pts[::-1].copy()
         self.n = pts.shape[0]
-        self.t = 2.0 * np.pi * np.arange(self.n) / self.n
         self.x = pts
         self.dx = _fft_derivative(pts, 1)
         self.ddx = _fft_derivative(pts, 2)
@@ -233,6 +228,6 @@ class Domain:
             hi = self.curve.x.max(axis=0) + pad
         return lo, hi
 
-    def require_inside(self, x, what="point"):
+    def require_inside(self, x):
         if not np.all(self.contains(x)):
-            raise DomainError(f"{what} outside the domain")
+            raise DomainError("point outside the domain")

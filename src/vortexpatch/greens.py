@@ -529,21 +529,9 @@ def background_from_flux(domain, vn, offset=0.0):
         cols.append(np.imag(zeta**kk))
     Amat = np.column_stack(cols)
     sol, *_ = np.linalg.lstsq(Amat, psi_b, rcond=1e-12)
-    coeffs = np.zeros(kmax + 1, dtype=complex)
-    coeffs[0] = sol[0]
-    for kk in range(1, kmax + 1):
-        coeffs[kk] = sol[2 * kk - 1] - 1j * sol[2 * kk]
-    qc = -coeffs
-    q = HarmonicBackground("harmonic-polynomial", qc, domain.center, domain.diameter / 2.0, offset)
-    # subtract the domain mean (midpoint quadrature on a masked grid)
-    lo, hi = domain.bounding_box()
-    m = 160
-    gx = np.linspace(lo[0], hi[0], m)
-    gy = np.linspace(lo[1], hi[1], m)
-    X, Y = np.meshgrid(gx, gy, indexing="ij")
-    P = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    mask = domain.contains(P)
-    mean = float(np.mean(q.value(P[mask]))) - offset
-    q.coeffs = q.coeffs.copy()
-    q.coeffs[0] -= mean
-    return q
+    qc = -np.concatenate((sol[:1], sol[1::2] - 1j * sol[2::2]))
+    # subtract the domain mean of Re f: int_Omega f dA = (1/2i) oint f
+    # conj(zeta) dzeta for holomorphic f, by the trapezoid rule on the samples
+    wts = np.conj(zeta) * (domain.curve.dx[:, 0] + 1j * domain.curve.dx[:, 1])
+    qc[0] -= np.imag(np.sum(np.polynomial.polynomial.polyval(zeta, qc) * wts)) / np.imag(np.sum(wts))
+    return HarmonicBackground("harmonic-polynomial", qc, domain.center, domain.diameter / 2.0, offset)

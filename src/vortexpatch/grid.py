@@ -28,7 +28,6 @@ class GridSpec:
     h: float
     origin: np.ndarray            # coordinates of node (0, 0)
     shape: tuple                  # (nx, ny)
-    index: np.ndarray             # (nx, ny) -> unknown number or -1
     points: np.ndarray            # (N, 2) node coordinates
     neighbors: np.ndarray         # (N, 4) unknown numbers, -1 if arm is cut
     arms: np.ndarray              # (N, 4) arm lengths
@@ -44,9 +43,9 @@ class GridSpec:
         """The inverse of -lap_h on this grid, built on first use."""
         return GridSolver(self)
 
-    def values_to_array(self, values, fill=0.0):
-        """Scatter unknowns into the full (nx, ny) array (exterior = fill)."""
-        out = np.full(self.shape, fill, dtype=float)
+    def values_to_array(self, values):
+        """Scatter unknowns into the full (nx, ny) array (exterior = 0)."""
+        out = np.zeros(self.shape)
         out[self.ij[:, 0], self.ij[:, 1]] = values
         return out
 
@@ -105,8 +104,7 @@ def build_grid(domain, h):
     arms[kk, dd] = _arm_crossings(domain, points[kk], direction[dd], h)
 
     return GridSpec(domain=domain, h=float(h), origin=np.array([lo[0], lo[1]]),
-                    shape=(nx, ny), index=index,
-                    points=points, neighbors=neighbors, arms=arms,
+                    shape=(nx, ny), points=points, neighbors=neighbors, arms=arms,
                     is_adjacent=is_adjacent, ij=np.column_stack([ii, jj]))
 
 

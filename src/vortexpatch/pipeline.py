@@ -250,9 +250,10 @@ def write_solution(product, field_path, report_path, precision):
 
 def stage_solve_one(ctx, vs_star, eps, warm=None):
     """Cores (centers moved to the finite-eps equilibrium, the gate disks
-    with them), ansatz, grid and PDE solve at one eps.  Returns a dict of
-    stage products keyed for downstream verification; the grid and eps are
-    those of its setup."""
+    with them), ansatz, grid and PDE solve at one eps, started from the
+    ansatz plus the correction GridField `warm` when given.  Returns a dict
+    of stage products keyed for downstream verification; the grid and eps
+    are those of its setup, and `correction` is w - P at this eps."""
     cfg = ctx.cfg
     vs_eps, cores = refine_positions(vs_star, ctx.green, ctx.q, eps, ctx.profile)
     check_subdomains(vs_eps, ctx.domain)
@@ -265,7 +266,7 @@ def stage_solve_one(ctx, vs_star, eps, warm=None):
     init_vals = ansatz_vals
     if warm is not None:
         # warm start: previous correction interpolated onto the new grid
-        init_vals = ansatz_vals + interpolate(warm["correction"], spec.points)
+        init_vals = ansatz_vals + interpolate(warm, spec.points)
     sol_cfg = cfg["solver"]
     fld, rep = solve_newton(setup, init_vals, tol=sol_cfg["tol"], max_iter=sol_cfg["max_iter"])
     return {
@@ -304,6 +305,7 @@ def stage_verify_one(ctx, product):
                               ctx.profile, ctx.green, ctx.q)
     corr_centered = float(np.max(np.abs(
         fld.values - af_centered.evaluate(spec.points, require_inside=False))))
+    corr = float(np.max(np.abs(product["correction"].values)))
     denom = cores.delta * abs(np.log(cores.delta))**((cores.p - 1.0) / 2.0)
     out = {
         "eps": cores.eps, "delta": cores.delta, "p": cores.p,
@@ -316,8 +318,8 @@ def stage_verify_one(ctx, product):
         "ansatz_energy_quadrature": float(i_quad),
         "ansatz_energy_closed_form": float(i_closed),
         "ansatz_energy_rel_error": float(abs(i_quad - i_closed) / max(abs(i_closed), 1e-300)),
-        "correction_max_norm": product["report"].correction_max_norm,
-        "correction_ratio": product["report"].correction_max_norm / denom,
+        "correction_max_norm": corr,
+        "correction_ratio": corr / denom,
         "correction_recentered_max_norm": corr_centered,
         "correction_recentered_ratio": corr_centered / denom,
         "flow_divergence_rel": div_rel,
@@ -397,7 +399,7 @@ def run_pipeline(cfg, outdir, progress=None):
         diags.append(verify)
         rows.append(_convergence_row(verify, vs_star))
         tick(f"verify_{tag}", t0)
-        warm = {"correction": product["correction"]}
+        warm = product["correction"]
 
     diag_path = os.path.join(outdir, "diagnostics.jsonl")
     write_jsonl(diag_path, diags, precision)

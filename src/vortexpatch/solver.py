@@ -147,7 +147,6 @@ class SolveReport:
     converged: bool = False
     residual_history: list = field(default_factory=list)   # (l2, max) pairs
     damping_history: list = field(default_factory=list)
-    correction_max_norm: float = 0.0
     factorizations: int = 0         # cores factored, a core rebuild included
     core_nodes: int = 0             # k, the size of the last core
     active_nodes: list = field(default_factory=list)   # |A| of each iteration's Jacobian
@@ -463,7 +462,6 @@ def solve_newton(setup, start, tol=1e-10, max_iter=60):
         if rn < best_rn:
             best_x, best_y, best_rn, best_it = x, y, rn, it
             idle = 0
-    report.correction_max_norm = float(np.max(np.abs(w - start)))
     return GridField(setup.spec, w), report
 
 

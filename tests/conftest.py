@@ -61,7 +61,8 @@ def solve_case(ctx, vs_star, eps):
                 vs=product["vs"], cores=product["cores"], af=product["ansatz"],
                 grid=product["setup"].spec, setup=product["setup"],
                 init=product["ansatz_field"], field=product["field"],
-                report=product["report"], diag=diag, flow=flow,
+                correction=product["correction"], report=product["report"],
+                diag=diag, flow=flow,
                 corr_recentered=verify["correction_recentered_max_norm"])
 
 

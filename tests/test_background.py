@@ -128,6 +128,23 @@ def test_parametric_domain_background():
     assert np.max(np.abs(diffs - diffs[0])) < 1e-6
 
 
+@pytest.mark.parametrize("wobble, mode, vn", [
+    (0.12, 3, lambda t: 0.3 * np.sin(2 * t) + 0.1 * np.sin(t)),
+    (0.3, 5, lambda t: 0.2 * np.sin(3 * t) + 0.1 * np.cos(t))], ids=["blob3", "blob5"])
+def test_parametric_background_has_zero_mean(wobble, mode, vn):
+    # the mean of q over r <= 1 + wobble cos(mode theta), by Gauss-Legendre in
+    # r and the trapezoid rule in theta: both exact to rounding for the
+    # polynomial q, so the mean is zero to rounding
+    q = background_from_flux(Domain.named("blob", wobble=wobble, mode=mode), vn)
+    x, wx = np.polynomial.legendre.leggauss(64)
+    th = 2 * np.pi * np.arange(1024) / 1024
+    rho = 1.0 + wobble * np.cos(mode * th)
+    r = 0.5 * (x[:, None] + 1.0) * rho
+    weights = 0.5 * wx[:, None] * rho * r
+    vals = q.value(np.stack((r * np.cos(th), r * np.sin(th)), axis=-1))
+    assert abs((vals * weights).sum() / weights.sum()) <= 1e-12 * np.max(np.abs(vals))
+
+
 def test_zero_background_class():
     q = HarmonicBackground.zero(offset=0.0)
     pts = np.zeros((3, 2))

@@ -15,9 +15,11 @@ from vortexpatch import ansatz
 from vortexpatch.cli import main
 from vortexpatch.config import config_hash, load_config, validate_config
 from vortexpatch.errors import ConfigError, ConvergenceError
+from vortexpatch.grid import interpolate
 from vortexpatch.kirchhoff import VortexSystem, kr_value
 from vortexpatch.pipeline import (_CONV_HEADER, PipelineContext, run_pipeline,
-                                  run_sweep, stage_equilibrium)
+                                  run_sweep, stage_equilibrium, stage_solve_one,
+                                  stage_verify_one)
 
 BASE_CONFIG = {
     "domain": {"kind": "disk", "radius": 1.0 / 16.0},
@@ -208,6 +210,22 @@ def test_pipeline_field_is_the_suites_solved_case(pipeline_out, solved_case):
     rows = np.loadtxt(out / "field_eps0.csv", delimiter=",", skiprows=1)
     assert np.array_equal(rows[:, :2], solved_case["grid"].points)
     assert np.array_equal(rows[:, 2], solved_case["field"].values)
+
+
+def test_warm_started_correction_is_measured_from_the_ansatz(single_equilibrium,
+                                                             solved_case):
+    # continuation starts eps 1e-3 from its ansatz plus the correction of eps
+    # 3e-3; the reported correction is still w - P at 1e-3, not w - start
+    ctx, vs_star = single_equilibrium
+    product = stage_solve_one(ctx, vs_star, 1e-3, warm=solved_case["correction"])
+    verify, _, _ = stage_verify_one(ctx, product)
+    w, ansatz_vals = product["field"].values, product["ansatz_field"].values
+    corr = np.max(np.abs(w - ansatz_vals))
+    assert verify["correction_max_norm"] == corr
+    d = verify["delta"]
+    assert verify["correction_ratio"] == corr / (d * abs(np.log(d))**0.5)
+    start = ansatz_vals + interpolate(solved_case["correction"], product["setup"].spec.points)
+    assert np.max(np.abs(w - start)) != corr
 
 
 def test_field_csv_precision(pipeline_out):

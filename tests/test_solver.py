@@ -298,9 +298,8 @@ def test_manufactured_linear_recovery(solved_case):
 
 def test_correction_small_and_field_scale(solved_case):
     c = solved_case
-    rep, cores = c["report"], c["cores"]
-    d = cores.delta
-    ratio = rep.correction_max_norm / (d * abs(np.log(d))**0.5)
+    d = c["cores"].delta
+    ratio = np.max(np.abs(c["correction"].values)) / (d * abs(np.log(d))**0.5)
     assert ratio < 5.0
 
 
