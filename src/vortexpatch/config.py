@@ -5,6 +5,7 @@ main failure mode of research CLIs); the hash is over a canonical dump with
 sorted keys so semantically identical configs hash identically.
 """
 
+import copy
 import hashlib
 import json
 
@@ -112,7 +113,8 @@ def _apply_schema(section, data, schema):
         elif default is None and type(None) not in (types if isinstance(types, tuple) else (types,)):
             raise ConfigError(f"missing required key {section!r}.{key!r}")
         else:
-            val = default
+            # a copy: every config gets its own lists and dicts
+            val = copy.deepcopy(default)
         if not _type_ok(val, types):
             raise ConfigError(f"{section!r}.{key!r} has wrong type {type(val).__name__}")
         if check is not None and val is not None and not check(val):

@@ -7,13 +7,15 @@ import warnings
 
 import numpy as np
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .ansatz import delta_from_eps, eps_log
 from .errors import ConfigError
-from .grid import ARM_DIRS, GridField, cell_weights, gradient, interpolate
+from .grid import ARM_DIRS, GridField, bilinear, difference, gradient
 from .kirchhoff import interaction_table
-from .solver import rhs_eval
+# not called (omega is its sign * excess^p on the shared excess), but
+# perfbench/tracer.py's tests look this binding up by name
+from .solver import rhs_eval  # noqa: F401
 
 TWO_PI = 2.0 * np.pi
 # samples of the ring-flux circulation check
@@ -28,6 +30,40 @@ def __getattr__(name):
         from scipy.optimize import brentq
         return brentq
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# ---------------------------------------------------------------------- #
+#  the solved field
+# ---------------------------------------------------------------------- #
+
+
+@dataclass
+class SolvedField(GridField):
+    """A field with its setup, and the nodal quantities that the checks
+    read, each formed on first read and kept (the values must not change
+    after).  The checks of stage_verify_one share one; a check given a
+    plain GridField forms its own."""
+    setup: object
+
+    @cached_property
+    def gate_argument(self):
+        return self.setup.gate_argument(self.values)
+
+    @cached_property
+    def excess(self):
+        return np.maximum(self.gate_argument, 0.0)
+
+    @cached_property
+    def u(self):
+        """The physical u."""
+        return GridField(self.spec, self.values * self.setup.u_per_unit)
+
+
+def _solved(fld, setup):
+    """fld as a SolvedField of setup: fld itself when it is one."""
+    if isinstance(fld, SolvedField) and fld.setup is setup:
+        return fld
+    return SolvedField(fld.spec, fld.values, setup)
 
 
 # ---------------------------------------------------------------------- #
@@ -56,19 +92,14 @@ class VortexDiagnostics:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "omega"}
 
 
-def _omega_nodes(fld, setup):
-    """Vorticity = (physical nonlinearity)/eps^2 at the nodes."""
-    return rhs_eval(fld.values, setup) * setup.u_per_unit**setup.p / setup.eps**2
-
-
-def _ring_flux(u_field, center, radius):
-    """-oint d(u)/dr ds on a circle (the enclosed vorticity integral)."""
-    spec = u_field.spec
+def _ring_flux(spec, u_arr, center, radius):
+    """-oint d(u)/dr ds on a circle (the enclosed vorticity integral), for
+    u scattered onto the grid's (nx, ny) array."""
     h = spec.h
     th = TWO_PI * np.arange(RING_ANGLES) / RING_ANGLES
     ring = np.column_stack((np.cos(th), np.sin(th)))
-    up = interpolate(u_field, center + (radius + h) * ring)
-    um = interpolate(u_field, center + (radius - h) * ring)
+    up = bilinear(spec, u_arr, center + (radius + h) * ring)
+    um = bilinear(spec, u_arr, center + (radius - h) * ring)
     dudr = (up - um) / (2.0 * h)
     return float(-np.sum(dudr) * radius * TWO_PI / RING_ANGLES)
 
@@ -83,11 +114,14 @@ def vorticity_extract(fld, setup, vs):
     quadrature over each subdomain, which coincides with the discrete flux
     of the solved field, plus an interpolated ring-flux cross-check.
     """
-    spec = fld.spec
+    sf = _solved(fld, setup)
+    spec = sf.spec
     radii = vs.subdomain_radii(spec.domain)
-    omega = _omega_nodes(fld, setup)
-    weights = cell_weights(spec)
-    u_field = GridField(spec, fld.values * setup.u_per_unit)
+    # vorticity = (physical nonlinearity)/eps^2, rhs_eval in u units
+    omega = setup.sign * sf.excess**setup.p * setup.u_per_unit**setup.p / setup.eps**2
+    weights = spec.cell_weights
+    # u on the (nx, ny) array, scattered once for every ring
+    u_arr = spec.values_to_array(sf.u.values)
     k = vs.m + vs.n
     pts = spec.points
 
@@ -99,7 +133,7 @@ def vorticity_extract(fld, setup, vs):
     confinement_ok = True
 
     # gate argument (positive on the supports), -1 off each vortex's subdomain
-    gate_arg = setup.gate_argument(fld.values)
+    gate_arg = sf.gate_argument
     for i in range(k):
         arg = np.where(setup.vortex == i, gate_arg, -1.0)
         on = arg > 0.0
@@ -140,13 +174,13 @@ def vorticity_extract(fld, setup, vs):
             warnings.warn(f"vortex {i}: support within one cell of its subdomain "
                           "boundary (confinement at risk)", stacklevel=2)
         ring_r = 0.5 * (r_out[i] + r_sub)
-        circ_flux[i] = vs.signs[i] * abs(_ring_flux(u_field, z, ring_r))
+        circ_flux[i] = vs.signs[i] * abs(_ring_flux(spec, u_arr, z, ring_r))
 
     total = float((omega * weights).sum())
     total_flux = None
     if spec.domain.kind == "disk":
         rr = spec.domain.radius - 4.0 * spec.h
-        total_flux = _ring_flux(u_field, spec.domain.center, rr)
+        total_flux = _ring_flux(spec, u_arr, spec.domain.center, rr)
 
     return VortexDiagnostics(
         eps=setup.eps, delta=delta_from_eps(setup.eps, setup.p), p=setup.p,
@@ -170,11 +204,11 @@ def energy_eval(fld, setup):
     eps^2 (2 pi/|ln eps|)^(p-1)), so in either form the functional of the
     setup's variable times (w per unit of the variable)^(p+1) is I(w).
     """
-    spec = fld.spec
-    weights = cell_weights(spec)
-    grad = gradient(fld)
+    sf = _solved(fld, setup)
+    weights = sf.spec.cell_weights
+    grad = gradient(sf)
     kinetic = 0.5 * setup.coef * float(((grad**2).sum(axis=1) * weights).sum())
-    potential = float((setup.excess(fld.values)**(setup.p + 1.0) * weights).sum())
+    potential = float((sf.excess**(setup.p + 1.0) * weights).sum())
     w_per_unit = setup.u_per_unit / (eps_log(setup.eps) / TWO_PI)
     return (kinetic - potential / (setup.p + 1.0)) * w_per_unit**(setup.p + 1.0)
 
@@ -348,21 +382,39 @@ def kr_consistency(eps_values, energies, phi_values, p):
 # ---------------------------------------------------------------------- #
 
 
-@dataclass
-class FlowField:
-    spec: object
-    velocity: np.ndarray          # (N, 2), perp gradient of u - q
-    pressure: np.ndarray          # (N,)
-    divergence: np.ndarray        # (N,) centered divergence, regular nodes
-    curl: np.ndarray              # (N,)
-    regular: np.ndarray           # (N,) nodes with depth-2 uncut stencils
-
-
 def _deep_mask(spec):
     """Nodes whose stencil and its four neighbors' stencils are all uncut."""
     ok = ~spec.is_adjacent
     nbr = spec.neighbors
     return ok & np.all((nbr >= 0) & ok[np.maximum(nbr, 0)], axis=1)
+
+
+@dataclass
+class FlowField:
+    """The velocity of a solved field and its divergence; the pressure and
+    the curl are formed on first read."""
+    spec: object
+    solved: SolvedField
+    velocity: np.ndarray          # (N, 2), perp gradient of u - q
+    divergence: np.ndarray        # (N,) centered divergence, regular nodes
+    regular: np.ndarray           # (N,) nodes with depth-2 uncut stencils
+
+    @cached_property
+    def pressure(self):
+        """Stationary pressure P = -F(psi) - |grad psi|^2/2 with F' = f and
+        -lap psi = f(psi); for the physical equation f carries the eps^-2 of
+        the vorticity, and the rigid-rotation oracle fixes the sign of F.
+        |grad psi|^2 is read off the velocity, its components swapped."""
+        setup = self.solved.setup
+        excess = self.solved.excess * setup.u_per_unit
+        potential = excess**(setup.p + 1.0) / (setup.p + 1.0)
+        return -potential / setup.eps**2 - 0.5 * (self.velocity**2).sum(axis=1)
+
+    @cached_property
+    def curl(self):
+        """(N,) centered curl of the velocity, regular nodes."""
+        vx, vy = (GridField(self.spec, c) for c in self.velocity.T)
+        return difference(vy, 0) - difference(vx, 1)
 
 
 def reconstruct_flow(fld, setup, q):
@@ -372,29 +424,14 @@ def reconstruct_flow(fld, setup, q):
     times setup.u_per_unit.  Divergence and curl are centered differences of
     the velocity samples, reported on nodes whose depth-2 stencil is uncut.
     """
-    spec = fld.spec
-    u = GridField(spec, fld.values * setup.u_per_unit)
-    pts = spec.points
-    du = gradient(u)
-    dq = q.grad(pts)
-    dpsi = du - dq
+    sf = _solved(fld, setup)
+    spec = sf.spec
+    dpsi = gradient(sf.u) - q.grad(spec.points)
     velocity = np.column_stack((dpsi[:, 1], -dpsi[:, 0]))
-
-    excess = setup.excess(fld.values) * setup.u_per_unit
-    potential = excess**(setup.p + 1.0) / (setup.p + 1.0)
-    # stationary pressure P = -F(psi) - |grad psi|^2/2 with F' = f and
-    # -lap psi = f(psi); for the physical equation f carries the eps^-2 of
-    # the vorticity, and the rigid-rotation oracle fixes the sign of F
-    pressure = -potential / setup.eps**2 - 0.5 * (dpsi**2).sum(axis=1)
-
-    vx = GridField(spec, velocity[:, 0])
-    vy = GridField(spec, velocity[:, 1])
-    dvx = gradient(vx)
-    dvy = gradient(vy)
-    div = dvx[:, 0] + dvy[:, 1]
-    curl = dvy[:, 0] - dvx[:, 1]
-    return FlowField(spec=spec, velocity=velocity, pressure=pressure,
-                     divergence=div, curl=curl, regular=_deep_mask(spec))
+    vx, vy = (GridField(spec, c) for c in velocity.T)
+    return FlowField(spec=spec, solved=sf, velocity=velocity,
+                     divergence=difference(vx, 0) + difference(vy, 1),
+                     regular=_deep_mask(spec))
 
 
 def boundary_normal_velocity(flow, n_samples=128):
@@ -403,8 +440,10 @@ def boundary_normal_velocity(flow, n_samples=128):
     spec = flow.spec
     bp, nrm = spec.domain.boundary_points(n_samples)
     d1, d2 = 2.0 * spec.h, 4.0 * spec.h
-    v1, v2 = (np.column_stack([interpolate(GridField(spec, c), bp - d * nrm)
-                               for c in flow.velocity.T]) for d in (d1, d2))
+    # each velocity component scattered once, for both distances
+    arrs = [spec.values_to_array(c) for c in flow.velocity.T]
+    v1, v2 = (np.column_stack([bilinear(spec, a, bp - d * nrm) for a in arrs])
+              for d in (d1, d2))
     vb = v1 + (v1 - v2) * (d1 / (d2 - d1))
     t = TWO_PI * np.arange(n_samples) / n_samples
     return t, vb[:, 0] * nrm[:, 0] + vb[:, 1] * nrm[:, 1]

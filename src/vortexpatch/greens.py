@@ -457,10 +457,12 @@ class HarmonicBackground:
 def background_from_flux(domain, vn, offset=0.0):
     """Build q = -psi0 from the outward boundary flux v_n.
 
-    vn is either a callable of the boundary parameter t in [0, 2pi) or an
-    array of samples on the uniform parameter grid.  The net flux must vanish
-    (relative tolerance 1e-10); psi0 solves -dpsi0/dtau = v_n and q is
-    normalized to zero mean over the domain before the offset is added.
+    vn is either a callable, called once on the array of the uniform
+    boundary parameters t in [0, 2pi) and returning the flux at each of them
+    (or one scalar, taken at every t), or an array of samples on that grid.
+    The net flux must vanish (relative tolerance 1e-10); psi0 solves
+    -dpsi0/dtau = v_n and q is normalized to zero mean over the domain
+    before the offset is added.
     """
     if domain.kind == "disk":
         n = 512 if not hasattr(vn, "__len__") else max(len(vn), 16)
@@ -468,7 +470,7 @@ def background_from_flux(domain, vn, offset=0.0):
         n = domain.curve.n
     t = TWO_PI * np.arange(n) / n
     if callable(vn):
-        samples = np.asarray([vn(tj) for tj in t], dtype=float)
+        samples = np.broadcast_to(np.asarray(vn(t), dtype=float), t.shape)
     else:
         samples = np.asarray(vn, dtype=float)
         if samples.size == 0:

@@ -43,6 +43,16 @@ class GridSpec:
         """The inverse of -lap_h on this grid, built on first use."""
         return GridSolver(self)
 
+    @cached_property
+    def cell_weights(self):
+        """Quadrature weight per unknown, read-only: h^2 inside, arm-clipped
+        near the cut boundary (midpoint rule; a cell extends h/2 per side
+        unless the boundary is closer)."""
+        arms = np.minimum(self.arms, 0.5 * self.h)
+        weights = (arms[:, 0] + arms[:, 1]) * (arms[:, 2] + arms[:, 3])
+        weights.flags.writeable = False
+        return weights
+
     def values_to_array(self, values):
         """Scatter unknowns into the full (nx, ny) array (exterior = 0)."""
         out = np.zeros(self.shape)
@@ -244,34 +254,40 @@ class GridSolver:
         return self.convolve(charge)
 
 
-def gradient(field):
-    """Centered-difference gradient honoring the Dirichlet boundary.
+def difference(field, axis):
+    """Centered difference along one axis (0: x, 1: y) honoring the
+    Dirichlet boundary.
 
     On cut arms the boundary value 0 at the arm distance enters a one-sided
     difference; interior stencils are the usual second-order ones.
     """
-    spec = field.spec
-    v = field.values
-    n = spec.n_interior
-    out = np.zeros((n, 2))
-    arms = spec.arms
-    nbr = spec.neighbors
+    v, nbr = field.values, field.spec.neighbors
+    dp, dm = 2 * axis, 2 * axis + 1
+    hp, hm = field.spec.arms[:, dp], field.spec.arms[:, dm]
     # a missing neighbour (index -1) reads the trailing Dirichlet value 0
     v0 = np.append(v, 0.0)
-    for axis, (dp, dm) in enumerate(((0, 1), (2, 3))):
-        hp = arms[:, dp]
-        hm = arms[:, dm]
-        # nonuniform centered difference, exact for quadratics; the gathers
-        # and squares stay inline, so no (n,) array outlives its product
-        out[:, axis] = (v0[nbr[:, dp]] * hm**2 - v0[nbr[:, dm]] * hp**2
-                        + v * (hp**2 - hm**2)) / (hp * hm * (hp + hm))
+    # nonuniform centered difference, exact for quadratics; the gathers and
+    # squares stay inline, so no (n,) array outlives its product
+    return (v0[nbr[:, dp]] * hm**2 - v0[nbr[:, dm]] * hp**2
+            + v * (hp**2 - hm**2)) / (hp * hm * (hp + hm))
+
+
+def gradient(field):
+    """The differences along both axes, as (N, 2)."""
+    out = np.empty((field.spec.n_interior, 2))
+    for axis in (0, 1):
+        out[:, axis] = difference(field, axis)
     return out
 
 
 def interpolate(field, pts):
     """Bilinear interpolation of a grid field (0 outside the mask)."""
-    spec = field.spec
-    arr = spec.values_to_array(field.values)
+    return bilinear(field.spec, field.spec.values_to_array(field.values), pts)
+
+
+def bilinear(spec, arr, pts):
+    """Bilinear interpolation of an (nx, ny) array of the grid, as scattered
+    by `GridSpec.values_to_array`, at pts (one point: a float)."""
     p = np.atleast_2d(np.asarray(pts, dtype=float))
     fx = (p[:, 0] - spec.origin[0]) / spec.h
     fy = (p[:, 1] - spec.origin[1]) / spec.h
@@ -282,14 +298,3 @@ def interpolate(field, pts):
     v = (arr[i0, j0] * (1 - tx) * (1 - ty) + arr[i0 + 1, j0] * tx * (1 - ty)
          + arr[i0, j0 + 1] * (1 - tx) * ty + arr[i0 + 1, j0 + 1] * tx * ty)
     return v if np.asarray(pts).ndim > 1 else float(v[0])
-
-
-def cell_weights(spec):
-    """Quadrature weight per unknown: h^2 inside, arm-clipped near the cut
-    boundary (midpoint rule; a cell extends h/2 per side unless the boundary
-    is closer)."""
-    half = 0.5 * spec.h
-    arms = np.minimum(spec.arms, half)
-    wx = arms[:, 0] + arms[:, 1]
-    wy = arms[:, 2] + arms[:, 3]
-    return wx * wy

@@ -17,8 +17,8 @@ import numpy as np
 from . import __version__
 from .ansatz import AnsatzField, eps_log, refine_positions, support_predict
 from .config import config_hash, validate_config
-from .diagnostics import (ansatz_energy, ansatz_energy_expansion, energy_eval,
-                          reconstruct_flow, vorticity_extract)
+from .diagnostics import (SolvedField, ansatz_energy, ansatz_energy_expansion,
+                          energy_eval, reconstruct_flow, vorticity_extract)
 from .errors import ConfigError, ConvergenceError
 from .geometry import Domain
 from .greens import GreenEvaluator, HarmonicBackground, background_from_flux
@@ -123,19 +123,17 @@ def _csv_block(block, fmt):
     """The text of some rows.  A column with fewer than half as many
     distinct float64 bit patterns as rows (so -0.0 and 0.0 keep their own
     text) formats each distinct value once and gathers the texts; any
-    other column passes its floats to the one row template.  Both apply
-    `fmt` to the same Python float, so the text is the same."""
-    cols, cells = [], []
+    other column formats each value.  Both apply `fmt` to the same Python
+    float, so the text is the same."""
+    cols = []
     for col in block.T:
         distinct, inverse = np.unique(col.view(np.uint64), return_inverse=True)
         if 2 * len(distinct) < len(col):
             text = [fmt % v for v in distinct.view(np.float64).tolist()]
             cols.append(np.array(text, dtype=object)[inverse].tolist())
-            cells.append("%s")
         else:
-            cols.append(col.tolist())
-            cells.append(fmt)
-    return "".join(map((",".join(cells) + "\n").__mod__, zip(*cols)))
+            cols.append(map(fmt.__mod__, col.tolist()))
+    return "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
 # ---------------------------------------------------------------------- #
@@ -281,8 +279,9 @@ def stage_verify_one(ctx, product):
     cores = product["cores"]
     vs = product["vs"]
     setup = product["setup"]
-    fld = product["field"]
     spec = setup.spec
+    # one SolvedField for every check, so they share its nodal quantities
+    fld = SolvedField(spec, product["field"].values, setup)
     diag = vorticity_extract(fld, setup, vs)
     diag.energy = energy_eval(fld, setup)
     diag.residual_max = product["report"].residual_history[-1][1]

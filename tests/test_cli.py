@@ -117,6 +117,16 @@ def test_validation_rules():
             validate_config(bad)
 
 
+def test_defaults_are_not_shared_between_configs():
+    # the schema's default lists and dicts are copied into each config
+    first = validate_config(json.loads(json.dumps(BASE_CONFIG)))
+    first["domain"]["center"][0] = 0.5
+    first["background"]["values"].append(1.0)
+    second = validate_config(json.loads(json.dumps(BASE_CONFIG)))
+    assert second["domain"]["center"] == [0.0, 0.0]
+    assert second["background"]["values"] == []
+
+
 def test_hash_stable_under_key_reordering():
     a = validate_config(json.loads(json.dumps(BASE_CONFIG)))
     shuffled = {k: BASE_CONFIG[k] for k in reversed(list(BASE_CONFIG))}

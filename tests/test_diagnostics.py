@@ -13,13 +13,15 @@ from vortexpatch import (Domain, GreenEvaluator, HarmonicBackground,
 from vortexpatch.ansatz import (AnsatzField, delta_from_eps, refine_positions,
                                 solve_core_system)
 import vortexpatch.diagnostics as diagnostics
-from vortexpatch.diagnostics import _free_boundary_radii, boundary_normal_velocity
+from vortexpatch.diagnostics import (_free_boundary_radii, _ring_flux,
+                                     boundary_normal_velocity)
 from vortexpatch.errors import ConfigError
-from vortexpatch.grid import GridField
+from vortexpatch.grid import GridField, build_grid, gradient, interpolate
 from vortexpatch.kirchhoff import VortexSystem
+from vortexpatch.pipeline import stage_verify_one
 from vortexpatch.solver import setup_problem, solve_newton
 
-from conftest import PAIR_CONFIG, SINGLE_CONFIG, equilibrium_stage
+from conftest import PAIR_CONFIG, SINGLE_CONFIG, equilibrium_stage, same_bits
 
 
 # ---------------------------------------------------------------------- #
@@ -351,6 +353,112 @@ def test_vorticity_curl_consistency(solved_case, flow):
     sel = reg & big
     rel = np.abs(flow.curl[sel] - omega[sel]) / np.max(np.abs(omega))
     assert np.median(rel) < 0.05
+
+
+def _flow_every_array(fld, setup, q):
+    """reconstruct_flow as it was before the flow was formed on demand:
+    velocity, divergence, curl and pressure at once, from two full
+    gradients of the velocity."""
+    spec = fld.spec
+    u = GridField(spec, fld.values * setup.u_per_unit)
+    dpsi = gradient(u) - q.grad(spec.points)
+    velocity = np.column_stack((dpsi[:, 1], -dpsi[:, 0]))
+    excess = setup.excess(fld.values) * setup.u_per_unit
+    potential = excess**(setup.p + 1.0) / (setup.p + 1.0)
+    pressure = -potential / setup.eps**2 - 0.5 * (dpsi**2).sum(axis=1)
+    dvx = gradient(GridField(spec, velocity[:, 0]))
+    dvy = gradient(GridField(spec, velocity[:, 1]))
+    return velocity, dvx[:, 0] + dvy[:, 1], dvy[:, 0] - dvx[:, 1], pressure
+
+
+def _ellipse_case(variable):
+    """A gated field with a free boundary on an ellipse grid, and a
+    background of nonzero gradient."""
+    domain = Domain.named("ellipse", a=0.0625, b=0.0375)
+    spec = build_grid(domain, h=0.0015)
+    q = HarmonicBackground.from_polynomial(np.array([0.0, 0.02 + 0.01j, 0.03j]),
+                                           scale=0.0625)
+    vs = VortexSystem([1.0], [], [[0.004, -0.002]], subdomain_radius=0.016)
+    setup = setup_problem(spec, vs, q, 3e-3, 2.0, variable=variable)
+    r = np.hypot(*(spec.points - vs.positions[0]).T)
+    values = np.max(setup.level) * (1.5 * np.exp(-(r / 0.006)**2) + 0.1 * np.cos(40.0 * r))
+    return GridField(spec, values), setup, q
+
+
+@pytest.mark.parametrize("case", ["disk", "ellipse-w", "ellipse-u"])
+def test_flow_is_the_parent_flow_bit_for_bit(solved_case, case):
+    if case == "disk":
+        c = solved_case
+        fld, setup, q = c["field"], c["setup"], c["q"]
+    else:
+        fld, setup, q = _ellipse_case(case.split("-")[1])
+        assert np.any(setup.excess(fld.values) > 0.0)
+    flow = reconstruct_flow(fld, setup, q)
+    velocity, divergence, curl, pressure = _flow_every_array(fld, setup, q)
+    assert same_bits(flow.velocity, velocity)
+    assert same_bits(flow.divergence, divergence)
+    assert same_bits(flow.curl, curl)
+    assert same_bits(flow.pressure, pressure)
+
+
+def _ring_flux_per_call(u_field, center, radius):
+    """_ring_flux as it was before the one scatter: u scattered onto the
+    grid array by each interpolate call."""
+    h = u_field.spec.h
+    th = 2.0 * np.pi * np.arange(diagnostics.RING_ANGLES) / diagnostics.RING_ANGLES
+    ring = np.column_stack((np.cos(th), np.sin(th)))
+    up = interpolate(u_field, center + (radius + h) * ring)
+    um = interpolate(u_field, center + (radius - h) * ring)
+    dudr = (up - um) / (2.0 * h)
+    return float(-np.sum(dudr) * radius * 2.0 * np.pi / diagnostics.RING_ANGLES)
+
+
+def test_ring_flux_from_one_scatter_is_the_per_call_flux(solved_case):
+    c = solved_case
+    spec = c["grid"]
+    u = GridField(spec, c["field"].values * c["setup"].u_per_unit)
+    arr = spec.values_to_array(u.values)
+    z = c["vs"].positions[0]
+    for center, radius in ((z, 0.3 * c["cores"].s_plus[0]), (z, 0.01),
+                           (spec.domain.center, spec.domain.radius - 4.0 * spec.h)):
+        assert same_bits(_ring_flux(spec, arr, center, radius),
+                         _ring_flux_per_call(u, center, radius))
+
+
+def test_boundary_velocity_from_one_scatter_is_the_per_call_path(solved_case, flow):
+    spec = flow.spec
+    bp, nrm = spec.domain.boundary_points(64)
+    d1, d2 = 2.0 * spec.h, 4.0 * spec.h
+    v1, v2 = (np.column_stack([interpolate(GridField(spec, comp), bp - d * nrm)
+                               for comp in flow.velocity.T]) for d in (d1, d2))
+    vb = v1 + (v1 - v2) * (d1 / (d2 - d1))
+    t, vn = boundary_normal_velocity(flow, n_samples=64)
+    assert same_bits(vn, vb[:, 0] * nrm[:, 0] + vb[:, 1] * nrm[:, 1])
+
+
+def test_verify_leaves_pressure_and_curl_unformed(single_equilibrium, solved_case,
+                                                  monkeypatch):
+    c = solved_case
+    setup = c["setup"]
+    product = {"vs": c["vs"], "cores": c["cores"], "ansatz": c["af"],
+               "setup": setup, "field": c["field"], "report": c["report"],
+               "ansatz_field": c["init"], "correction": c["correction"]}
+    calls = []
+    gate_argument = setup.gate_argument
+
+    def counted(values):
+        calls.append(1)
+        return gate_argument(values)
+
+    monkeypatch.setattr(setup, "gate_argument", counted)
+    verify, diag, flow = stage_verify_one(single_equilibrium[0], product)
+    monkeypatch.undo()
+    assert "pressure" not in vars(flow) and "curl" not in vars(flow)
+    # the checks of one verify share one gate argument
+    assert len(calls) == 1
+    _, divergence, curl, pressure = _flow_every_array(c["field"], c["setup"], c["q"])
+    assert same_bits(flow.divergence, divergence)
+    assert same_bits(flow.curl, curl) and same_bits(flow.pressure, pressure)
 
 
 def test_u_form_diagnostics_match_w_form(solved_case, flow):

@@ -7,7 +7,7 @@ import pytest
 
 from vortexpatch import Domain, build_grid
 from vortexpatch.errors import ResolutionError
-from vortexpatch.grid import cell_weights, check_resolution, gradient, interpolate, GridField
+from vortexpatch.grid import check_resolution, gradient, interpolate, GridField
 
 from conftest import same_bits, sparse_operator
 
@@ -169,7 +169,10 @@ def test_interpolation_and_weights(disk_grid):
     expect = 1.0 + 0.5 * probe[:, 0] + 0.25 * probe[:, 1]
     assert np.max(np.abs(vals - expect)) < 1e-12
     # cell weights sum to the disk area at the O(h) boundary-quadrature order
-    assert abs(cell_weights(disk_grid).sum() - np.pi) < 3.0 * disk_grid.h
+    assert abs(disk_grid.cell_weights.sum() - np.pi) < 3.0 * disk_grid.h
+    # formed once per grid and shared, so read-only
+    assert disk_grid.cell_weights is disk_grid.cell_weights
+    assert not disk_grid.cell_weights.flags.writeable
 
 
 # ---------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ from vortexpatch.ansatz import (AnsatzField, activation_level, refine_positions,
                                 solve_core_system)
 from vortexpatch.diagnostics import energy_eval, reconstruct_flow
 from vortexpatch.errors import ConfigError, ConvergenceError
-from vortexpatch.grid import GridField, GridSolver, cell_weights, gradient, interpolate
+from vortexpatch.grid import GridField, GridSolver, gradient, interpolate
 from vortexpatch.kirchhoff import VortexSystem, find_critical
 from vortexpatch import solver
 from vortexpatch.solver import (MIN_DAMPING, STALL_WINDOW, TRUST_RADIUS, SolveReport,
@@ -168,7 +168,7 @@ def test_gate_map_matches_per_vortex_loops(gate_pair, variable):
         assert np.array_equal(reconstruct_flow(fld, setup, q).pressure, pressure)
         return
 
-    weights = cell_weights(c["grid"])
+    weights = c["grid"].cell_weights
     kinetic = 0.5 * setup.coef * float(((gradient(fld)**2).sum(axis=1) * weights).sum())
     energy = kinetic - sum(float((e**(p + 1.0) * weights).sum()) / (p + 1.0) for e in ex)
     # one sum over the nodes in place of one per vortex
