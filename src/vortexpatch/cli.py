@@ -131,10 +131,10 @@ def cmd_solve(args):
     vs_star, _, _ = stage_equilibrium(ctx)
     product = stage_solve_one(ctx, vs_star, cfg["eps"][0])
     os.makedirs(args.out, exist_ok=True)
-    write_solution(product, os.path.join(args.out, "field.csv"),
+    write_solution(product, os.path.join(args.out, "field.npy"),
                    os.path.join(args.out, "report.json"), cfg["output"]["precision"])
     print(f"converged in {product['report'].iterations} iterations; "
-          f"wrote {args.out}/field.csv")
+          f"wrote {args.out}/field.npy")
     return 0
 
 

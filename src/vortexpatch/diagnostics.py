@@ -383,10 +383,11 @@ def kr_consistency(eps_values, energies, phi_values, p):
 
 
 def _deep_mask(spec):
-    """Nodes whose stencil and its four neighbors' stencils are all uncut."""
+    """Nodes whose stencil and its four neighbors' stencils are all uncut.
+    A missing neighbor (index -1) reads the trailing False of the padded
+    mask, as `grid.difference` reads the Dirichlet value."""
     ok = ~spec.is_adjacent
-    nbr = spec.neighbors
-    return ok & np.all((nbr >= 0) & ok[np.maximum(nbr, 0)], axis=1)
+    return ok & np.all(np.append(ok, False)[spec.neighbors], axis=1)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """End-to-end orchestration: equilibrium -> profile -> cores -> solve -> verify.
 
-Every stage writes versioned, deterministic artifacts (fixed float precision,
-atomic replace) into the output directory; the manifest records the config
-hash, per-stage wall time and artifact paths.
+Every stage writes versioned, deterministic artifacts (fixed float precision
+in text, exact float64 in the field array, atomic replace) into the output
+directory; the manifest records the config hash, per-stage wall time and
+artifact paths.
 """
 
 import contextlib
@@ -45,13 +46,13 @@ def _fmt(x, precision=17):
 
 
 @contextlib.contextmanager
-def _atomic_file(path):
-    """A text file opened at `path`.tmp that replaces `path` when the block
-    ends; if anything raises, the temp file is removed and `path` keeps its
-    old bytes."""
+def _atomic_file(path, mode="w"):
+    """A file opened at `path`.tmp in `mode` ("w" text, "wb" binary) that
+    replaces `path` when the block ends; if anything raises, the temp file
+    is removed and `path` keeps its old bytes."""
     tmp = str(path) + ".tmp"
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, mode) as f:
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -236,11 +237,13 @@ def _grid_h(cfg, cores):
 
 
 def write_solution(product, field_path, report_path, precision):
-    """The solved field as x1,x2,w rows and the solver report of one eps."""
+    """The solved field of one eps as an (N, 3) float64 `.npy` array of
+    x1, x2, w rows (exact values; `precision` applies to the report only)
+    and its solver report."""
     setup = product["setup"]
     spec = setup.spec
-    write_csv(field_path, ["x1", "x2", "w"],
-              np.column_stack((spec.points, product["field"].values)), precision)
+    with _atomic_file(field_path, "wb") as f:
+        np.save(f, np.column_stack((spec.points, product["field"].values)))
     write_json(report_path, {"eps": setup.eps, "grid_h": spec.h,
                              "grid_nodes": spec.n_interior,
                              "solver": product["report"].to_dict()}, precision)
@@ -384,7 +387,7 @@ def run_pipeline(cfg, outdir, progress=None):
             continue
         cores_path = os.path.join(outdir, f"cores_{tag}.json")
         write_json(cores_path, product["cores"].to_dict(), precision)
-        field_path = os.path.join(outdir, f"field_{tag}.csv")
+        field_path = os.path.join(outdir, f"field_{tag}.npy")
         report_path = os.path.join(outdir, f"report_{tag}.json")
         write_solution(product, field_path, report_path, precision)
         tick(f"solve_{tag}", t0, **{f"cores_{tag}": cores_path,

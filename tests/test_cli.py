@@ -21,6 +21,8 @@ from vortexpatch.pipeline import (_CONV_HEADER, PipelineContext, run_pipeline,
                                   run_sweep, stage_equilibrium, stage_solve_one,
                                   stage_verify_one)
 
+from conftest import same_bits
+
 BASE_CONFIG = {
     "domain": {"kind": "disk", "radius": 1.0 / 16.0},
     "vortices": {"kappa_plus": [1.0], "kappa_minus": [],
@@ -178,7 +180,7 @@ def test_pipeline_determinism(pipeline_out, tmp_path):
     out2 = tmp_path / "rerun"
     manifest2 = run_pipeline(json.loads(json.dumps(
         {k: v for k, v in cfg.items()})), str(out2))
-    for name in ("field_eps0.csv", "cores_eps0.json", "diagnostics.jsonl",
+    for name in ("field_eps0.npy", "cores_eps0.json", "diagnostics.jsonl",
                  "convergence.csv", "equilibrium.jsonl"):
         a = (out / name).read_bytes()
         b = (out2 / name).read_bytes()
@@ -214,10 +216,12 @@ def test_warnings_go_into_the_diagnostics(tmp_path, monkeypatch):
 
 
 def test_pipeline_field_is_the_suites_solved_case(pipeline_out, solved_case):
-    # the solve the suite checks is the one the pipeline writes: 17
-    # significant digits round-trip every value exactly
+    # the solve the suite checks is the one the pipeline writes: the array
+    # holds the grid's nodes and the solved values exactly
     out, _, _ = pipeline_out
-    rows = np.loadtxt(out / "field_eps0.csv", delimiter=",", skiprows=1)
+    rows = np.load(out / "field_eps0.npy", allow_pickle=False)
+    assert rows.dtype == np.float64
+    assert rows.shape == (solved_case["grid"].n_interior, 3)
     assert np.array_equal(rows[:, :2], solved_case["grid"].points)
     assert np.array_equal(rows[:, 2], solved_case["field"].values)
 
@@ -238,13 +242,14 @@ def test_warm_started_correction_is_measured_from_the_ansatz(single_equilibrium,
     assert np.max(np.abs(w - start)) != corr
 
 
-def test_field_csv_precision(pipeline_out):
+def test_field_array_header(pipeline_out):
+    # a little-endian float64 (N, 3) array in C order, N the report's nodes
     out, _, _ = pipeline_out
-    header, first = (out / "field_eps0.csv").read_text().splitlines()[:2]
-    assert header == "x1,x2,w"
-    # 17 significant digits requested: round-trip exactly
-    vals = [float(v) for v in first.split(",")]
-    assert f"{vals[2]:.17g}" in first
+    nodes = json.loads((out / "report_eps0.json").read_text())["grid_nodes"]
+    with open(out / "field_eps0.npy", "rb") as f:
+        assert np.lib.format.read_magic(f) == (1, 0)
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
+    assert (shape, fortran_order, dtype.str) == ((nodes, 3), False, "<f8")
 
 
 # ---------------------------------------------------------------------- #
@@ -303,7 +308,7 @@ def test_ellipse_pipeline_end_to_end(tmp_path, monkeypatch):
     out, diag = run("first")
     assert diag["confinement_ok"]
     out2, _ = run("rerun")
-    for name in ("field_eps0.csv", "diagnostics.jsonl", "equilibrium.jsonl"):
+    for name in ("field_eps0.npy", "diagnostics.jsonl", "equilibrium.jsonl"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
     monkeypatch.setattr(_BoundaryIntegralBackend, "_local", lambda self, y, entry: (0.0, None))
     _, direct = run("direct")
@@ -358,28 +363,46 @@ def test_a_run_imports_no_scipy(tmp_path):
     assert (tmp_path / "run1" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("precision", [17, 9])
-def test_field_csv_bytes_match_per_value_format(tmp_path, precision):
-    # the row-format writer gives the same bytes as formatting every value
-    # on its own
+def _small_solution():
+    """A grid's nodes and a field with -0.0, 1e-300, nan and inf, as a stage
+    product that `write_solution` accepts."""
     from vortexpatch import Domain, HarmonicBackground, build_grid
     from vortexpatch.grid import GridField
-    from vortexpatch.kirchhoff import VortexSystem
-    from vortexpatch.pipeline import write_solution
     from vortexpatch.solver import SolveReport, setup_problem
     spec = build_grid(Domain.disk(1.0 / 16.0), 1.0 / 64.0)
-    n = spec.n_interior
-    vals = np.random.default_rng(2).standard_normal(n) * 1e-3
+    vals = np.random.default_rng(2).standard_normal(spec.n_interior) * 1e-3
     vals[:6] = [-0.0, 1e-300, 0.12345678901234567, -2.5e-7, np.nan, np.inf]
     setup = setup_problem(spec, VortexSystem([1.0], [], [[0.0, 0.0]]),
                           HarmonicBackground.zero(), 3e-3, 2.0)
-    product = {"setup": setup, "field": GridField(spec, vals), "report": SolveReport()}
+    return {"setup": setup, "field": GridField(spec, vals), "report": SolveReport()}
+
+
+@pytest.mark.parametrize("precision", [17, 9])
+def test_field_csv_bytes_match_per_value_format(tmp_path, precision):
+    # the row-format writer gives the same bytes as formatting every value
+    # on its own, on a grid's coordinates and a field
+    from vortexpatch.pipeline import write_csv
+    product = _small_solution()
+    spec, vals = product["setup"].spec, product["field"].values
     path = tmp_path / "field.csv"
-    write_solution(product, str(path), str(tmp_path / "report.json"), precision)
+    write_csv(str(path), ["x1", "x2", "w"], np.column_stack((spec.points, vals)), precision)
     expected = "x1,x2,w\n" + "".join(
         ",".join(f"{float(v):.{precision}g}" for v in (x1, x2, w)) + "\n"
         for (x1, x2), w in zip(spec.points, vals))
     assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("precision", [17, 9])
+def test_field_array_keeps_every_bit(tmp_path, precision):
+    # output.precision rounds the text artifacts only: the field array holds
+    # every float64 bit, signed zero and nan included
+    from vortexpatch.pipeline import write_solution
+    product = _small_solution()
+    path = tmp_path / "field.npy"
+    write_solution(product, str(path), str(tmp_path / "report.json"), precision)
+    rows = np.load(path, allow_pickle=False)
+    assert same_bits(rows[:, :2], product["setup"].spec.points)
+    assert same_bits(rows[:, 2], product["field"].values)
 
 
 @pytest.mark.parametrize("precision", [17, 9])
@@ -457,9 +480,12 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
         raise OSError("refused")
     path = tmp_path / "out.csv"
     path.write_bytes(b"earlier\n")
+    product = _small_solution()
     monkeypatch.setattr(pipeline.os, "replace", refuse)
     for write in (lambda: pipeline.write_csv(str(path), ["a", "b"], [[1.0, 2.0]]),
-                  lambda: pipeline.atomic_write(str(path), "text\n")):
+                  lambda: pipeline.atomic_write(str(path), "text\n"),
+                  lambda: pipeline.write_solution(product, str(path),
+                                                  str(tmp_path / "report.json"), 17)):
         with pytest.raises(OSError, match="refused"):
             write()
         assert os.listdir(tmp_path) == ["out.csv"]
@@ -597,7 +623,8 @@ def test_cli_solve(tmp_path, capsys):
     out = tmp_path / "s"
     assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
     assert (out / "report.json").exists()
-    assert (out / "field.csv").read_text().splitlines()[0] == "x1,x2,w"
+    assert np.load(out / "field.npy", allow_pickle=False).shape[1] == 3
+    assert f"wrote {out}/field.npy" in capsys.readouterr().out
 
 
 def test_cli_verify(tmp_path, pipeline_out, capsys):
@@ -609,5 +636,5 @@ def test_cli_verify(tmp_path, pipeline_out, capsys):
     assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 0
     assert (out / "diagnostics.jsonl").read_bytes() == \
         (run_out / "diagnostics.jsonl").read_bytes()
-    for name in ("manifest.json", "equilibrium.jsonl", "convergence.csv", "field_eps0.csv"):
+    for name in ("manifest.json", "equilibrium.jsonl", "convergence.csv", "field_eps0.npy"):
         assert (out / name).exists(), name

@@ -401,6 +401,16 @@ def test_flow_is_the_parent_flow_bit_for_bit(solved_case, case):
     assert same_bits(flow.pressure, pressure)
 
 
+def test_deep_mask_is_the_clamped_gather(solved_case):
+    # the padded gather marks the same nodes as the clamped index and its
+    # nbr >= 0 test, on a disk and an ellipse grid with cut arms
+    for spec in (solved_case["grid"], _ellipse_case("w")[0].spec):
+        ok, nbr = ~spec.is_adjacent, spec.neighbors
+        assert np.any(nbr < 0) and not np.all(ok)
+        expected = ok & np.all((nbr >= 0) & ok[np.maximum(nbr, 0)], axis=1)
+        assert np.array_equal(diagnostics._deep_mask(spec), expected)
+
+
 def _ring_flux_per_call(u_field, center, radius):
     """_ring_flux as it was before the one scatter: u scattered onto the
     grid array by each interpolate call."""
