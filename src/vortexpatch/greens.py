@@ -8,23 +8,15 @@ Conventions (fixed once for the whole package):
     barG(x, y) = ln(bigR/|x-y|) - g(x, y)      (equals 2 pi G identically).
 
 Two backends with one interface: the method of images on disks (closed
-forms, machine accurate) and a second-kind boundary integral equation on the
-boundary samples of any smooth domain, a disk included (double-layer
-representation, Nystrom/trapezoid, spectrally accurate).  GreenEvaluator
-picks the backend once, from the domain kind unless one is named, and
-delegates the regular part to it.  On both backends H(., y) = Re f(z),
+forms) and, on the boundary samples of any smooth domain (a disk
+included), one conformal map F onto the unit disk from one Nystrom solve
+per curve: G(x, y) = (1/2pi) ln(|1 - conj F(y) F(x)| / |F(x) - F(y)|)
+(Gustafsson 1979).  GreenEvaluator picks the backend once, from the domain
+kind unless one is named.  On both backends H(., y) = Re f(z),
 z = x_1 + i x_2: a backend gives H, f' and f'' (df) and df'/dy_1,2 (df_y)
 for a batch of targets and one source, and _grad and _hess form every real
-gradient and Hessian from such complex derivatives.  H is always evaluated
-directly from the smooth representation, never as a difference of two
-nearly equal logarithms.  In the boundary integral backend H(., y) is a
-Taylor series about y on a disk around the source and, everywhere else up
-to the wall, the barycentric form of the interior Cauchy integral of the
-density (Helsing & Ojala, J. Comput. Phys. 227, 2008), with the curve's
-Cauchy matrix formed once: a new source costs one matvec for its trace,
-and a sum over targets one product per block.  Its f' and f'' are plain
-trapezoid sums of the poles, also one product per block, accurate only
-some sample spacings away from the wall.
+gradient and Hessian from them.  H is never a difference of two nearly
+equal logarithms.
 """
 
 import math
@@ -35,10 +27,12 @@ from .errors import CompatibilityError, ConfigError, DomainError, SingularityErr
 from .geometry import CHUNK, BoundaryCurve, _fft_derivative
 
 TWO_PI = 2.0 * np.pi
-# Far-field series about y on |x - y| < SERIES_THETA min_j |b_j - y|: each
-# pole's tail after SERIES_TERMS terms is below 2 * 2^-56 = 2.8e-17 of it.
+# Taylor series about the source y on |x - y| < SERIES_THETA min_j |b_j - y|:
+# each sample's tail after SERIES_TERMS terms is below 2 * 2^-56 = 2.8e-17 of it.
 SERIES_THETA = 0.5
 SERIES_TERMS = 56
+# sources whose Taylor record a curve keeps for later calls with them
+SOURCES_KEPT = 64
 
 
 def _as_points(x):
@@ -119,155 +113,153 @@ class _ImagesBackend:
 
 
 class _BoundaryIntegralBackend:
-    """Interior Dirichlet solver via the double-layer Nystrom method.
+    """H from one conformal map F of the curve's interior onto the unit disk.
 
-    The density for boundary data f solves (K_w - I/2) mu = f where K_w is
-    the trapezoid discretization of the double-layer operator; the diagonal
-    carries the continuous limit -curvature/(4pi).  Formed once per curve:
-    the Cauchy matrix Q_ij = zeta'_j dt / (zeta_j - zeta_i), 0 on the
-    diagonal, whose -Re Q_ij / (2pi i) are the off-diagonal entries of K_w
-    on a positively oriented curve, its row sums q, and one inverse of the
-    Nystrom matrix.  Cached per source: the densities of H(., y) and of its
-    y-derivatives, and, built on first use, the local expansion of H about
-    y and the boundary trace of the Cauchy integral of the density.
+    F(z) = (z - z0) exp(2pi C(z)), where C is the Cauchy integral whose
+    real part is -H(., z0): F_j = (zeta_j - z0) exp(2pi g_j), g the trace of
+    the curve's one Nystrom density.  For a source w = y_1 + i y_2,
+
+        H(x, y) = (1/2pi) ln|(1 - conj F(w) F(z)) / D(z)|,
+        D(z) = (F(z) - F(w)) / (z - w),
+
+    and f', f'' and df'/dy_1,2 are closed forms in F(w), F'(w) and the
+    z-derivatives of D and of D_w = (D - F'(w)) / (z - w).  Both are
+    holomorphic in the domain: on a disk about the source they are Taylor
+    series of F, elsewhere the barycentric rule on their boundary values.
     """
 
-    def __init__(self, curve):
-        self.curve = curve
+    def __init__(self, curve, z0):
         self.n = curve.n
-        self.w = TWO_PI / self.n * curve.speed
-        # boundary samples zeta_j and zeta'_j as complex numbers
         self.zeta = _complex(curve.x)
         self.dzeta = _complex(curve.dx)
-        self.nu = _complex(curve.normal)
+        dt = TWO_PI / self.n
         diff = self.zeta[None, :] - self.zeta[:, None]
         np.fill_diagonal(diff, 1.0)
-        self.Q = self.dzeta * (TWO_PI / self.n) / diff
-        np.fill_diagonal(self.Q, 0.0)
-        self.q = self.Q.sum(1)
-        A = self.Q.imag / -TWO_PI
-        np.fill_diagonal(A, -curve.curvature * self.w / (2.0 * TWO_PI) - 0.5)
-        self.A_inv = np.linalg.inv(A)
-        self._cache = {}
-        # the series stands in for the plain trapezoid sum, which is at
-        # rounding only about six sample spacings or more from the samples
+        Q = self.dzeta * dt / diff
+        np.fill_diagonal(Q, 0.0)
+        A = Q.imag / -TWO_PI
+        np.fill_diagonal(A, -curve.curvature * curve.speed * dt / (2.0 * TWO_PI) - 0.5)
+        # (K_w - I/2) mu = (1/2pi) ln|zeta - z0|: K_w is the trapezoid double
+        # layer, -Re Q_ij / (2pi i) off the diagonal, the curvature limit on it
+        w0 = z0[0] + 1j * z0[1]
+        mu = np.linalg.solve(A, np.log(np.abs(self.zeta - w0)) / TWO_PI)
+        # interior trace of the Cauchy integral of mu: g_i = mu_i + (1/2pi i)
+        # [sum_{j != i} (mu_j - mu_i) Q_ij + mu'_i dt]
+        g = mu + (Q @ mu - Q.sum(1) * mu + _fft_derivative(mu) * dt) / (1j * TWO_PI)
+        self.F = (self.zeta - w0) * np.exp(TWO_PI * g)
+        # the series needs its trapezoid sums at rounding: six spacings or more
         self.series_min_radius = 6.0 * curve.perimeter / self.n
+        self._sources = {}
 
-    # -- density solves -------------------------------------------------- #
-
-    def _densities(self, y, level):
-        """Density for H(., y) plus y-derivative densities up to `level`."""
-        key = (float(y[0]), float(y[1]))
-        entry = self._cache.get(key)
-        if entry is None or entry["level"] < level:
-            d = self.curve.x - y[None, :]
-            r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-            f = 0.5 * np.log(r2) / TWO_PI  # boundary data (1/2pi) ln|x_b - y|
-            entry = {"level": 0, "mu": self.A_inv @ f}
-            if level >= 1:
-                # d f / d y_h = (y - x_b)_h / (2pi |x_b - y|^2)
-                rhs = (-d) / (TWO_PI * r2[:, None])
-                entry["mu_y"] = self.A_inv @ rhs
-                entry["level"] = 1
-            if len(self._cache) > 2048:
-                self._cache.clear()
-            self._cache[key] = entry
-        return entry
-
-    def _coeffs(self, mu):
-        """Pole weights c_j = mu_j w_j n_j / 2pi of the double layer of the
-        density mu (n,) or of each column of mu (n, m): its potential is
-        Re sum_j c_j / (z - b_j), with n_j as a complex number."""
-        return (mu.T * self.w * self.nu / TWO_PI).T
-
-    def _local(self, y, entry):
-        """Radius rho and Taylor coefficients L of the far-field sum
-        Re sum_j c_j / (z - b_j) about z = y:
-        Re sum_k L_k (z - y)^k for |z - y| < rho.  rho is 0 when the disk
-        would be smaller than series_min_radius (a source near the wall)."""
-        if "local" not in entry:
-            d = self.zeta - (y[0] + 1j * y[1])
-            rho = SERIES_THETA * float(np.abs(d).min())
-            entry["local"] = (0.0, None)
-            if rho >= self.series_min_radius:
-                # L_k = -sum_j c_j (b_j - y)^-(k+1)
-                powers = np.cumprod(np.broadcast_to(1.0 / d, (SERIES_TERMS, self.n)), axis=0)
-                entry["local"] = (rho, -(powers @ self._coeffs(entry["mu"])))
-        return entry["local"]
-
-    def _trace(self, entry):
-        """Interior boundary values g of the Cauchy integral
-        C mu(z) = (1/2pi i) int mu zeta' / (zeta - z) dt, whose real part is
-        -H(., y):  g_i = mu_i + (1/2pi i) [sum_{j != i} (mu_j - mu_i) Q_ij
-        + mu'_i dt], that is g = mu + (Q mu - q mu + mu' dt) / (2pi i)."""
-        if "trace" not in entry:
-            mu = entry["mu"]
-            s = self.Q @ mu - self.q * mu + _fft_derivative(mu) * (TWO_PI / self.n)
-            entry["trace"] = mu + s / (1j * TWO_PI)
-        return entry["trace"]
-
-    # -- regular part ---------------------------------------------------- #
-
-    def H(self, x, y):
-        ent = self._densities(y, 0)
-        rho, L = self._local(y, ent)
-        out = np.empty(x.shape[0])
-        t = (x[:, 0] - y[0]) + 1j * (x[:, 1] - y[1])
-        inner = np.abs(t) < rho
-        if np.any(inner):
-            # targets in the series disk lie at least rho >= series_min_radius
-            # from every sample, so the series stands in for the far sum (Horner)
-            ti = t[inner]
-            acc = np.full(ti.shape, L[-1])
-            for lk in L[-2::-1]:
-                acc *= ti
-                acc += lk
-            out[inner] = acc.real
-        if not np.all(inner):
-            out[~inner] = self._eval(x[~inner], self._trace(ent))
-        return out
-
-    def df(self, x, y, order):
-        """f' (order 1) or f'' (order 2) of the pole sum f of H(., y)."""
-        return self._pole_sum(x, self._coeffs(self._densities(y, 0)["mu"]), order)
-
-    def df_y(self, x, y):
-        """(df'/dy_1, df'/dy_2): f' of the y-derivative densities."""
-        return self._pole_sum(x, self._coeffs(self._densities(y, 1)["mu_y"]), 1)
-
-    # -- interior evaluation ---------------------------------------------- #
-
-    def _eval(self, targets, g):
-        """-Re of the interior Cauchy integral with boundary values g by the
-        barycentric rule sum_j g_j E_j / sum_j E_j, E_j = zeta'_j/(zeta_j - z):
-        the quadrature errors of the two sums cancel up to the wall.  Per block
-        both are one product, 1/(zeta_j - z) times zeta'_j [g_j, 1].  A target
-        on a sample (a row that is not finite) takes that sample's value."""
-        z = _complex(targets)
-        out = np.empty(z.shape[0])
-        weights = self.dzeta[:, None] * np.column_stack((g, np.ones(self.n)))
+    def _bary(self, z, data, order):
+        """The function with boundary values `data` and its first `order`
+        z-derivatives at z: the barycentric rule sum_j data_j E_j / sum_j E_j,
+        E_j = zeta'_j / (zeta_j - z), one product per block, whose quadrature
+        errors cancel up to the wall, and its Schneider-Werner derivatives
+        v^(k)/k! = sum_j E_j d_kj / sum_j E_j, d_(k+1)j = (d_kj - v^(k)/k!) /
+        (zeta_j - z), d_0 = data.  A target on a sample takes its value."""
+        out = np.empty((order + 1, z.shape[0]), dtype=complex)
+        weights = self.dzeta[:, None] * np.column_stack((data, np.ones(self.n)))
+        block = np.empty((min(CHUNK, z.shape[0]), self.n), dtype=complex)  # reused
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for i in range(0, z.shape[0], CHUNK):
-                r = self.zeta[None, :] - z[i:i + CHUNK, None]
-                s = np.reciprocal(r, out=r) @ weights
-                out[i:i + CHUNK] = -(s[:, 0] / s[:, 1]).real
-        hit = ~np.isfinite(out)
-        out[hit] = -g[np.abs(self.zeta - z[hit, None]).argmin(1)].real
+                r = block[:len(z[i:i + CHUNK])]
+                np.subtract(self.zeta, z[i:i + CHUNK, None], out=r)
+                np.reciprocal(r, out=r)
+                s = r @ weights
+                val = s[:, 0] / s[:, 1]
+                out[0, i:i + CHUNK] = val
+                if order:
+                    d = data - val[:, None]
+                for k in range(1, order + 1):
+                    d *= r
+                    val = (d * r) @ self.dzeta / s[:, 1]
+                    out[k, i:i + CHUNK] = math.factorial(k) * val
+                    d -= val[:, None]
+        hit = ~np.isfinite(out[0])
+        out[0, hit] = data[np.abs(self.zeta - z[hit, None]).argmin(1)]
         return out
 
-    def _pole_sum(self, targets, c, order):
-        """The order-th z-derivative of sum_j c_j / (z - zeta_j) for weights
-        c (n,) or (n, m), -order! sum_j c_j / (zeta_j - z)^(order + 1): per
-        block of targets one product, the powers of the in-place
-        reciprocals times c.  A plain trapezoid sum, accurate some sample
-        spacings away from the wall."""
-        z = _complex(targets)
-        out = np.empty(z.shape + c.shape[1:], dtype=complex)
-        for i in range(0, z.shape[0], CHUNK):
-            r = self.zeta[None, :] - z[i:i + CHUNK, None]
-            np.reciprocal(r, out=r)
-            out[i:i + CHUNK] = r**(order + 1) @ c
-        return -math.factorial(order) * out
+    def _source(self, w):
+        """(rho, c, phi) of the source w, kept for later calls: its series
+        disk's radius, the Taylor coefficients c_k = F^(k)(w)/k! as trapezoid
+        sums (1/2pi i) sum_j F_j zeta'_j dt / (zeta_j - w)^(k+1), and D's boundary
+        values (F_j - F(w)) / (zeta_j - w); nearer the wall than series_min_radius,
+        rho = 0 and c = (F(w), F'(w)) by the barycentric rule."""
+        rec = self._sources.get(w)   # one lookup: another thread may clear
+        if rec is not None:
+            return rec
+        d = self.zeta - w
+        rho = SERIES_THETA * float(np.abs(d).min())
+        if rho < self.series_min_radius:
+            rho, c = 0.0, self._bary(np.array([w]), self.F, 1)[:, 0]
+        else:
+            powers = np.cumprod(np.broadcast_to(1.0 / d, (SERIES_TERMS, self.n)), axis=0)
+            c = powers @ (self.F * self.dzeta) / (1j * self.n)
+        if len(self._sources) == SOURCES_KEPT:
+            self._sources.clear()
+        self._sources[w] = rec = rho, c, (self.F - c[0]) / d
+        return rec
+
+    def _quotient(self, z, t, inner, rho, p, data, order):
+        """A holomorphic function and its first `order` z-derivatives at z = w + t:
+        on `inner` by Horner over its Taylor coefficients p about w, to the terms
+        that reach 2^-SERIES_TERMS at max|t|; elsewhere from its boundary values."""
+        q = np.empty((order + 1, z.shape[0]), dtype=complex)
+        if not np.all(inner):
+            q[:, ~inner] = self._bary(z[~inner], data, order)
+        if np.any(inner):
+            ti = t[inner]
+            reach = math.log2(2.0 * rho / max(float(np.abs(ti).max()), 1e-300))
+            m = min(len(p), order + 1 + math.ceil(SERIES_TERMS / reach))
+            coef = np.zeros((m, order + 1), dtype=complex)
+            coef[:, 0] = p[:m]
+            for k in range(1, order + 1):
+                coef[:m - k, k] = coef[1:m - k + 1, k - 1] * np.arange(1, m - k + 1)
+            acc = np.repeat(coef[-1][:, None], len(ti), axis=1)
+            for ck in coef[-2::-1, :, None]:
+                acc *= ti
+                acc += ck
+            q[:, inner] = acc
+        return q
+
+    def _parts(self, x, y, order, y_pair=False):
+        """c = (F(w), F'(w), ...) and, at the targets x, the z-derivatives up
+        to `order` of F and of D, and with y_pair those of D_w."""
+        w = complex(y[0], y[1])
+        rho, c, phi = self._source(w)
+        z = _complex(x)
+        t = z - w
+        inner = np.abs(t) < rho
+        d = self._quotient(z, t, inner, rho, c[1:], phi, order)
+        # F = F(w) + t D, so F^(k) = k D^(k-1) + t D^(k)
+        f = t * d
+        f[0] += c[0]
+        f[1:] += np.arange(1, order + 1)[:, None] * d[:-1]
+        if not y_pair:
+            return c, f, d
+        psi = (phi - c[1]) / (self.zeta - w)   # the boundary values of D_w
+        return c, f, d, self._quotient(z, t, inner, rho, c[2:], psi, order)
+
+    def H(self, x, y):
+        c, f, d = self._parts(x, y, 0)
+        return np.log(np.abs((1.0 - np.conj(c[0]) * f[0]) / d[0])) / TWO_PI
+
+    def df(self, x, y, order):
+        """f' (order 1) or f'' (order 2) of f = (ln(1 - conj F(w) F) - ln D)/2pi."""
+        c, f, d = self._parts(x, y, order)
+        u = np.conj(c[0]) / (1.0 - np.conj(c[0]) * f[0])
+        v = d[1] / d[0]
+        if order == 1:
+            return -(u * f[1] + v) / TWO_PI
+        return -(u * f[2] + (u * f[1])**2 + d[2] / d[0] - v * v) / TWO_PI
+
+    def df_y(self, x, y):
+        """(df'/dy_1, df'/dy_2) = (K + K', i (K - K')): K' via conj F(w), K via D."""
+        c, f, d, e = self._parts(x, y, 1, y_pair=True)
+        k_bar = -np.conj(c[1]) * f[1] / (1.0 - np.conj(c[0]) * f[0])**2
+        k = (d[1] * e[0] / d[0] - e[1]) / d[0]
+        return np.stack([k + k_bar, 1j * (k - k_bar)], axis=-1) / TWO_PI
 
 
 # ====================================================================== #
@@ -275,13 +267,23 @@ class _BoundaryIntegralBackend:
 # ====================================================================== #
 
 
+def _interior_point(domain):
+    """The domain's center when it lies inside, else the point of a 32 x 32
+    lattice over the bounding box that lies deepest inside."""
+    if domain.contains(domain.center):
+        return domain.center
+    lo, hi = domain.bounding_box()
+    s = np.linspace(0.0, 1.0, 34)[1:-1]
+    pts = lo + (hi - lo) * np.stack(np.meshgrid(s, s), axis=-1).reshape(-1, 2)
+    return pts[np.argmax(np.where(domain.contains(pts), domain.boundary_distance(pts), -1.0))]
+
+
 class GreenEvaluator:
     """Green function machinery for a Domain.
 
     backend "images" is available on disks only; "boundary-integral" works on
-    any smooth domain.  All evaluations are pure; the inverse of the Nystrom
-    matrix and the density cache are computed once, so a single instance can
-    be shared across threads.
+    any smooth domain: its map is built once, and a source's Taylor record
+    on first use.  One instance can be shared across threads.
     """
 
     def __init__(self, domain, backend=None, order=512):
@@ -294,7 +296,8 @@ class GreenEvaluator:
                 raise ConfigError("images backend requires a disk domain")
             self._b = _ImagesBackend(domain)
         elif backend == "boundary-integral":
-            self._b = _BoundaryIntegralBackend(BoundaryCurve(domain.boundary_points(order)[0]))
+            curve = BoundaryCurve(domain.boundary_points(order)[0])
+            self._b = _BoundaryIntegralBackend(curve, _interior_point(domain))
         else:
             raise ConfigError(f"unknown Green backend {backend!r}")
         self.backend = backend
@@ -433,12 +436,8 @@ class HarmonicBackground:
         computed, when no coefficients remain (the zero background)."""
         x = np.asarray(x, dtype=float)
         c = self.coeffs
-        if deriv:
-            k = np.arange(len(c))
-            for _ in range(deriv):
-                c = c * k
-                c = c[1:]
-                k = np.arange(len(c))
+        for _ in range(deriv):
+            c = c[1:] * np.arange(1, len(c))
         if len(c) == 0:
             return np.zeros(x.shape[:-1], dtype=complex)
         z = ((x[..., 0] - self.center[0]) + 1j * (x[..., 1] - self.center[1])) / self.scale

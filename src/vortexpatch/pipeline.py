@@ -106,35 +106,19 @@ def write_jsonl(path, records, precision=17):
 
 
 def write_csv(path, header, rows, precision=17):
-    """A 2-D float array (no rows: the header alone): the text of `_fmt` per
-    value, and of str(int) for an integer of at most `precision` digits.
+    """A 2-D float array (no rows: the header alone), each row through one
+    template of `%.{precision}g` fields.
 
     The rows are formatted and written in blocks of `CSV_BLOCK`, so the
     text held in memory does not grow with the number of rows.
     """
     rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    fmt = f"%.{precision}g"
+    row = ",".join([f"%.{precision}g"] * len(header))
     with _atomic_file(path) as f:
         f.write(",".join(header) + "\n")
         for start in range(0, len(rows), CSV_BLOCK):
-            f.write(_csv_block(rows[start:start + CSV_BLOCK], fmt))
-
-
-def _csv_block(block, fmt):
-    """The text of some rows.  A column with fewer than half as many
-    distinct float64 bit patterns as rows (so -0.0 and 0.0 keep their own
-    text) formats each distinct value once and gathers the texts; any
-    other column formats each value.  Both apply `fmt` to the same Python
-    float, so the text is the same."""
-    cols = []
-    for col in block.T:
-        distinct, inverse = np.unique(col.view(np.uint64), return_inverse=True)
-        if 2 * len(distinct) < len(col):
-            text = [fmt % v for v in distinct.view(np.float64).tolist()]
-            cols.append(np.array(text, dtype=object)[inverse].tolist())
-        else:
-            cols.append(map(fmt.__mod__, col.tolist()))
-    return "\n".join(map(",".join, zip(*cols))) + "\n"
+            block = rows[start:start + CSV_BLOCK].tolist()
+            f.write("\n".join(row % tuple(r) for r in block) + "\n")
 
 
 # ---------------------------------------------------------------------- #

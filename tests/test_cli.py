@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortexpatch import ansatz
+from vortexpatch import ansatz, config
 from vortexpatch.cli import main
 from vortexpatch.config import config_hash, load_config, validate_config
 from vortexpatch.errors import ConfigError, ConvergenceError
@@ -283,6 +284,19 @@ def test_multistart_reports_each_critical_point_once():
     assert rep["converged"] and extra == []
 
 
+def test_config_schema_doc_names_every_key():
+    # docs/config_schema.md has one section per top-level key, and the key
+    # column of each section's table names exactly that section's keys
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "config_schema.md")
+    with open(path) as f:
+        text = f.read()
+    sections = dict(re.findall(r"^## (\w+)\n(.*?)(?=^## |\Z)", text, re.M | re.S))
+    assert set(sections) == set(config._TOP_KEYS)
+    for name, schema in config._SECTIONS.items():
+        cells = re.findall(r"^\| (`[^|]*`) \|", sections[name], re.M)
+        assert {k for cell in cells for k in re.findall(r"`(\w+)`", cell)} == set(schema), name
+
+
 ELLIPSE_CONFIG = {
     "domain": {"kind": "ellipse", "a": 0.0625, "b": 0.0375, "n_boundary": 512,
                "backend": "boundary-integral"},
@@ -297,8 +311,8 @@ ELLIPSE_CONFIG = {
 
 def test_ellipse_pipeline_end_to_end(tmp_path, monkeypatch):
     # the boundary-integral Green function on a parametric domain, with
-    # and without the local expansion of H about each source
-    from vortexpatch.greens import _BoundaryIntegralBackend
+    # and without the Taylor series about each source
+    from vortexpatch import greens
 
     def run(name):
         out = tmp_path / name
@@ -310,7 +324,7 @@ def test_ellipse_pipeline_end_to_end(tmp_path, monkeypatch):
     out2, _ = run("rerun")
     for name in ("field_eps0.npy", "diagnostics.jsonl", "equilibrium.jsonl"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
-    monkeypatch.setattr(_BoundaryIntegralBackend, "_local", lambda self, y, entry: (0.0, None))
+    monkeypatch.setattr(greens, "SERIES_THETA", 0.0)
     _, direct = run("direct")
     for key in ("circulations", "energy", "total_circulation"):
         assert np.allclose(diag[key], direct[key], rtol=1e-12, atol=0.0), key
@@ -439,8 +453,7 @@ def test_csv_matches_row_formatter(tmp_path, precision):
     rows[:len(special), 2] = special
     # blocks: the last one partial; x1 repeats in runs of 100, one of which
     # spans the first block edge; x2 repeats and w is mostly distinct in
-    # every block, so both ways of formatting a column run; -0.0 and 0.0
-    # meet at the second block edge
+    # every block; -0.0 and 0.0 meet at the second block edge
     n = 2 * CSV_BLOCK + 3
     blocks = np.column_stack((np.repeat(rng.standard_normal(n // 100 + 1), 100)[:n],
                               rng.choice(special, n), rng.standard_normal(n)))

@@ -2,6 +2,8 @@
 part of the Green function, each against an in-file oracle of the
 straightforward formula or an independent backend."""
 
+import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -215,7 +217,7 @@ def test_batched_arms_match_scalar_bisection(shape, ellipse, blob):
 
 
 # ---------------------------------------------------------------------- #
-#  Nystrom regular part: the barycentric Cauchy rule up to the wall
+#  Nystrom regular part: one conformal map per curve, up to the wall
 # ---------------------------------------------------------------------- #
 
 
@@ -236,15 +238,14 @@ def _upsample(v, m):
     return np.fft.ifft(pad) * (m / n)
 
 
-def _fine_trapezoid(ge, x, y, m=2**20):
-    """H(x, y) as the plain double-layer trapezoid sum over the curve and
-    the density both resampled to m points, one target at a time."""
-    b = ge._b
-    mu_f = _upsample(b._densities(y, 0)["mu"], m).real
-    z_f = _upsample(b.curve.x[:, 0] + 1j * b.curve.x[:, 1], m)
-    dz_f = np.fft.ifft(1j * np.fft.fftfreq(m, 1.0 / m) * np.fft.fft(z_f))
-    # (x - b).n |b'| / |x - b|^2 = Im[b' / (z - b)]
-    return np.array([mu_f @ (dz_f / (z - z_f)).imag / m for z in x[:, 0] + 1j * x[:, 1]])
+@functools.lru_cache(maxsize=None)
+def _maps(shape, n):
+    """The domain, its map on the n samples and the map built on the curve
+    resampled to 4n points: the reference, whose discretization error is
+    far below the n-sample map's."""
+    name, params = SERIES_SHAPES[shape]
+    dom = Domain.named(name, n=n, **params)
+    return dom, GreenEvaluator(dom, order=n), GreenEvaluator(dom, order=4 * n)
 
 
 def _between_samples(dom, depths):
@@ -271,17 +272,16 @@ def test_H_matches_images_on_disk():
 @pytest.mark.parametrize("n", [256, 512])
 @pytest.mark.parametrize("shape", ["thin-ellipse", "nonconvex-blob"])
 def test_H_matches_fine_trapezoid(shape, n):
-    name, params = SERIES_SHAPES[shape]
-    dom = Domain.named(name, n=n, **params)
-    ge = GreenEvaluator(dom, order=n)
+    # H up to 3e-4 from the wall against the map of the 4x-resampled curve
+    dom, ge, fine = _maps(shape, n)
     c, nrm = dom.curve.x, dom.curve.normal
     x = _between_samples(dom, np.logspace(np.log10(3e-4), -2, 12))
     wall = c[n // 4] - 0.05 * nrm[n // 4]
     for y in (np.array([0.1, 0.05]), wall):
         targets = np.vstack((x, _disk_targets(y, 0.04, 6, n)))
-        assert np.max(np.abs(ge.H(targets, y) - _fine_trapezoid(ge, targets, y))) <= 1e-12
+        assert np.max(np.abs(ge.H(targets, y) - fine.H(targets, y))) <= 1e-12
     # a source 0.05 from the wall takes no series: R/2 is below six spacings
-    assert ge._b._local(wall, ge._b._densities(wall, 0)) == (0.0, None)
+    assert ge._b._source(complex(*wall))[0] == 0.0
 
 
 @pytest.mark.parametrize("shape", ["thin-ellipse", "nonconvex-blob"])
@@ -303,7 +303,6 @@ def test_H_memory_is_bounded():
     dom = Domain.named("ellipse", n=512)
     ge = GreenEvaluator(dom)
     y = np.array([0.1, 0.05])
-    ge.H(np.array([[0.0, 0.0]]), y)      # density solve outside the trace
     t = TWO_PI * np.random.default_rng(1).random(20_000)
     r = 0.8 * np.sqrt(np.random.default_rng(2).random(20_000))
     x = np.column_stack((r * np.cos(t), 0.6 * r * np.sin(t)))
@@ -315,10 +314,9 @@ def test_H_memory_is_bounded():
         tracemalloc.stop()
     assert np.all(np.isfinite(vals))
     assert peak < 40e6
-    # a fresh source on a few targets outside its series disk: the density
-    # and the boundary trace are each one product with a matrix of the
-    # curve, formed once (building the trace from (n, n) complex
-    # temporaries peaks at about 11 MB)
+    # a fresh source on a few targets outside its series disk: the source's
+    # Taylor coefficients are one (SERIES_TERMS, n) table, and no (n, n)
+    # matrix is formed per source (one is 4 MB at 512 samples)
     y = np.array([-0.2, 0.1])
     x = 0.9 * dom.curve.x[::128]
     tracemalloc.start()
@@ -337,7 +335,6 @@ def test_H_derivatives_memory_is_bounded():
     dom = Domain.named("ellipse", n=512)
     ge = GreenEvaluator(dom)
     y = np.array([0.1, 0.05])
-    ge.H_hess_xy(np.array([[0.0, 0.0]]), y)     # density solves outside the trace
     t = TWO_PI * np.random.default_rng(3).random(4096)
     r = 0.8 * np.sqrt(np.random.default_rng(4).random(4096))
     x = np.column_stack((r * np.cos(t), 0.6 * r * np.sin(t)))
@@ -352,93 +349,79 @@ def test_H_derivatives_memory_is_bounded():
         assert peak < 8e6, name
 
 
-def _trace_ref(b, mu):
+def _trace_ref(curve, mu):
     """Interior boundary values of the Cauchy integral of mu by the
     subtracted-singularity trapezoid sum, one (n, n) table at a time."""
-    z = b.curve.x[:, 0] + 1j * b.curve.x[:, 1]
-    dz = b.curve.dx[:, 0] + 1j * b.curve.dx[:, 1]
-    dt = TWO_PI / b.n
+    z = curve.x[:, 0] + 1j * curve.x[:, 1]
+    dz = curve.dx[:, 0] + 1j * curve.dx[:, 1]
+    dt = TWO_PI / curve.n
     diff = z[None, :] - z[:, None]
     np.fill_diagonal(diff, 1.0)
     s = ((mu[None, :] - mu[:, None]) * dz[None, :] * dt / diff).sum(1)
-    dmu = np.fft.ifft(1j * np.fft.fftfreq(b.n, 1.0 / b.n) * np.fft.fft(mu)).real
+    dmu = np.fft.ifft(1j * np.fft.fftfreq(curve.n, 1.0 / curve.n) * np.fft.fft(mu)).real
     return mu + (s + dmu * dt) / (1j * TWO_PI)
 
 
 @pytest.mark.parametrize("n", [256, 512])
 @pytest.mark.parametrize("shape", ["thin-ellipse", "nonconvex-blob"])
 def test_nystrom_matrix_and_trace_from_the_cauchy_matrix(shape, n, monkeypatch):
-    # the Nystrom matrix the backend inverts is the double-layer trapezoid
-    # matrix with the curvature limit on its diagonal, and the trace of a
-    # density is the subtracted-singularity sum
+    # the one linear system of a curve is the double-layer trapezoid matrix
+    # with the curvature limit on its diagonal, for the data of a source z0
+    # inside; the map's boundary values are (zeta - z0) exp(2 pi g) of the
+    # subtracted-singularity trace g of its density; no source solves again
     name, params = SERIES_SHAPES[shape]
     dom = Domain.named(name, n=n, **params)
-    inverted = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.copy()) or inv(a))
+    solved = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append((a.copy(), b.copy()))
+                        or solve(a, b))
+    monkeypatch.setattr(np.linalg, "inv", None)
     ge = GreenEvaluator(dom, order=n)
-    monkeypatch.undo()
-    b = ge._b
     c, nrm = dom.curve.x, dom.curve.normal
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ref = _dlp_ref(c, c, nrm) * b.w[None, :]
-    np.fill_diagonal(ref, -dom.curve.curvature * b.w / (2.0 * TWO_PI))
-    ref -= 0.5 * np.eye(n)
-    assert len(inverted) == 1
-    assert np.max(np.abs(inverted[0] - ref)) <= 1e-15 * np.max(np.abs(ref))
     for y in (np.array([0.1, 0.05]), c[n // 4] - 0.05 * nrm[n // 4]):
-        ent = b._densities(y, 0)
-        err = np.max(np.abs(b._trace(ent) - _trace_ref(b, ent["mu"])))
-        assert err <= 1e-14 * np.max(np.abs(ent["mu"]))
-
-
-def _dlp_grad_ref(targets, bpts, bnormals):
-    """x-gradient of the double-layer kernel, (targets, samples, 2)."""
-    d = targets[:, None, :] - bpts[None, :, :]
-    r2 = (d**2).sum(-1)
-    c = (d * bnormals[None, :, :]).sum(-1)
-    return (bnormals[None, :, :] / r2[..., None]
-            - 2.0 * c[..., None] * d / (r2**2)[..., None]) / TWO_PI
-
-
-def _dlp_hess_ref(targets, bpts, bnormals):
-    """x-Hessian of the double-layer kernel, (targets, samples, 2, 2)."""
-    d = targets[:, None, :] - bpts[None, :, :]
-    r2 = (d**2).sum(-1)[..., None, None]
-    c = (d * bnormals[None, :, :]).sum(-1)[..., None, None]
-    nd = bnormals[None, :, :, None] * d[:, :, None, :]
-    return (-2.0 * (nd + nd.swapaxes(-1, -2)) / r2**2 - 2.0 * c * np.eye(2) / r2**2
-            + 8.0 * c * d[..., :, None] * d[..., None, :] / r2**3) / TWO_PI
+        x = np.vstack((0.8 * c[::16], y))
+        ge.H(x, y), ge.H_grad_x(x, y), ge.H_hess_xx(x, y), ge.H_hess_xy(x, y)
+    monkeypatch.undo()
+    assert len(solved) == 1
+    (a, rhs), b, z0 = solved[0], ge._b, dom.center
+    w = dom.curve.speed * TWO_PI / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = _dlp_ref(c, c, nrm) * w[None, :]
+    np.fill_diagonal(ref, -dom.curve.curvature * w / (2.0 * TWO_PI))
+    ref -= 0.5 * np.eye(n)
+    assert np.max(np.abs(a - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.array_equal(rhs, np.log(np.abs(b.zeta - (z0[0] + 1j * z0[1]))) / TWO_PI)
+    mu = solve(a, rhs)
+    F = (b.zeta - (z0[0] + 1j * z0[1])) * np.exp(TWO_PI * _trace_ref(dom.curve, mu))
+    assert np.max(np.abs(b.F - F)) <= 1e-14
+    # the map sends the samples to the unit circle
+    assert np.max(np.abs(np.abs(b.F) - 1.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [256, 512])
 @pytest.mark.parametrize("shape", ["thin-ellipse", "nonconvex-blob"])
 def test_H_derivatives_are_the_double_layer_sums(shape, n):
-    # f' and f'' of the pole sum, and f' of the y-derivative densities, give
-    # the trapezoid sums of the double-layer kernel's real derivatives
-    name, params = SERIES_SHAPES[shape]
-    dom = Domain.named(name, n=n, **params)
-    ge = GreenEvaluator(dom, order=n)
-    b = ge._b
+    # f', f'' and df'/dy of the closed forms, at targets in and beyond the
+    # series disk of a deep source and about a source 0.05 from the wall,
+    # against the map of the 4x-resampled curve (largest gaps measured:
+    # 1.0e-10 at 256 samples, the Hessian on the thin ellipse's series disk,
+    # and 3.4e-12 at 512)
+    dom, ge, fine = _maps(shape, n)
+    tol = {256: 1e-9, 512: 1e-11}[n]
     c, nrm = dom.curve.x, dom.curve.normal
     far = 0.8 * c[::4]
     for y in (np.array([0.1, 0.05]), c[n // 4] - 0.05 * nrm[n // 4]):
-        ent = b._densities(y, 1)
-        rho, _ = b._local(y, ent)
+        rho = ge._b._source(complex(*y))[0]
         x = np.vstack((_disk_targets(y, max(rho, 0.04), 200, n), far))
         inside = np.hypot(*(x - y).T) < rho
         assert rho == 0.0 or 0 < np.count_nonzero(inside) < len(x)
-        dk = _dlp_grad_ref(x, c, nrm)
-        grad = np.einsum("tbi,b->ti", dk, ent["mu"] * b.w)
-        hess = np.einsum("tbij,b->tij", _dlp_hess_ref(x, c, nrm), ent["mu"] * b.w)
-        hxy = np.einsum("tbi,bh->tih", dk, ent["mu_y"] * b.w[:, None])
-        for got, ref in ((ge.H_grad_x(x, y), grad), (ge.H_hess_xx(x, y), hess),
-                         (ge.H_hess_xy(x, y), hxy)):
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for name in ("H_grad_x", "H_hess_xx", "H_hess_xy"):
+            got, ref = getattr(ge, name)(x, y), getattr(fine, name)(x, y)
+            assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref)), name
 
 
 # ---------------------------------------------------------------------- #
-#  Nystrom regular part: local expansion about the source
+#  Nystrom regular part: the series about the source
 # ---------------------------------------------------------------------- #
 
 
@@ -455,8 +438,8 @@ def _disk_targets(y, rho, n, seed):
 SERIES_SHAPES = {
     "ellipse": ("ellipse", dict(a=1.0, b=0.6)),
     "blob": ("blob", dict(radius=1.0, wobble=0.12, mode=3)),
-    # H(., y) of these two has singularities close enough outside the wall
-    # that 28 terms of the series are not enough
+    # F of these two has singularities close enough outside the wall that
+    # 28 terms of the series are not enough
     "thin-ellipse": ("ellipse", dict(a=1.0, b=0.3)),
     "nonconvex-blob": ("blob", dict(radius=1.0, wobble=0.3, mode=5)),
 }
@@ -465,24 +448,44 @@ SERIES_SHAPES = {
 @pytest.mark.parametrize("n", [256, 512])
 @pytest.mark.parametrize("shape", list(SERIES_SHAPES))
 def test_H_series_matches_far_sum(shape, n):
+    # on its disk the series is the trapezoid Cauchy sum of F,
+    # sum_j c_j / (zeta_j - z), whose quotient D = (F(z) - F(w)) / (z - w)
+    # and D_w = (D - F'(w)) / (z - w) have derivatives free of cancellation,
+    # d^k D_w^l / dz^k = k! l! sum_j c_j / ((zeta_j - z)^(k+1) (zeta_j - w)^(l+1));
+    # each is compared on the scale max|D| / rho^(k+l) of its series
     name, params = SERIES_SHAPES[shape]
     dom = Domain.named(name, n=n, **params)
     ge = GreenEvaluator(dom, order=n)
-    min_radius = ge._b.series_min_radius
+    b = ge._b
+    min_radius = b.series_min_radius
     c, nrm = dom.curve.x, dom.curve.normal
+    cj = b.F * b.dzeta / (1j * n)
     wall = c[n // 4] - 2.1 * min_radius * nrm[n // 4]
     used = 0
     for y in (np.zeros(2), np.array([0.2, -0.05]), wall):
-        ent = ge._b._densities(y, 0)
-        rho, _ = ge._b._local(y, ent)
+        w = complex(*y)
+        rho, coef, _ = b._source(w)
         if rho == 0.0:
             assert 0.5 * dom.boundary_distance(y) < min_radius
             continue
         assert rho >= min_radius
         used += 1
         x = _disk_targets(y, rho, 4000, n)
-        ref = _dlp_ref(x, c, nrm) @ (ent["mu"] * ge._b.w)
+        z = x[:, 0] + 1j * x[:, 1]
+        rz, rw = 1.0 / (b.zeta[None, :] - z[:, None]), 1.0 / (b.zeta - w)
+        fw = cj @ rw
+        sums = [[(rz**(k + 1) * rw**(l + 1)) @ cj * math.factorial(k) * math.factorial(l)
+                 for k in range(3)] for l in range(2)]
+        ref = np.log(np.abs((1.0 - np.conj(fw) * (fw + (z - w) * sums[0][0]))
+                            / sums[0][0])) / TWO_PI
         assert np.max(np.abs(ge.H(x, y) - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+        _, _, d, e = b._parts(x, y, 2, y_pair=True)
+        scale = np.max(np.abs(sums[0][0]))
+        # the z^2 derivative carries the tail's (k - 1)(k - 2) weights
+        for got, want, m, tol in ((d[0], sums[0][0], 0, 1e-14), (d[1], sums[0][1], 1, 1e-14),
+                                  (d[2], sums[0][2], 2, 1e-13), (e[0], sums[1][0], 1, 1e-14),
+                                  (e[1], sums[1][1], 2, 1e-14)):
+            assert np.max(np.abs(got - want)) <= tol * scale / rho**m
     assert used >= 2
 
 
@@ -491,13 +494,13 @@ def test_H_series_targets_skip_kernel_and_distance(ellipse, monkeypatch):
     # target outside it takes the barycentric sum
     ge = GreenEvaluator(ellipse, order=256)
     y = np.array([0.1, 0.05])
-    rho, _ = ge._b._local(y, ge._b._densities(y, 0))
+    rho = ge._b._source(complex(*y))[0]
     calls = {"rows": 0, "geometry": 0}
-    barycentric = ge._b._eval
+    barycentric = ge._b._bary
 
-    def counted_eval(targets, g):
-        calls["rows"] += len(targets)
-        return barycentric(targets, g)
+    def counted_bary(z, data, order):
+        calls["rows"] += len(z)
+        return barycentric(z, data, order)
 
     def counted(method):
         def wrapper(*args, **kwargs):
@@ -505,7 +508,7 @@ def test_H_series_targets_skip_kernel_and_distance(ellipse, monkeypatch):
             return method(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ge._b, "_eval", counted_eval)
+    monkeypatch.setattr(ge._b, "_bary", counted_bary)
     for name in ("boundary_distance", "signed_distance", "contains", "_parity_inside"):
         monkeypatch.setattr(ellipse, name, counted(getattr(ellipse, name)))
     ge.H(_disk_targets(y, rho, 50_000, 2), y)

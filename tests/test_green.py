@@ -274,3 +274,58 @@ def test_domain_winding_and_distance():
     assert not dom.contains(np.array([1.4, 0.0]))
     assert dom.signed_distance(np.array([0.0, 0.0])) > 0.5
     assert dom.signed_distance(np.array([2.0, 0.0])) < 0
+
+
+# ---------------------------------------------------------------------- #
+#  the conformal-map backend near the wall and off the sample mean
+# ---------------------------------------------------------------------- #
+
+
+def test_nystrom_near_the_wall_matches_images():
+    # sources 0.03 to 0.002 from the wall of the 1/16 disk and targets 1e-2
+    # to 1e-5 from it, between samples; each gap relative to the images
+    # value's largest magnitude
+    dom = Domain.disk(1.0 / 16.0)
+    images = GreenEvaluator(dom)
+    nystrom = GreenEvaluator(dom, backend="boundary-integral", order=512)
+    bp, nrm = dom.boundary_points(24)
+    x = np.vstack([bp - d * nrm for d in np.logspace(-2, -5, 7)])
+    bounds = {"H": 1e-12, "H_grad_x": 1e-9, "H_hess_xx": 1e-6, "H_hess_xy": 1e-6}
+    for depth in (0.03, 0.01, 0.005, 0.002):
+        y = bp[5] - depth * nrm[5]
+        for name, bound in bounds.items():
+            ref = getattr(images, name)(x, y)
+            gap = np.max(np.abs(getattr(nystrom, name)(x, y) - ref))
+            assert gap <= bound * np.max(np.abs(ref)), (depth, name)
+    # x = y: the Robin function, its gradient and Hessian
+    for depth in (0.03, 0.01, 0.005, 0.003, 0.002, 0.0015):
+        z = bp[5] - depth * nrm[5]
+        for name in ("robin", "robin_grad", "robin_hess"):
+            ref = np.asarray(getattr(images, name)(z))
+            gap = np.max(np.abs(getattr(nystrom, name)(z) - ref))
+            assert gap <= 1e-10 * np.max(np.abs(ref)), (depth, name)
+
+
+def _crescent(n, sweep=1.8, width=0.35):
+    """A bent ellipse about the unit circle, spanning +/- sweep radians:
+    its sample mean, about (J0(sweep), 0) = (0.34, 0), lies outside it."""
+    t = TWO_PI * np.arange(n) / n
+    z = (1.0 + width * np.sin(t)) * np.exp(1j * sweep * np.cos(t))
+    return np.column_stack((z.real, z.imag))
+
+
+def test_map_of_a_domain_whose_sample_mean_lies_outside():
+    dom = Domain.from_samples(_crescent(512))
+    assert not dom.contains(dom.center)
+    ge = GreenEvaluator(dom)
+    fine = GreenEvaluator(dom, order=2048)
+    c = dom.curve.x
+    arc = np.linspace(-1.6, 1.6, 40)[:, None] * 1j + np.log(np.linspace(0.75, 1.25, 7))
+    x = np.column_stack((np.exp(arc).real.ravel(), np.exp(arc).imag.ravel()))
+    x = x[dom.contains(x, tol=0.02)]
+    for y in (np.array([0.95, 0.3]), 0.95 * np.array([np.cos(1.2), np.sin(1.2)])):
+        assert dom.contains(y)
+        # G vanishes on the boundary samples: H there is (1/2pi) ln|x - y|
+        data = np.log(np.hypot(*(c - y).T)) / TWO_PI
+        assert np.max(np.abs(ge.H(c, y) - data)) <= 1e-11
+        assert np.max(np.abs(ge.H(x, y) - fine.H(x, y))) <= 1e-11 * np.max(np.abs(fine.H(x, y)))
